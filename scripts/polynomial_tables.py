@@ -15,13 +15,11 @@ from delannoy_jacobi.render import format_poly
 
 def main() -> None:
     print("central Delannoy numbers d(n,n) and the Legendre values P_n(3):")
-    for n in range(9):
-        d = lp.delannoy_weighted(n, n).constant_value()
+    for n, d in enumerate(lp.central_delannoy(9)):
         print(f"  n={n}: d={d}  P_n(3)={fam.legendre(n)(3)}")
 
     print("\nSchroeder numbers and 2/(n+1) P_n^(-1,1)(3):")
-    for n in range(1, 9):
-        s = lp.schroder_weighted(n).constant_value()
+    for n, s in enumerate(lp.schroder_numbers(9)[1:], start=1):
         print(f"  n={n}: s={s}  value={Fraction(2, n + 1) * fam.jacobi(n, -1, 1)(3)}")
 
     print("\nshifted polynomials with second parameter -6 (n = 0..8):")

@@ -38,16 +38,19 @@ from .paths import (
     CapExceeded,
     Step,
     WeightTriple,
+    central_delannoy,
     delannoy_closed,
     delannoy_enumerate,
+    delannoy_row,
     delannoy_weighted,
     modified_delannoy,
     motzkin_legendre_moment,
     schroder_enumerate,
+    schroder_numbers,
     schroder_weighted,
     valid_pair_signed_sum,
 )
-from .polynomial import Poly, Rational, binom, pochhammer
+from .polynomial import Poly, binom, pochhammer
 from .render import format_poly, parse_poly, parse_rational
 
 __version__ = "0.1.0"

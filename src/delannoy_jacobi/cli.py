@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from . import identities
 from . import paths as lp
 from .families import InvalidIndex
 from .paths import CapExceeded
-from .render import format_poly, format_rational, parse_rational
+from .render import format_poly, parse_rational
 
 CONFIG_FILENAME = "delannoy-jacobi.conf"
 CONFIG_ENV_VAR = "DJ_CONFIG"
@@ -42,6 +43,8 @@ POLY_FAMILIES = {
 }
 
 SEQUENCES = ("central-delannoy", "schroder", "delannoy-row")
+WEIGHT_FLAGS = ("--u", "--v", "--w")
+NEGATIVE_LITERAL = re.compile(r"-\d")
 
 EPILOG = """\
 formats:
@@ -112,10 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
-    for flag in ("u", "v", "w"):
+    for flag in WEIGHT_FLAGS:
         parser.add_argument(
-            f"--{flag}", type=_rational_flag, default=Fraction(1),
-            help=f"{flag} step weight, integer or p/q (default 1)",
+            flag, type=_rational_flag, default=Fraction(1),
+            help=f"{flag[2:]} step weight, integer or p/q (default 1)",
         )
 
 
@@ -166,7 +169,7 @@ def make_suite_config(args) -> identities.SuiteConfig:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_weights(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "compute":
             return _run_compute(args)
@@ -180,6 +183,22 @@ def entrypoint() -> None:
     sys.exit(main())
 
 
+def _attach_negative_weights(argv: list[str]) -> list[str]:
+    """Join "--v -1/3" into "--v=-1/3".
+
+    argparse takes a separate token that starts with "-" for an option
+    unless it looks like a negative integer or decimal, so a negative p/q
+    weight is only read in the joined form.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in WEIGHT_FLAGS and NEGATIVE_LITERAL.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _run_compute(args) -> int:
     if args.what == "delannoy":
         wt = lp.WeightTriple.of(args.u, args.v, args.w)
@@ -187,7 +206,7 @@ def _run_compute(args) -> int:
         record = {
             "m": args.m, "n": args.n,
             "u": str(args.u), "v": str(args.v), "w": str(args.w),
-            "value": format_rational(value),
+            "value": str(value),
         }
         _emit_scalar(args.format, record, ("m", "n", "u", "v", "w", "value"))
     elif args.what == "schroder":
@@ -196,7 +215,7 @@ def _run_compute(args) -> int:
         record = {
             "n": args.n,
             "u": str(args.u), "v": str(args.v), "w": str(args.w),
-            "value": format_rational(value),
+            "value": str(value),
         }
         _emit_scalar(args.format, record, ("n", "u", "v", "w", "value"))
     elif args.what == "poly":
@@ -232,14 +251,12 @@ def _sequence_values(args) -> list[int]:
     if args.count < 0:
         raise ValueError("--count must be nonnegative")
     if args.name == "central-delannoy":
-        return [int(lp.delannoy_weighted(k, k).constant_value()) for k in range(args.count)]
+        return lp.central_delannoy(args.count)
     if args.name == "schroder":
-        return [int(lp.schroder_weighted(k).constant_value()) for k in range(args.count)]
+        return lp.schroder_numbers(args.count)
     if args.m is None:
         raise ValueError("sequence delannoy-row requires --m")
-    return [
-        int(lp.delannoy_weighted(args.m, k).constant_value()) for k in range(args.count)
-    ]
+    return lp.delannoy_row(args.m, args.count)
 
 
 def _emit_scalar(fmt: str, record: dict, columns: tuple[str, ...]) -> None:
@@ -290,3 +307,7 @@ def _run_verify(args) -> int:
         failed = sum(1 for r in reports if r.status == "fail")
         print(f"{len(reports)} identities: {len(reports) - failed} passed, {failed} failed")
     return 3 if any(r.status == "fail" for r in reports) else 0
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -9,10 +9,13 @@ Each quantity is computed two ways wherever feasible: explicit enumeration
 (the ground-truth oracle, guarded by a step cap) and dynamic programming or
 a closed binomial sum.  Weights may be rational constants or polynomials in
 a single variable, so substituting v = x turns the same DP into a
-polynomial-family constructor.
+polynomial-family constructor.  The DPs clear the weights' denominators
+once, so constant weights run on plain ints, and the sequence helpers read
+a whole sequence off one DP table.
 """
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -148,49 +151,19 @@ def delannoy_table(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> list[list
     d[i][j] = u*d[i-1][j] + v*d[i][j-1] + w*d[i-1][j-1].
     """
     _require_quadrant(m, n)
-    u, v, w = wt.u, wt.v, wt.w
-    table: list[list[Poly]] = []
-    for i in range(m + 1):
-        row: list[Poly] = []
-        for j in range(n + 1):
-            if i == 0 and j == 0:
-                row.append(as_poly(1))
-                continue
-            acc = Poly()
-            if i > 0:
-                acc = acc + u * table[i - 1][j]
-            if j > 0:
-                acc = acc + v * row[j - 1]
-            if i > 0 and j > 0:
-                acc = acc + w * table[i - 1][j - 1]
-            row.append(acc)
-        table.append(row)
-    return table
+    q, u, v, w = _cleared_weights(wt)
+    return [
+        [_uncleared(value, q, i + j) for j, value in enumerate(row)]
+        for i, row in enumerate(_delannoy_rows(m, n, u, v, w))
+    ]
 
 
 @lru_cache(maxsize=None)
 def delannoy_weighted(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Delannoy total by dynamic programming."""
     _require_quadrant(m, n)
-    u, v, w = wt.values()
-    zero = 0 * u
-    prev = [zero] * (n + 1)
-    row = [zero] * (n + 1)
-    for i in range(m + 1):
-        for j in range(n + 1):
-            if i == 0 and j == 0:
-                row[j] = zero + 1
-                continue
-            acc = zero
-            if i > 0:
-                acc = acc + u * prev[j]
-            if j > 0:
-                acc = acc + v * row[j - 1]
-            if i > 0 and j > 0:
-                acc = acc + w * prev[j - 1]
-            row[j] = acc
-        prev, row = row, prev
-    return as_poly(prev[n])
+    q, u, v, w = _cleared_weights(wt)
+    return _uncleared(_last(_delannoy_rows(m, n, u, v, w))[n], q, m + n)
 
 
 @lru_cache(maxsize=None)
@@ -215,25 +188,102 @@ def schroder_weighted(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Schroeder total by DP restricted to cells with j <= i."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u, v, w = wt.values()
-    zero = 0 * u
-    table: list[list] = []
-    for i in range(n + 1):
-        row = []
-        for j in range(i + 1):
-            if i == 0 and j == 0:
-                row.append(zero + 1)
-                continue
-            acc = zero
-            if i > 0 and j <= i - 1:
-                acc = acc + u * table[i - 1][j]
-            if j > 0:
-                acc = acc + v * row[j - 1]
-            if i > 0 and j > 0:
-                acc = acc + w * table[i - 1][j - 1]
-            row.append(acc)
-        table.append(row)
-    return as_poly(table[n][n])
+    q, u, v, w = _cleared_weights(wt)
+    return _uncleared(_last(_schroder_rows(n, u, v, w))[n], q, 2 * n)
+
+
+def central_delannoy(count: int) -> list[int]:
+    """Central Delannoy numbers d(k,k) for k < count: the diagonal of one DP."""
+    _require_count(count)
+    rows = _delannoy_rows(count - 1, count - 1, 1, 1, 1) if count else ()
+    return [row[k] for k, row in enumerate(rows)]
+
+
+def delannoy_row(m: int, count: int) -> list[int]:
+    """Delannoy numbers d(m,k) for k < count: the last row of one DP."""
+    _require_quadrant(m, 0)
+    _require_count(count)
+    return _last(_delannoy_rows(m, count - 1, 1, 1, 1)) if count else []
+
+
+def schroder_numbers(count: int) -> list[int]:
+    """Large Schroeder numbers r_k for k < count: the row ends of one DP."""
+    _require_count(count)
+    return [row[-1] for row in _schroder_rows(count - 1, 1, 1, 1)]
+
+
+def _cleared_weights(wt: WeightTriple) -> tuple:
+    """(q, q*u, q*v, q^2*w) with q the lcm of every coefficient denominator.
+
+    The cleared weights have integer coefficients: plain ints when wt is
+    constant, Polys otherwise (left as they are when q is 1).  East and
+    north steps gain a factor q and diagonal steps q^2, so every path to
+    (i,j) gains q^(i+j): the DP on the cleared weights yields d(i,j) *
+    q^(i+j), with no gcd in any cell.
+    """
+    u, v, w = wt.u, wt.v, wt.w
+    q = math.lcm(*(c.denominator for p in (u, v, w) for c in p.coeffs))
+    if wt.is_constant():
+        u, v, w = (p.constant_value() for p in (u, v, w))
+        return (
+            q,
+            u.numerator * (q // u.denominator),
+            v.numerator * (q // v.denominator),
+            w.numerator * (q // w.denominator) * q,
+        )
+    if q == 1:
+        return q, u, v, w
+    return q, u * q, v * q, w * (q * q)
+
+
+def _uncleared(value, q: int, k: int) -> Poly:
+    """The DP total value / q^k, as a Poly."""
+    if q == 1:
+        return as_poly(value)
+    if isinstance(value, int):
+        return Poly.constant(Fraction(value, q ** k))
+    return value * Fraction(1, q ** k)
+
+
+def _delannoy_rows(m: int, n: int, u, v, w) -> Iterator[list]:
+    """Yield the rows i = 0..m of the DP table D(i, 0..n).
+
+    D(0,0) = 1 and D(i,j) = u D(i-1,j) + v D(i,j-1) + w D(i-1,j-1), terms
+    outside the quadrant dropped.  Only the previous row is kept.
+    """
+    row = [1]
+    for j in range(n):
+        row.append(v * row[j])
+    yield row
+    for _ in range(m):
+        prev, row = row, [u * row[0]]
+        for j in range(1, n + 1):
+            row.append(u * prev[j] + v * row[j - 1] + w * prev[j - 1])
+        yield row
+
+
+def _schroder_rows(n: int, u, v, w) -> Iterator[list]:
+    """Yield the rows i = 0..n of the same DP restricted to the cells j <= i.
+
+    Row i holds D(i, 0..i); its last entry is the total at (i,i).  Only the
+    previous row is kept.
+    """
+    if n < 0:
+        return
+    row = [1]
+    yield row
+    for i in range(1, n + 1):
+        prev, row = row, [u * row[0]]
+        for j in range(1, i):
+            row.append(u * prev[j] + v * row[j - 1] + w * prev[j - 1])
+        row.append(v * row[i - 1] + w * prev[i - 1])
+        yield row
+
+
+def _last(rows: Iterator[list]) -> list:
+    for row in rows:
+        pass
+    return row
 
 
 def modified_delannoy(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -357,3 +407,8 @@ def _count_leader_orders(total: int, constrained: int) -> int:
 def _require_quadrant(m: int, n: int) -> None:
     if m < 0 or n < 0:
         raise ValueError("lattice endpoints must be in the first quadrant")
+
+
+def _require_count(count: int) -> None:
+    if count < 0:
+        raise ValueError("count must be nonnegative")

@@ -14,10 +14,6 @@ x, and the denominator-clearing substitution x -> x/(x-1).
 import math
 from fractions import Fraction
 
-# The ground field.  Fraction already guarantees lowest terms and a positive
-# denominator, which is exactly the normalization the rest of the code needs.
-Rational = Fraction
-
 Scalar = int | Fraction
 
 

@@ -23,10 +23,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def _format_term(coeff: Fraction, power: int) -> str:
     mag = abs(coeff)
     if power == 0:

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,52 @@ class TestComputeSequence:
         )
         assert code == 1
         assert "--m" in err
+
+    @pytest.mark.parametrize("name,expected", [
+        ("central-delannoy", ["", "1", "1, 3"]),
+        ("schroder", ["", "1", "1, 2"]),
+    ])
+    def test_small_counts(self, capsys, name, expected):
+        for count, values in enumerate(expected):
+            code, out, _ = run_cli(
+                capsys, "compute", "sequence", "--name", name, "--count", str(count)
+            )
+            assert code == 0
+            assert out == values + "\n"
+
+    def test_delannoy_row_small_counts(self, capsys):
+        for count, values in enumerate(["", "1", "1, 7"]):
+            code, out, _ = run_cli(
+                capsys, "compute", "sequence", "--name", "delannoy-row",
+                "--m", "3", "--count", str(count),
+            )
+            assert code == 0
+            assert out == values + "\n"
+
+    def test_delannoy_row_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compute", "sequence", "--name", "delannoy-row",
+            "--m", "0", "--count", "4",
+        )
+        assert code == 0
+        assert out.strip() == "1, 1, 1, 1"
+
+    @pytest.mark.parametrize("count", ["0", "3"])
+    def test_delannoy_row_negative_m(self, capsys, count):
+        code, out, err = run_cli(
+            capsys, "compute", "sequence", "--name", "delannoy-row",
+            "--m", "-1", "--count", count,
+        )
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
+    def test_negative_count(self, capsys):
+        code, _, err = run_cli(
+            capsys, "compute", "sequence", "--name", "schroder", "--count", "-1"
+        )
+        assert code == 1
+        assert "--count" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -112,6 +162,31 @@ class TestComputeCounts:
         )
         assert code == 0
         assert out.strip() == "11/2"
+
+    @pytest.mark.parametrize("weight", [["--v", "-1/3"], ["--v=-1/3"]])
+    def test_negative_rational_weight(self, capsys, weight):
+        code, out, _ = run_cli(
+            capsys, "compute", "delannoy", "--m", "2", "--n", "2", *weight,
+            "--format", "json",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["v"] == "-1/3"
+        assert record["value"] == "-1/3"
+
+    def test_negative_weights_as_separate_tokens(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compute", "schroder", "--n", "2",
+            "--u", "-2/5", "--v", "-3", "--w", "-7/4",
+        )
+        assert code == 0
+        # 2 u^2 v^2 + 3 u v w + w^2 with u = -2/5, v = -3, w = -7/4
+        assert out.strip() == "-143/400"
+
+    def test_flag_after_weight_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["compute", "delannoy", "--m", "1", "--n", "1", "--u", "--format", "json"])
+        assert info.value.code == 2
 
     def test_decimal_weight_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -227,3 +302,17 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "verify", "--id", "dp1")
         assert code == 1
         assert "unknown config key" in err
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "delannoy_jacobi.cli",
+             "compute", "sequence", "--name", "schroder", "--count", "5"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "1, 2, 6, 22, 90\n"

@@ -13,8 +13,10 @@ from delannoy_jacobi.paths import (
     CapExceeded,
     Step,
     WeightTriple,
+    central_delannoy,
     delannoy_closed,
     delannoy_enumerate,
+    delannoy_row,
     delannoy_table,
     delannoy_weighted,
     modified_delannoy,
@@ -22,6 +24,7 @@ from delannoy_jacobi.paths import (
     motzkin_legendre_moment,
     path_weight,
     schroder_enumerate,
+    schroder_numbers,
     schroder_weighted,
     valid_pair_signed_sum,
 )
@@ -29,8 +32,23 @@ from delannoy_jacobi.paths import (
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 triples = st.tuples(rationals, rationals, rationals)
 
+# Denominators up to 20, so that the cleared DP scales by a large lcm; zero
+# is drawn on its own as well, since hypothesis rarely lands on it.
+wide_rationals = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-6, max_value=6, max_denominator=20)
+)
+wide_triples = st.tuples(wide_rationals, wide_rationals, wide_rationals)
+# Polynomial weights with rational coefficients take the q > 1 Poly branch.
+poly_weights = st.lists(wide_rationals, min_size=1, max_size=3).map(Poly)
+poly_triples = st.tuples(poly_weights, poly_weights, poly_weights)
+
 ONES = WeightTriple.of(1, 1, 1)
 POLY_WT = WeightTriple.of(1, X, -1)
+RATIONAL_POLY_WT = WeightTriple.of(Poly((F(1, 2), F(-2, 3))), X, F(-1, 4))
+
+
+def enumerated_total(paths, wt):
+    return sum((path_weight(p, wt) for p in paths), Poly())
 
 
 class TestDelannoyEnumerate:
@@ -104,6 +122,39 @@ class TestDelannoyWeighted:
             n, m, WeightTriple.of(v, u, w)
         )
 
+    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4),
+           st.one_of(wide_triples, poly_triples))
+    @settings(max_examples=60, deadline=None)
+    def test_cleared_dp_matches_closed_and_enumeration(self, m, n, uvw):
+        wt = WeightTriple.of(*uvw)
+        by_dp = delannoy_weighted(m, n, wt)
+        assert by_dp == delannoy_closed(m, n, wt)
+        assert by_dp == enumerated_total(delannoy_enumerate(m, n), wt)
+
+    @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5),
+           st.one_of(wide_triples, poly_triples))
+    @settings(max_examples=30, deadline=None)
+    def test_table_matches_closed_at_every_cell(self, m, n, uvw):
+        wt = WeightTriple.of(*uvw)
+        table = delannoy_table(m, n, wt)
+        assert [len(row) for row in table] == [n + 1] * (m + 1)
+        for i, row in enumerate(table):
+            for j, value in enumerate(row):
+                assert isinstance(value, Poly)
+                assert value == delannoy_closed(i, j, wt)
+
+    def test_rational_polynomial_weights(self):
+        for m in range(5):
+            for n in range(5):
+                expected = delannoy_closed(m, n, RATIONAL_POLY_WT)
+                assert delannoy_weighted(m, n, RATIONAL_POLY_WT) == expected
+        assert delannoy_weighted(1, 1, RATIONAL_POLY_WT) == Poly((F(-1, 4), 1, F(-4, 3)))
+
+    def test_zero_weights(self):
+        assert delannoy_weighted(0, 0, WeightTriple.of(0, 0, 0)) == 1
+        assert delannoy_weighted(3, 2, WeightTriple.of(0, 0, 0)) == 0
+        assert delannoy_weighted(2, 2, WeightTriple.of(0, 0, F(3, 5))) == F(9, 25)
+
     def test_unit_specialization_satisfies_recursion(self):
         table = delannoy_table(5, 5)
         for i in range(1, 6):
@@ -134,6 +185,17 @@ class TestSchroder:
         by_enum = sum((path_weight(p, wt) for p in schroder_enumerate(n)), Poly())
         assert schroder_weighted(n, wt) == by_enum
 
+    @given(st.integers(min_value=0, max_value=4), st.one_of(wide_triples, poly_triples))
+    @settings(max_examples=60, deadline=None)
+    def test_cleared_dp_matches_enumeration(self, n, uvw):
+        wt = WeightTriple.of(*uvw)
+        assert schroder_weighted(n, wt) == enumerated_total(schroder_enumerate(n), wt)
+
+    def test_rational_polynomial_weights(self):
+        for n in range(5):
+            by_enum = enumerated_total(schroder_enumerate(n), RATIONAL_POLY_WT)
+            assert schroder_weighted(n, RATIONAL_POLY_WT) == by_enum
+
     @given(st.integers(min_value=0, max_value=4),
            st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)))
     @settings(max_examples=30, deadline=None)
@@ -144,6 +206,68 @@ class TestSchroder:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             schroder_enumerate(9)
+
+
+class TestSequences:
+    """The one-table sequences against the per-index routes and against the
+    P-recursive three-term recurrences (Petkovsek-Wilf-Zeilberger, A=B)."""
+
+    COUNT = 40
+
+    def test_central_delannoy_matches_per_index(self):
+        values = central_delannoy(self.COUNT)
+        assert len(values) == self.COUNT
+        for k, value in enumerate(values):
+            assert type(value) is int
+            assert value == delannoy_weighted(k, k) == delannoy_closed(k, k)
+
+    def test_central_delannoy_recurrence(self):
+        d = central_delannoy(self.COUNT)
+        assert d[:2] == [1, 3]
+        for n in range(2, self.COUNT):
+            assert n * d[n] == 3 * (2 * n - 1) * d[n - 1] - (n - 1) * d[n - 2]
+
+    def test_schroder_numbers_match_per_index(self):
+        values = schroder_numbers(self.COUNT)
+        assert len(values) == self.COUNT
+        for k, value in enumerate(values):
+            assert type(value) is int
+            assert value == schroder_weighted(k)
+        assert values[:5] == [sum(1 for _ in schroder_enumerate(k)) for k in range(5)]
+
+    def test_schroder_recurrence(self):
+        r = schroder_numbers(self.COUNT)
+        assert r[:2] == [1, 2]
+        for n in range(2, self.COUNT):
+            assert (n + 1) * r[n] == 3 * (2 * n - 1) * r[n - 1] - (n - 2) * r[n - 2]
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 25])
+    def test_delannoy_row_matches_per_index(self, m):
+        values = delannoy_row(m, 30)
+        assert len(values) == 30
+        for k, value in enumerate(values):
+            assert type(value) is int
+            assert value == delannoy_weighted(m, k) == delannoy_closed(m, k)
+
+    def test_small_counts(self):
+        assert central_delannoy(0) == [] and central_delannoy(1) == [1]
+        assert central_delannoy(2) == [1, 3]
+        assert schroder_numbers(0) == [] and schroder_numbers(1) == [1]
+        assert schroder_numbers(2) == [1, 2]
+        assert delannoy_row(3, 0) == [] and delannoy_row(3, 1) == [1]
+        assert delannoy_row(3, 2) == [1, 7]
+        assert delannoy_row(0, 4) == [1, 1, 1, 1]
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            delannoy_row(-1, 3)
+        with pytest.raises(ValueError):
+            delannoy_row(-1, 0)
+        for helper in (central_delannoy, schroder_numbers):
+            with pytest.raises(ValueError):
+                helper(-1)
+        with pytest.raises(ValueError):
+            delannoy_row(2, -1)
 
 
 class TestModifiedDelannoy:
