@@ -213,36 +213,30 @@ def schroder_numbers(count: int) -> list[int]:
 
 
 def _cleared_weights(wt: WeightTriple) -> tuple:
-    """(q, q*u, q*v, q^2*w) with q the lcm of every coefficient denominator.
+    """(q, q*u, q*v, q^2*w), with q the lcm of the constant weights' denominators.
 
-    The cleared weights have integer coefficients: plain ints when wt is
-    constant, Polys otherwise (left as they are when q is 1).  East and
-    north steps gain a factor q and diagonal steps q^2, so every path to
-    (i,j) gains q^(i+j): the DP on the cleared weights yields d(i,j) *
-    q^(i+j), with no gcd in any cell.
+    East and north steps gain a factor q and diagonal steps q^2, so every
+    path to (i,j) gains q^(i+j): the DP on the cleared weights runs on plain
+    ints and yields d(i,j) * q^(i+j), with no gcd in any cell.  Polynomial
+    weights are returned as they are, with q = 1.
     """
-    u, v, w = wt.u, wt.v, wt.w
-    q = math.lcm(*(c.denominator for p in (u, v, w) for c in p.coeffs))
-    if wt.is_constant():
-        u, v, w = (p.constant_value() for p in (u, v, w))
-        return (
-            q,
-            u.numerator * (q // u.denominator),
-            v.numerator * (q // v.denominator),
-            w.numerator * (q // w.denominator) * q,
-        )
-    if q == 1:
-        return q, u, v, w
-    return q, u * q, v * q, w * (q * q)
+    if not wt.is_constant():
+        return 1, wt.u, wt.v, wt.w
+    u, v, w = wt.values()
+    q = math.lcm(u.denominator, v.denominator, w.denominator)
+    return (
+        q,
+        u.numerator * (q // u.denominator),
+        v.numerator * (q // v.denominator),
+        w.numerator * (q // w.denominator) * q,
+    )
 
 
 def _uncleared(value, q: int, k: int) -> Poly:
     """The DP total value / q^k, as a Poly."""
     if q == 1:
         return as_poly(value)
-    if isinstance(value, int):
-        return Poly.constant(Fraction(value, q ** k))
-    return value * Fraction(1, q ** k)
+    return Poly.constant(Fraction(value, q ** k))
 
 
 def _delannoy_rows(m: int, n: int, u, v, w) -> Iterator[list]:

@@ -38,7 +38,7 @@ wide_rationals = st.one_of(
     st.just(F(0)), st.fractions(min_value=-6, max_value=6, max_denominator=20)
 )
 wide_triples = st.tuples(wide_rationals, wide_rationals, wide_rationals)
-# Polynomial weights with rational coefficients take the q > 1 Poly branch.
+# Polynomial weights with rational coefficients, against the same oracles.
 poly_weights = st.lists(wide_rationals, min_size=1, max_size=3).map(Poly)
 poly_triples = st.tuples(poly_weights, poly_weights, poly_weights)
 
