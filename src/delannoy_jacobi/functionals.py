@@ -92,9 +92,21 @@ def lbeta_functional(beta: int) -> MomentFunctional:
 
 
 def inner_weighted(f: Poly, g: Poly, alpha: int = 0, beta: int = 0) -> Fraction:
-    """Exact integral of f*g*(1-x)^alpha*x^beta over [0, 1]."""
-    weight = Poly((1, -1)) ** alpha * X ** beta
-    return (f * g * weight).integrate(0, 1)
+    """Exact integral of f*g*(1-x)^alpha*x^beta over [0, 1].
+
+    Term by term this is the Beta integral: x^k contributes
+    (k+beta)! alpha! / (k+beta+alpha+1)!.
+    """
+    if alpha < 0 or beta < 0:
+        raise ValueError("alpha and beta must be nonnegative")
+    fact = math.factorial
+    return sum(
+        (
+            c * Fraction(fact(k + beta) * fact(alpha), fact(k + beta + alpha + 1))
+            for k, c in enumerate((f * g).coeffs)
+        ),
+        Fraction(0),
+    )
 
 
 def gram_matrix(family, inner) -> Matrix:

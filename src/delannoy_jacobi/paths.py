@@ -7,14 +7,16 @@ Delannoy paths to (n,n) that never rise above the diagonal y = x.
 
 Each quantity is computed two ways wherever feasible: explicit enumeration
 (the ground-truth oracle, guarded by a step cap) and dynamic programming or
-a closed binomial sum.  Weights may be rational constants or polynomials in
-a single variable, so substituting v = x turns the same DP into a
-polynomial-family constructor.  The DPs clear the weights' denominators
-once, so constant weights run on plain ints, and the sequence helpers read
-a whole sequence off one DP table.
+a closed binomial sum.  The DPs are the production routes; enumeration
+(the `*_enumerate` functions with `path_weight`) and the closed sum are
+their oracles.  The Legendre Motzkin moments, too, run as a height DP, with
+their enumeration kept as the capped oracle.  Weights may be rational
+constants or polynomials in a single variable, so substituting v = x turns
+the same DP into a polynomial-family constructor.  The DPs clear the
+weights' denominators once, so constant weights run on plain ints, and the
+sequence helpers read a whole sequence off one DP table.
 """
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -71,9 +73,6 @@ class WeightTriple:
                 self.w.constant_value(),
             )
         return (self.u, self.v, self.w)
-
-    def weight(self, step: Step) -> Poly:
-        return {Step.EAST: self.u, Step.NORTH: self.v, Step.DIAG: self.w}[step]
 
 
 UNIT_WEIGHTS = WeightTriple.of(1, 1, 1)
@@ -137,11 +136,15 @@ def schroder_enumerate(
 
 
 def path_weight(path: tuple[Step, ...], wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
-    """Product of the step weights along a path."""
-    out = as_poly(1)
+    """Product of the step weights along a path.
+
+    Constant weights are multiplied as Fractions and wrapped once.
+    """
+    weights = dict(zip((Step.EAST, Step.NORTH, Step.DIAG), wt.values()))
+    out = 1
     for step in path:
-        out = out * wt.weight(step)
-    return out
+        out = out * weights[step]
+    return as_poly(out)
 
 
 def delannoy_table(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> list[list[Poly]]:
@@ -326,13 +329,29 @@ def motzkin_legendre_moment(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Fract
     """Total weight of Motzkin paths of length n under the Legendre weights.
 
     Up steps weigh 1, level steps weigh 0, and a down step starting at
-    height k weighs k^2/(4k^2 - 1).  Computed by explicit enumeration of
-    all Motzkin paths (level steps included, contributing zero weight).
+    height k weighs k^2/(4k^2 - 1).  Computed by a DP over the height after
+    each step (a transfer matrix), O(n^2) Fraction operations; level steps
+    add nothing, since they weigh 0.  motzkin_legendre_moment_enumerate is
+    the enumeration oracle, and both keep the same cap.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"Motzkin enumeration length {n} exceeds cap {cap}")
+    _require_motzkin_length(n, cap)
+    heights = [Fraction(1)]  # heights[k]: total weight of the prefixes ending at height k
+    for remaining in range(n, 0, -1):
+        # A prefix ending above the steps that remain cannot return to 0.
+        top = min(len(heights), remaining - 1)
+        heights = [
+            (heights[k - 1] if k else 0)
+            + (heights[k + 1] * _legendre_down(k + 1) if k + 1 < len(heights) else 0)
+            for k in range(top + 1)
+        ]
+    return heights[0]
+
+
+def motzkin_legendre_moment_enumerate(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
+    """The same total by explicit enumeration of the Motzkin paths of length
+    n (fewer than 3^n; level steps included, contributing zero weight): the
+    oracle of motzkin_legendre_moment."""
+    _require_motzkin_length(n, cap)
 
     def rec(remaining: int, height: int, weight: Fraction) -> Fraction:
         if height > remaining:
@@ -342,11 +361,21 @@ def motzkin_legendre_moment(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Fract
         total = rec(remaining - 1, height + 1, weight)
         total += rec(remaining - 1, height, weight * 0)
         if height > 0:
-            down = Fraction(height * height, 4 * height * height - 1)
-            total += rec(remaining - 1, height - 1, weight * down)
+            total += rec(remaining - 1, height - 1, weight * _legendre_down(height))
         return total
 
     return rec(n, 0, Fraction(1))
+
+
+def _legendre_down(height: int) -> Fraction:
+    return Fraction(height * height, 4 * height * height - 1)
+
+
+def _require_motzkin_length(n: int, cap: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > cap:
+        raise CapExceeded(f"Motzkin enumeration length {n} exceeds cap {cap}")
 
 
 def valid_pair_signed_sum(
@@ -360,9 +389,10 @@ def valid_pair_signed_sum(
     sigma(r) < sigma(b_j) for every j.  The weight of a pair is
     (-1)**(number of northeast steps of L).
 
-    Paths are enumerated explicitly; bijections are counted by enumerating
-    permutations (the count depends only on how many elements are
-    constrained to exceed sigma(r), so classes are tallied once each).
+    Paths are enumerated explicitly; the bijections of a path depend only on
+    how many elements are constrained to exceed sigma(r), and are counted in
+    closed form once per class (the permutation walk that checks that count
+    lives in the tests).
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
@@ -386,16 +416,11 @@ def valid_pair_signed_sum(
     return total
 
 
-@lru_cache(maxsize=None)
 def _count_leader_orders(total: int, constrained: int) -> int:
-    """Permutations of `total` items where item 0 gets a smaller value than
-    each of items 1..constrained, counted by exhaustive enumeration."""
-    count = 0
-    for perm in itertools.permutations(range(total)):
-        first = perm[0]
-        if all(first < perm[i] for i in range(1, constrained + 1)):
-            count += 1
-    return count
+    """Orders of `total` items in which item 0 comes before each of items
+    1..constrained: item 0 must be the least of its constrained+1 group,
+    which holds in total!/(constrained+1) of the orders."""
+    return math.factorial(total) // (constrained + 1)
 
 
 def _require_quadrant(m: int, n: int) -> None:

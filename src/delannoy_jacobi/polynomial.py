@@ -181,12 +181,35 @@ class Poly:
         return acc
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Poly":
-        """Expand p(a*x + b) exactly."""
-        inner = Poly((b, a))
-        acc = ZERO
+        """Expand p(a*x + b) exactly, by a Taylor shift on integers.
+
+        With p = sum N_k x^k / D and a = A/E, b = B/E over common
+        denominators, p(a*x + b) = sum N_k E^(d-k) (A x + B)^k / (D E^d),
+        d = deg(p).  Horner runs on the integer numerators and the result
+        is divided by D E^d once per coefficient, so no gcd is taken inside
+        the loop.
+        """
+        if not self._coeffs:
+            return ZERO
+        a, b = Fraction(a), Fraction(b)
+        e = math.lcm(a.denominator, b.denominator)
+        big_a, big_b = a.numerator * (e // a.denominator), b.numerator * (e // b.denominator)
+        d = math.lcm(*(c.denominator for c in self._coeffs))
+        acc: list[int] = []
+        e_pow = 1
         for c in reversed(self._coeffs):
-            acc = acc * inner + c
-        return acc
+            term = c.numerator * (d // c.denominator) * e_pow
+            if acc:
+                acc = (
+                    [big_b * acc[0] + term]
+                    + [big_a * lo + big_b * hi for lo, hi in zip(acc, acc[1:])]
+                    + [big_a * acc[-1]]
+                )
+            else:
+                acc = [term]
+            e_pow *= e
+        denominator = d * e ** self.degree
+        return Poly(Fraction(n, denominator) for n in acc)
 
     def derivative(self) -> "Poly":
         return Poly(k * c for k, c in enumerate(self._coeffs) if k >= 1)

@@ -14,12 +14,19 @@ from fractions import Fraction
 
 from .polynomial import Poly
 
+# A Poly is dense, so "x^N" costs N+1 coefficients: powers beyond this bound
+# are rejected as text rather than allocated.
+MAX_PARSED_DEGREE = 100_000
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or an integer literal; no decimal forms."""
     text = text.strip()
-    if not re.fullmatch(r"-?\d+(/\d+)?", text):
+    match = re.fullmatch(r"-?\d+(?:/(\d+))?", text)
+    if not match:
         raise ValueError(f"not a rational literal (use p/q or an integer): {text!r}")
+    if match.group(1) and int(match.group(1)) == 0:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
     return Fraction(text)
 
 
@@ -77,13 +84,15 @@ def parse_poly(text: str) -> Poly:
         m = _TERM.fullmatch(term)
         if not m or (m.group("coeff") is None and m.group("x") is None):
             raise ValueError(f"malformed term {term!r} in {text!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
         if sign == "-":
             coeff = -coeff
         if m.group("x") is None:
             power = 0
         else:
             power = int(m.group("power")) if m.group("power") else 1
+        if power > MAX_PARSED_DEGREE:
+            raise ValueError(f"power {power} exceeds {MAX_PARSED_DEGREE} in {text!r}")
         if power in coeffs:
             raise ValueError(f"repeated power {power} in {text!r}")
         coeffs[power] = coeff

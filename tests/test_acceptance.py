@@ -305,9 +305,45 @@ def test_criterion_15_fault_injection():
     assert report.cases_run == 1 and report.counterexample["params"] == {"n": 0}
 
 
+# Cases each entry runs at the default grids, 10 524 in all: a faster run
+# must come from faster code, never from a smaller grid.
+DEFAULT_CASE_COUNTS = {
+    "abdec": 140,
+    "antideriv": 68,
+    "bneg": 56,
+    "bneg-symmetry": 156,
+    "bneg-table1": 7,
+    "borth2": 91,
+    "cdrec": 240,
+    "dp1": 90,
+    "dual-routes": 650,
+    "epl": 414,
+    "favard-legendre": 48,
+    "favard-schroder": 18,
+    "laguerre-orth": 504,
+    "llp": 56,
+    "modified-delannoy": 35,
+    "motzkin-moments": 13,
+    "narayana": 20,
+    "orth-0beta": 105,
+    "orth-full": 784,
+    "romanovski-orth": 185,
+    "schroder": 531,
+    "sj-expansion": 405,
+    "swap-rules": 891,
+    "wcd-legendre": 252,
+    "wcd-legendre-swap": 252,
+    "wd-closed-vs-dp-vs-enum": 1489,
+    "wd-jacobi": 1512,
+    "wd-jacobi-swap": 1512,
+}
+
+
 @criterion(0, "whole registry passes with default grids")
 def test_criterion_0_full_registry():
     reports = run_all()
     assert len(reports) == len(REGISTRY)
     failures = [r.id for r in reports if r.status != "pass"]
     assert not failures, failures
+    assert {r.id: r.cases_run for r in reports} == DEFAULT_CASE_COUNTS
+    assert sum(DEFAULT_CASE_COUNTS.values()) == 10524

@@ -193,6 +193,12 @@ class TestComputeCounts:
             main(["compute", "delannoy", "--m", "1", "--n", "1", "--u", "1.5"])
         assert info.value.code == 2
 
+    def test_zero_denominator_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["compute", "delannoy", "--m", "1", "--n", "1", "--u", "1/0"])
+        assert info.value.code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
     def test_schroder_count(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "schroder", "--n", "3")
         assert code == 0
@@ -302,6 +308,14 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "verify", "--id", "dp1")
         assert code == 1
         assert "unknown config key" in err
+
+    def test_zero_denominator_in_weight_grid_is_compute_error(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "delannoy-jacobi.conf").write_text("weight_grid = 1, 2/0\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "verify", "--id", "dp1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "zero denominator" in err
 
 
 class TestModuleEntry:

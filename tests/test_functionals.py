@@ -81,6 +81,31 @@ class TestInnerWeighted:
             p = fam.shifted_legendre(n)
             assert inner_weighted(p, p) == F(1, 2 * n + 1)
 
+    @settings(max_examples=80)
+    @given(
+        st.lists(rationals, max_size=6).map(Poly),
+        st.lists(rationals, max_size=6).map(Poly),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_matches_integrated_weight(self, f, g, alpha, beta):
+        # The former body: multiply the weight out and integrate over [0, 1].
+        weight = Poly((1, -1)) ** alpha * X ** beta
+        assert inner_weighted(f, g, alpha, beta) == (f * g * weight).integrate(0, 1)
+
+    def test_grid_matches_integrated_weight(self):
+        f, g = fam.shifted_jacobi(3, 1, 2), Poly((F(-1, 2), 3, F(2, 7)))
+        for alpha in range(5):
+            for beta in range(5):
+                weight = Poly((1, -1)) ** alpha * X ** beta
+                assert inner_weighted(f, g, alpha, beta) == (f * g * weight).integrate(0, 1)
+
+    @pytest.mark.parametrize("alpha, beta", [(-1, 0), (0, -1), (-2, -3)])
+    @pytest.mark.parametrize("f", [X, Poly()])
+    def test_negative_parameters_raise(self, f, alpha, beta):
+        with pytest.raises(ValueError):
+            inner_weighted(f, ONE, alpha, beta)
+
 
 class TestGramMatrix:
     def test_shifted_legendre_diagonal(self):

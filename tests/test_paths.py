@@ -22,11 +22,13 @@ from delannoy_jacobi.paths import (
     modified_delannoy,
     modified_delannoy_enumerate,
     motzkin_legendre_moment,
+    motzkin_legendre_moment_enumerate,
     path_weight,
     schroder_enumerate,
     schroder_numbers,
     schroder_weighted,
     valid_pair_signed_sum,
+    _count_leader_orders,
 )
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -79,6 +81,31 @@ class TestDelannoyEnumerate:
         with pytest.raises(CapExceeded):
             delannoy_enumerate(10, 7)
         assert sum(1 for _ in delannoy_enumerate(10, 7, cap=17)) > 0
+
+
+class TestPathWeight:
+    @staticmethod
+    def _poly_product(path, wt):
+        """The former body: a Poly product along the path for every weight."""
+        by_step = {Step.EAST: wt.u, Step.NORTH: wt.v, Step.DIAG: wt.w}
+        out = Poly((1,))
+        for step in path:
+            out = out * by_step[step]
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
+           st.one_of(wide_triples, poly_triples))
+    def test_matches_poly_product(self, m, n, weights):
+        wt = WeightTriple.of(*weights)
+        for path in delannoy_enumerate(m, n):
+            out = path_weight(path, wt)
+            assert isinstance(out, Poly)
+            assert out == self._poly_product(path, wt)
+
+    def test_empty_path(self):
+        assert path_weight((), WeightTriple.of(F(1, 2), 0, -3)) == 1
+        assert path_weight((), POLY_WT) == 1
 
 
 class TestDelannoyWeighted:
@@ -310,6 +337,25 @@ class TestMotzkinMoments:
         with pytest.raises(CapExceeded):
             motzkin_legendre_moment(17)
 
+    def test_dp_matches_enumeration(self):
+        for n in range(13):
+            assert motzkin_legendre_moment(n) == motzkin_legendre_moment_enumerate(n), n
+
+    def test_enumeration_examples_and_cap(self):
+        assert motzkin_legendre_moment_enumerate(0) == 1
+        assert motzkin_legendre_moment_enumerate(2) == F(1, 3)
+        assert motzkin_legendre_moment_enumerate(4) == F(1, 5)
+        with pytest.raises(CapExceeded):
+            motzkin_legendre_moment_enumerate(17)
+        with pytest.raises(ValueError):
+            motzkin_legendre_moment_enumerate(-1)
+
+    def test_even_lengths_beyond_the_enumeration(self):
+        # The DP reaches lengths the 3^n enumeration cannot, under a raised cap.
+        for k in range(20):
+            assert motzkin_legendre_moment(2 * k, cap=40) == F(1, 2 * k + 1)
+            assert motzkin_legendre_moment(2 * k + 1, cap=40) == 0
+
 
 class TestValidPairs:
     def test_examples(self):
@@ -366,6 +412,21 @@ class TestValidPairs:
                     continue
                 signed += (-1) ** diag
         return signed
+
+    @staticmethod
+    def _leader_orders_by_walk(total, constrained):
+        """The former body: walk every permutation."""
+        return sum(
+            1
+            for perm in itertools.permutations(range(total))
+            if all(perm[0] < perm[i] for i in range(1, constrained + 1))
+        )
+
+    def test_leader_orders_match_permutation_walk(self):
+        for total in range(1, 9):
+            for constrained in range(total):
+                expected = self._leader_orders_by_walk(total, constrained)
+                assert _count_leader_orders(total, constrained) == expected, (total, constrained)
 
     def test_matches_fully_literal_oracle(self):
         for n, m, beta in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (1, 0, 1),

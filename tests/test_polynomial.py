@@ -123,6 +123,38 @@ class TestComposeAffine:
     def test_shift_round_trip(self, p):
         assert p.compose_affine(1, 1).compose_affine(1, -1) == p
 
+    @staticmethod
+    def _horner_over_poly(p, a, b):
+        """The former body: Horner with Poly arithmetic, a gcd per term."""
+        inner = Poly((b, a))
+        acc = ZERO
+        for c in reversed(p.coeffs):
+            acc = acc * inner + c
+        return acc
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(st.just(ZERO), polys),
+        st.one_of(st.just(F(0)), rationals),
+        st.one_of(st.just(F(0)), rationals),
+    )
+    def test_matches_horner_over_poly(self, p, a, b):
+        out = p.compose_affine(a, b)
+        assert out == self._horner_over_poly(p, a, b)
+        assert all(isinstance(c, F) for c in out.coeffs)
+        assert hash(out) == hash(Poly(out.coeffs))
+
+    @given(polys, small_ints, small_ints)
+    def test_matches_horner_over_poly_int_arguments(self, p, a, b):
+        assert p.compose_affine(a, b) == self._horner_over_poly(p, a, b)
+
+    def test_degenerate_arguments(self):
+        p = Poly((F(1, 3), F(-2, 5), F(7, 2)))
+        assert p.compose_affine(0, 0) == Poly.constant(F(1, 3))
+        assert p.compose_affine(0, F(1, 2)) == Poly.constant(p(F(1, 2)))
+        assert ZERO.compose_affine(F(2, 3), -1) == ZERO
+        assert Poly.constant(F(-5, 7)).compose_affine(3, 4) == Poly.constant(F(-5, 7))
+
 
 class TestCalculus:
     def test_examples(self):

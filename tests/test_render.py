@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delannoy_jacobi.polynomial import Poly, X
-from delannoy_jacobi.render import format_poly, parse_poly, parse_rational
+from delannoy_jacobi.render import MAX_PARSED_DEGREE, format_poly, parse_poly, parse_rational
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -36,7 +36,7 @@ def test_parse_rejects_garbage():
             parse_poly(bad)
 
 
-@given(st.lists(rationals, max_size=9))
+@given(st.lists(st.one_of(rationals, st.fractions()), max_size=9))
 def test_round_trip(coeffs):
     poly = Poly(coeffs)
     assert parse_poly(format_poly(poly)) == poly
@@ -49,3 +49,43 @@ def test_parse_rational():
     for bad in ["1.5", "2/", "/3", "a", "1e3"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_parse_rational_zero_denominator():
+    for bad in ["1/0", "-3/00", " 0/0 "]:
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(bad)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_poly("1/0x + 1")
+
+
+def test_parse_poly_degree_bound():
+    assert parse_poly(f"x^{MAX_PARSED_DEGREE}").degree == MAX_PARSED_DEGREE
+    for bad in [f"x^{MAX_PARSED_DEGREE + 1}", "2x^99999999999 + 1", "x^" + "9" * 5000]:
+        with pytest.raises(ValueError):
+            parse_poly(bad)
+
+
+# Text near the grammar (digits, signs, slashes, x, ^, spaces) as well as
+# arbitrary text, so that both the regexes and the Fraction calls behind them
+# are reached.
+grammar_text = st.text(alphabet="0123456789/+-x^ ", max_size=16)
+any_text = st.one_of(grammar_text, st.text(max_size=16))
+
+
+@given(any_text)
+def test_parse_rational_fuzz(text):
+    try:
+        value = parse_rational(text)
+    except ValueError:
+        return
+    assert isinstance(value, F)
+
+
+@given(any_text)
+def test_parse_poly_fuzz(text):
+    try:
+        value = parse_poly(text)
+    except ValueError:
+        return
+    assert isinstance(value, Poly)
