@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--id", help="registry id of one identity")
     group.add_argument("--all", action="store_true", help="run the whole registry")
-    verify.add_argument("--max-n", type=int, help="clamp every index grid")
+    verify.add_argument("--max-n", type=_nonnegative_int, help="clamp every index grid")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", help="write the JSON report to this file")
     return parser
@@ -131,6 +131,16 @@ def _rational_flag(text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def load_config_file() -> dict:
@@ -157,6 +167,8 @@ def load_config_file() -> dict:
                 )
             else:
                 values[key] = int(value)
+                if key == "max_n" and values[key] < 0:
+                    raise ValueError(f"{path}:{lineno}: max_n must be nonnegative, got {value}")
     return values
 
 

@@ -2,50 +2,46 @@
 
 All parameters are integers (negative values allowed where noted), so every
 coefficient comes out of generalized binomials and stays an exact rational.
-Where two independent formulas exist for the same family, both are exposed
-(composition route and direct coefficient sum) and their agreement is a
-standing check in the identity suite.
+The Jacobi polynomials are built by one integer Taylor shift of the
+coefficient sequence that romanovski_sum returns, and the shifted and
+Romanovski families compose them with 2x-1 and 2x+1.  So the identity
+suite's dual-routes entry checks a compose_affine round trip against the
+direct sum (and, for the shifted Legendre family, against a second
+binomial sum); the Jacobi formula itself is checked independently through
+the path DP by the dp1, llp, wd-jacobi and wd-jacobi-swap entries.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomial import ONE, Poly, X, ZERO, binom
+from .polynomial import CACHE_SIZE, ONE, Poly, X, binom
 
 
 class InvalidIndex(ValueError):
     """The family is not defined at the requested index."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def jacobi(n: int, alpha: int = 0, beta: int = 0) -> Poly:
     """Jacobi polynomial P_n^(alpha,beta), extended to all integer parameters.
 
     Defined by the explicit sum
         sum_j C(n+alpha+beta+j, j) C(n+alpha, n-j) ((x-1)/2)^j,
     which agrees with the classical polynomials for alpha, beta > -1.  For
-    negative integer parameters the degree may drop below n.
+    negative integer parameters the degree may drop below n.  The sum is
+    the integer sequence of romanovski_sum composed with (x-1)/2, so it is
+    built by one Taylor shift on integers (Poly.compose_affine).
     """
-    if n < 0:
-        raise InvalidIndex("n must be nonnegative")
-    half = Poly((Fraction(-1, 2), Fraction(1, 2)))  # (x-1)/2
-    total = ZERO
-    power = ONE
-    for j in range(n + 1):
-        coeff = binom(n + alpha + beta + j, j) * binom(n + alpha, n - j)
-        if coeff:
-            total = total + coeff * power
-        power = power * half
-    return total
+    return romanovski_sum(n, alpha, beta).compose_affine(Fraction(1, 2), Fraction(-1, 2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def shifted_jacobi(n: int, alpha: int = 0, beta: int = 0) -> Poly:
     """Shifted Jacobi polynomial: the Jacobi polynomial composed with 2x-1."""
     return jacobi(n, alpha, beta).compose_affine(2, -1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def romanovski(n: int, alpha: int = 0, beta: int = 0) -> Poly:
     """Romanovski-Jacobi polynomial: the Jacobi polynomial composed with 2x+1.
 
@@ -56,7 +52,10 @@ def romanovski(n: int, alpha: int = 0, beta: int = 0) -> Poly:
 
 
 def romanovski_sum(n: int, alpha: int = 0, beta: int = 0) -> Poly:
-    """Independent route: sum_j C(n+alpha+beta+j, j) C(n+alpha, n-j) x^j."""
+    """Direct sum: sum_j C(n+alpha+beta+j, j) C(n+alpha, n-j) x^j.
+
+    These are the Romanovski coefficients, and jacobi is built from them.
+    """
     if n < 0:
         raise InvalidIndex("n must be nonnegative")
     return Poly(
@@ -65,13 +64,13 @@ def romanovski_sum(n: int, alpha: int = 0, beta: int = 0) -> Poly:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def legendre(n: int) -> Poly:
     """Legendre polynomial P_n, the (0,0) Jacobi polynomial."""
     return jacobi(n, 0, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def shifted_legendre(n: int) -> Poly:
     """Shifted Legendre polynomial: P_n composed with 2x-1."""
     return legendre(n).compose_affine(2, -1)
@@ -86,7 +85,7 @@ def shifted_legendre_sum(n: int) -> Poly:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def laguerre(n: int) -> Poly:
     """Rook-normalized Laguerre polynomial sum_k (-1)^k C(n,k)^2 k! x^(n-k).
 
@@ -96,7 +95,7 @@ def laguerre(n: int) -> Poly:
     return laguerre_gen(n, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def laguerre_gen(n: int, beta: int = 0) -> Poly:
     """Generalized Laguerre sum_k (-1)^k C(n+beta,k) C(n,k) k! x^(n-k),
     the rook polynomial of the (n+beta) x n rectangular board."""
@@ -127,7 +126,7 @@ def sj_product_expansion(n: int, alpha: int, beta: int) -> Poly:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def schroder_poly(n: int) -> Poly:
     """Schroeder polynomial S_n: the weighted Schroeder total at (1, x, -1).
 
@@ -142,7 +141,7 @@ def schroder_poly(n: int) -> Poly:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def narayana(n: int) -> Poly:
     """Narayana polynomial N_n(x) = sum_{k=1..n} (1/n) C(n,k-1) C(n,k) x^k.
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .polynomial import Poly, as_poly, binom
+from .polynomial import CACHE_SIZE, Poly, as_poly, binom
 
 DEFAULT_ENUMERATION_CAP = 16  # max total steps for explicit path enumeration
 DEFAULT_PAIR_CAP = 9          # max element count for bijection enumeration
@@ -161,7 +161,7 @@ def delannoy_table(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> list[list
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def delannoy_weighted(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Delannoy total by dynamic programming."""
     _require_quadrant(m, n)
@@ -169,7 +169,7 @@ def delannoy_weighted(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     return _uncleared(_last(_delannoy_rows(m, n, u, v, w))[n], q, m + n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def delannoy_closed(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Delannoy total by the closed binomial sum.
 
@@ -186,7 +186,7 @@ def delannoy_closed(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     return as_poly(total)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def schroder_weighted(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Schroeder total by DP restricted to cells with j <= i."""
     if n < 0:
@@ -324,7 +324,7 @@ def modified_delannoy_enumerate(m: int, n: int, cap: int = 8) -> int:
     return count_to(m, n + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def motzkin_legendre_moment(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
     """Total weight of Motzkin paths of length n under the Legendre weights.
 

@@ -16,6 +16,12 @@ from fractions import Fraction
 
 Scalar = int | Fraction
 
+# Bound of every lru_cache on the family constructors and path DPs, so a
+# long-lived process cannot grow them without limit.  A default
+# `verify --all` fills the largest (delannoy_weighted) to 1 937 entries, so
+# its warm repeat evicts nothing.
+CACHE_SIZE = 4096
+
 
 class NonzeroConstantTerm(ValueError):
     """Division by x was requested for a polynomial with p(0) != 0."""
@@ -172,13 +178,30 @@ class Poly:
 
     # -- evaluation and transforms ------------------------------------------
 
+    def _numerators(self) -> tuple[list[int], int]:
+        """Integer numerators N_k and one denominator D with p = sum N_k x^k / D."""
+        d = math.lcm(*(c.denominator for c in self._coeffs))
+        return [c.numerator * (d // c.denominator) for c in self._coeffs], d
+
     def __call__(self, x: Scalar) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact Horner evaluation at a rational point, on integers.
+
+        With p = sum N_k x^k / D and x = a/b in lowest terms,
+        p(x) = sum N_k a^k b^(d-k) / (D b^d), d = deg(p).  Horner runs on
+        the integer numerators and one Fraction is built at the end, so a
+        single gcd is taken per evaluation.
+        """
+        if not self._coeffs:
+            return Fraction(0)
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        a, b = x.numerator, x.denominator
+        nums, d = self._numerators()
+        acc = 0
+        b_pow = 1
+        for n in reversed(nums):
+            acc = acc * a + n * b_pow
+            b_pow *= b
+        return Fraction(acc, d * b ** self.degree)
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Poly":
         """Expand p(a*x + b) exactly, by a Taylor shift on integers.
@@ -194,11 +217,11 @@ class Poly:
         a, b = Fraction(a), Fraction(b)
         e = math.lcm(a.denominator, b.denominator)
         big_a, big_b = a.numerator * (e // a.denominator), b.numerator * (e // b.denominator)
-        d = math.lcm(*(c.denominator for c in self._coeffs))
+        nums, d = self._numerators()
         acc: list[int] = []
         e_pow = 1
-        for c in reversed(self._coeffs):
-            term = c.numerator * (d // c.denominator) * e_pow
+        for n in reversed(nums):
+            term = n * e_pow
             if acc:
                 acc = (
                     [big_b * acc[0] + term]

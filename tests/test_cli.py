@@ -259,6 +259,12 @@ class TestVerify:
         )
         assert json.loads(small)[0]["cases_run"] < json.loads(full)[0]["cases_run"]
 
+    def test_negative_max_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--all", "--max-n", "-1"])
+        assert info.value.code == 2
+        assert "--max-n" in capsys.readouterr().err
+
     def test_failure_exits_three(self, capsys, monkeypatch):
         from delannoy_jacobi.identities import IdentityReport
 
@@ -316,6 +322,14 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "zero denominator" in err
+
+    def test_negative_max_n_is_compute_error(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "delannoy-jacobi.conf").write_text("max_n = -1\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "verify", "--all")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "max_n must be nonnegative" in err
 
 
 class TestModuleEntry:

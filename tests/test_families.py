@@ -3,10 +3,25 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delannoy_jacobi import families as fam
 from delannoy_jacobi.families import InvalidIndex
-from delannoy_jacobi.polynomial import ONE, Poly, X
+from delannoy_jacobi.polynomial import ONE, Poly, X, ZERO, binom
+
+
+def _jacobi_by_poly_sum(n, alpha, beta):
+    """The former body of jacobi: the sum as a loop of Poly multiplies and adds."""
+    half = Poly((F(-1, 2), F(1, 2)))  # (x-1)/2
+    total = ZERO
+    power = ONE
+    for j in range(n + 1):
+        coeff = binom(n + alpha + beta + j, j) * binom(n + alpha, n - j)
+        if coeff:
+            total = total + coeff * power
+        power = power * half
+    return total
 
 
 class TestJacobi:
@@ -29,6 +44,41 @@ class TestJacobi:
     def test_rejects_negative_index(self):
         with pytest.raises(InvalidIndex):
             fam.jacobi(-1)
+
+    # The full grid n <= 30, alpha and beta in [-n-2, 6] costs about 30 s of
+    # oracle time (Python 3.11, 2 vCPUs), so it runs exhaustively up to
+    # n = 12, at its corners for larger n, and by random draws over the rest.
+    def test_matches_poly_sum_on_small_grid(self):
+        for n in range(13):
+            for alpha in range(-n - 2, 7):
+                for beta in range(-n - 2, 7):
+                    assert fam.jacobi(n, alpha, beta) == _jacobi_by_poly_sum(n, alpha, beta), (
+                        n, alpha, beta,
+                    )
+
+    @pytest.mark.parametrize("n", [16, 20, 30])
+    def test_matches_poly_sum_at_grid_corners(self, n):
+        # These pairs give full degree, dropped degree, the zero polynomial
+        # and alpha + beta < -n.
+        edges = (-n - 2, -n - 1, -n, -n // 2, -1, 0, 6)
+        for alpha in edges:
+            for beta in edges:
+                assert fam.jacobi(n, alpha, beta) == _jacobi_by_poly_sum(n, alpha, beta), (
+                    alpha, beta,
+                )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_poly_sum_on_full_grid(self, data):
+        n = data.draw(st.integers(min_value=13, max_value=30))
+        alpha = data.draw(st.integers(min_value=-n - 2, max_value=6))
+        beta = data.draw(st.integers(min_value=-n - 2, max_value=6))
+        assert fam.jacobi(n, alpha, beta) == _jacobi_by_poly_sum(n, alpha, beta)
+
+    @pytest.mark.parametrize("alpha, beta", [(0, 0), (3, -7), (-40, 6), (6, -145), (-150, 2)])
+    def test_round_trip_to_romanovski_sum_at_n_145(self, alpha, beta):
+        p = fam.jacobi(145, alpha, beta)
+        assert p.compose_affine(2, 1) == fam.romanovski_sum(145, alpha, beta)
 
 
 class TestShiftedJacobi:

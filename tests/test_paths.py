@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delannoy_jacobi.polynomial import Poly, X, binom
+from delannoy_jacobi import families, paths
+from delannoy_jacobi.polynomial import CACHE_SIZE, Poly, X, binom
 from delannoy_jacobi.paths import (
     CapExceeded,
     Step,
@@ -432,3 +433,23 @@ class TestValidPairs:
         for n, m, beta in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (1, 0, 1),
                            (2, 0, 1), (1, 1, 1), (2, 2, 0), (0, 2, 1)]:
             assert valid_pair_signed_sum(n, m, beta) == self._fully_literal(n, m, beta), (n, m, beta)
+
+
+class TestCacheBound:
+    def test_every_cache_is_bounded(self):
+        caches = [
+            value for module in (families, paths) for value in vars(module).values()
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__
+        ]
+        assert len(caches) == 13
+        assert all(cache.cache_info().maxsize == CACHE_SIZE for cache in caches)
+
+    def test_distinct_calls_stay_within_bound(self):
+        delannoy_weighted.cache_clear()
+        try:
+            for k in range(CACHE_SIZE + 500):
+                delannoy_weighted(1, 1, WeightTriple.of(k, 1, 1))
+                assert delannoy_weighted.cache_info().currsize <= CACHE_SIZE
+            assert delannoy_weighted.cache_info().currsize == CACHE_SIZE
+        finally:
+            delannoy_weighted.cache_clear()

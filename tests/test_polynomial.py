@@ -108,6 +108,34 @@ class TestEval:
         assert legendre2(3) == 13
         assert ZERO(7) == 0
 
+    @staticmethod
+    def _fraction_horner(p, x):
+        """The former body: Horner on Fractions, a gcd per step."""
+        x = F(x)
+        acc = F(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        return acc
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(
+            st.just(ZERO),
+            st.builds(Poly.constant, rationals),
+            polys,
+            st.builds(Poly, st.lists(st.fractions(max_denominator=10**6), max_size=12)),
+        ),
+        st.one_of(
+            st.just(0),
+            st.integers(min_value=-10**6, max_value=10**6),
+            st.fractions(max_denominator=10**6),
+        ),
+    )
+    def test_matches_fraction_horner(self, p, x):
+        out = p(x)
+        assert isinstance(out, F)
+        assert out == self._fraction_horner(p, x)
+
 
 class TestComposeAffine:
     def test_examples(self):
