@@ -59,9 +59,10 @@ formats:
 rational flags (--u/--v/--w) take integers or p/q literals; decimals are
 not accepted.
 
-config file: key=value lines (keys: max_n, enumeration_cap, pair_cap,
-weight_grid as comma-separated rationals), read from ./delannoy-jacobi.conf
-or the path in DJ_CONFIG; flags override the file.
+config file: key=value lines (keys: max_n, enumeration_cap, pair_cap as
+nonnegative integers, weight_grid as comma-separated nonzero rationals),
+read from ./delannoy-jacobi.conf or the path in DJ_CONFIG; flags override
+the file.
 
 exit codes: 0 success; 1 computation error; 2 usage error or unknown
 identity; 3 verification failure.
@@ -165,10 +166,16 @@ def load_config_file() -> dict:
                 values[key] = tuple(
                     parse_rational(part) for part in value.split(",") if part.strip()
                 )
+                # Several entries divide by a grid weight (they evaluate at uv/w),
+                # and an empty grid would pass them without a single case.
+                if not values[key] or 0 in values[key]:
+                    raise ValueError(
+                        f"{path}:{lineno}: weight_grid must list nonzero rationals, got {value!r}"
+                    )
             else:
                 values[key] = int(value)
-                if key == "max_n" and values[key] < 0:
-                    raise ValueError(f"{path}:{lineno}: max_n must be nonnegative, got {value}")
+                if values[key] < 0:
+                    raise ValueError(f"{path}:{lineno}: {key} must be nonnegative, got {value}")
     return values
 
 

@@ -13,8 +13,10 @@ their oracles.  The Legendre Motzkin moments, too, run as a height DP, with
 their enumeration kept as the capped oracle.  Weights may be rational
 constants or polynomials in a single variable, so substituting v = x turns
 the same DP into a polynomial-family constructor.  The DPs clear the
-weights' denominators once, so constant weights run on plain ints, and the
-sequence helpers read a whole sequence off one DP table.
+weights' denominators once and evaluate them at a power of two large enough
+to hold every coefficient (Kronecker substitution), so constant and
+polynomial weights alike run on plain ints; the sequence helpers read a
+whole sequence off one DP table.
 """
 
 import math
@@ -154,9 +156,9 @@ def delannoy_table(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> list[list
     d[i][j] = u*d[i-1][j] + v*d[i][j-1] + w*d[i-1][j-1].
     """
     _require_quadrant(m, n)
-    q, u, v, w = _cleared_weights(wt)
+    q, k, u, v, w = _packed_weights(wt, m + n)
     return [
-        [_uncleared(value, q, i + j) for j, value in enumerate(row)]
+        [_unpacked(value, q, k, i + j) for j, value in enumerate(row)]
         for i, row in enumerate(_delannoy_rows(m, n, u, v, w))
     ]
 
@@ -165,8 +167,8 @@ def delannoy_table(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> list[list
 def delannoy_weighted(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Delannoy total by dynamic programming."""
     _require_quadrant(m, n)
-    q, u, v, w = _cleared_weights(wt)
-    return _uncleared(_last(_delannoy_rows(m, n, u, v, w))[n], q, m + n)
+    q, k, u, v, w = _packed_weights(wt, m + n)
+    return _unpacked(_last(_delannoy_rows(m, n, u, v, w))[n], q, k, m + n)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -191,8 +193,8 @@ def schroder_weighted(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Schroeder total by DP restricted to cells with j <= i."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    q, u, v, w = _cleared_weights(wt)
-    return _uncleared(_last(_schroder_rows(n, u, v, w))[n], q, 2 * n)
+    q, k, u, v, w = _packed_weights(wt, 2 * n)
+    return _unpacked(_last(_schroder_rows(n, u, v, w))[n], q, k, 2 * n)
 
 
 def central_delannoy(count: int) -> list[int]:
@@ -215,31 +217,51 @@ def schroder_numbers(count: int) -> list[int]:
     return [row[-1] for row in _schroder_rows(count - 1, 1, 1, 1)]
 
 
-def _cleared_weights(wt: WeightTriple) -> tuple:
-    """(q, q*u, q*v, q^2*w), with q the lcm of the constant weights' denominators.
+def _packed_weights(wt: WeightTriple, steps: int) -> tuple[int, int, int, int, int]:
+    """(q, K, U(2^K), V(2^K), W(2^K)) for DPs of at most `steps` steps.
 
-    East and north steps gain a factor q and diagonal steps q^2, so every
-    path to (i,j) gains q^(i+j): the DP on the cleared weights runs on plain
-    ints and yields d(i,j) * q^(i+j), with no gcd in any cell.  Polynomial
-    weights are returned as they are, with q = 1.
+    q is the lcm of the denominators of every coefficient of u, v and w, and
+    U = q*u, V = q*v, W = q^2*w are integer polynomials: east and north steps
+    gain a factor q and diagonal steps q^2, so every path to (i,j) gains
+    q^(i+j).  With S = max(1, |U|_1 + |V|_1 + |W|_1), every DP cell obeys
+    |D(i,j)|_1 <= S^(i+j) by induction, so each of its signed coefficients
+    fits in a K-bit digit for K = steps * bitlength(S) + 2 (a sign bit to
+    spare, and K >= 2 even for the empty path).  Evaluating the
+    cleared weights at x = 2^K (Kronecker substitution) then lets the DP run
+    on plain ints and read D(i,j) off the digits of one integer, with no gcd
+    in any cell; constant weights are the degree-0 case.
     """
-    if not wt.is_constant():
-        return 1, wt.u, wt.v, wt.w
-    u, v, w = wt.values()
-    q = math.lcm(u.denominator, v.denominator, w.denominator)
-    return (
-        q,
-        u.numerator * (q // u.denominator),
-        v.numerator * (q // v.denominator),
-        w.numerator * (q // w.denominator) * q,
-    )
+    q = math.lcm(*(c.denominator for p in (wt.u, wt.v, wt.w) for c in p.coeffs))
+    u, v, w = _scaled(wt.u, q), _scaled(wt.v, q), _scaled(wt.w, q * q)
+    size = max(1, sum(abs(c) for c in (*u, *v, *w)))
+    k = steps * size.bit_length() + 2
+    return q, k, _at_power_of_two(u, k), _at_power_of_two(v, k), _at_power_of_two(w, k)
 
 
-def _uncleared(value, q: int, k: int) -> Poly:
-    """The DP total value / q^k, as a Poly."""
+def _scaled(p: Poly, scale: int) -> list[int]:
+    """The integer coefficients of scale * p; scale is a multiple of every denominator."""
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
+
+
+def _at_power_of_two(coeffs: list[int], k: int) -> int:
+    return sum(c << (k * i) for i, c in enumerate(coeffs))
+
+
+def _unpacked(value: int, q: int, k: int, steps: int) -> Poly:
+    """The Poly whose coefficients are the balanced base-2^K digits of
+    value, each divided by q^steps."""
+    digits = []
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= mask + 1
+        digits.append(digit)
+        value = (value - digit) >> k
     if q == 1:
-        return as_poly(value)
-    return Poly.constant(Fraction(value, q ** k))
+        return Poly(digits)
+    scale = q ** steps
+    return Poly(Fraction(digit, scale) for digit in digits)
 
 
 def _delannoy_rows(m: int, n: int, u, v, w) -> Iterator[list]:

@@ -331,6 +331,37 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith("error: ") and "max_n must be nonnegative" in err
 
+    @pytest.mark.parametrize("key", ["enumeration_cap", "pair_cap"])
+    def test_negative_cap_is_compute_error(self, capsys, tmp_path, monkeypatch, key):
+        # A negative cap is invalid input (exit 1), not a verification failure (exit 3).
+        config = tmp_path / "custom.conf"
+        config.write_text(f"{key} = -1\n")
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "verify", "--all")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and f"{key} must be nonnegative" in err
+
+    @pytest.mark.parametrize("grid", ["0", "1, 0, 3", "2, 0/5", "", " , "])
+    def test_zero_or_empty_weight_grid_is_compute_error(self, capsys, tmp_path, monkeypatch, grid):
+        # wcd-legendre evaluates at uv/w, so a zero w is invalid input, and an
+        # empty grid would leave four entries without a case.
+        config = tmp_path / "custom.conf"
+        config.write_text(f"weight_grid = {grid}\n")
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "verify", "--all")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "weight_grid must list nonzero rationals" in err
+
+    def test_zero_caps_are_accepted(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "custom.conf"
+        config.write_text("enumeration_cap = 0\npair_cap = 0\nweight_grid = -1, 1/2\n")
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, _ = run_cli(capsys, "verify", "--id", "wcd-legendre", "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["status"] == "pass"
+
 
 class TestModuleEntry:
     def test_python_dash_m(self):

@@ -236,6 +236,96 @@ class TestSchroder:
             schroder_enumerate(9)
 
 
+class TestPackedDP:
+    """The DPs run on the weights evaluated at x = 2^K: every signed
+    coefficient of every cell must fit in one K-bit digit.  These cases sit
+    on the bound |D(i,j)|_1 <= S^(i+j), or far from small coefficients."""
+
+    # S = A is one below a power of two, where S^steps is closest to 2^(K-2).
+    big = st.one_of(
+        st.integers(min_value=2, max_value=200).map(lambda b: 2 ** b - 1),
+        st.integers(min_value=1, max_value=2 ** 100),
+    )
+
+    @given(big, st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=12),
+           st.integers(min_value=1, max_value=9), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_single_monomial_weight_reaches_the_bound(self, a, d, m, q, on_north_axis):
+        # -a/q x^d on one axis: the cleared weight has |U|_1 = S = a, and the
+        # only path to (m,0) or (0,m) weighs exactly (-a)^m x^(dm) / q^m.
+        weight = Poly.monomial(d, F(-a, q))
+        zero = Poly()
+        if on_north_axis:
+            wt, corner = WeightTriple(zero, weight, zero), (0, m)
+        else:
+            wt, corner = WeightTriple(weight, zero, zero), (m, 0)
+        total = delannoy_weighted(*corner, wt)
+        assert total == Poly.monomial(d * m, F(-a, q) ** m)
+        assert abs(total.coefficient(d * m)) * q ** m == a ** m  # cleared: S^steps
+        assert delannoy_table(*corner, wt)[corner[0]][corner[1]] == total
+        # A path off the axis needs the other two steps, which weigh 0.
+        assert delannoy_weighted(m + 1, 1, wt) == 0
+        if on_north_axis:
+            assert schroder_weighted(m, wt) == (1 if m == 0 else 0)
+
+    def test_alternating_digits_at_the_bound(self):
+        # (a/2)^m (x - 1)^m has coefficients of both signs whose magnitudes
+        # add up to exactly S^m, S = 2a the 1-norm of the cleared weight.
+        a = 2 ** 40 - 1
+        weight = Poly((F(-a, 2), F(a, 2)))
+        wt = WeightTriple.of(weight, 0, 0)
+        for m in range(13):
+            total = delannoy_weighted(m, 0, wt)
+            assert total == weight ** m
+            assert sum(abs(c) for c in total.coeffs) * 2 ** m == (2 * a) ** m
+
+    big_coeffs = st.integers(min_value=-(2 ** 40), max_value=2 ** 40)
+    big_polys = st.lists(big_coeffs, min_size=0, max_size=7).map(Poly)
+
+    @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10),
+           st.tuples(big_polys, big_polys, big_polys))
+    @settings(max_examples=15, deadline=None)
+    def test_large_mixed_sign_weights_match_closed(self, m, n, uvw):
+        wt = WeightTriple.of(*uvw)
+        assert delannoy_weighted(m, n, wt) == delannoy_closed(m, n, wt)
+
+    def test_large_mixed_sign_weights_at_the_corner(self):
+        # Degree 6 with alternating signs of size 2^40, and a rational w, so
+        # that q > 1 and the signed digits cancel in many cells.
+        u = Poly([(-1) ** k * (2 ** 40 - 3 * k) for k in range(7)])
+        v = Poly([(-1) ** (k // 2) * (2 ** 40 + 5 * k) for k in range(7)])
+        w = Poly([F(2 ** 40 - k, 7) * (-1) ** k for k in range(7)])
+        wt = WeightTriple.of(u, v, w)
+        assert delannoy_weighted(10, 10, wt) == delannoy_closed(10, 10, wt)
+        table = delannoy_table(6, 6, wt)
+        for i, row in enumerate(table):
+            for j, value in enumerate(row):
+                assert value == delannoy_closed(i, j, wt)
+
+    @given(st.integers(min_value=0, max_value=12), st.one_of(wide_triples, poly_triples))
+    @settings(max_examples=40, deadline=None)
+    def test_axes(self, k, uvw):
+        wt = WeightTriple.of(*uvw)
+        assert delannoy_weighted(k, 0, wt) == wt.u ** k
+        assert delannoy_weighted(0, k, wt) == wt.v ** k
+        assert delannoy_table(k, 0, wt) == [[wt.u ** i] for i in range(k + 1)]
+        assert delannoy_table(0, k, wt) == [[wt.v ** j for j in range(k + 1)]]
+        assert schroder_weighted(0, wt) == 1
+
+    def test_all_zero_weights(self):
+        for zeros in (WeightTriple.of(0, 0, 0), WeightTriple(Poly(), Poly(), Poly())):
+            assert delannoy_table(3, 2, zeros) == [[1, 0, 0]] + [[0, 0, 0]] * 3
+            assert delannoy_weighted(0, 0, zeros) == 1
+            assert delannoy_weighted(4, 7, zeros) == 0
+            assert schroder_weighted(0, zeros) == 1
+            assert schroder_weighted(5, zeros) == 0
+
+    def test_schroder_polynomials(self):
+        # (1, x, -1) gives S_n; the benchmark's largest Schroeder size is 38.
+        for n in range(41):
+            assert schroder_weighted(n, POLY_WT) == families.schroder_poly(n)
+
+
 class TestSequences:
     """The one-table sequences against the per-index routes and against the
     P-recursive three-term recurrences (Petkovsek-Wilf-Zeilberger, A=B)."""
