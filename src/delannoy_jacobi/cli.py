@@ -163,9 +163,12 @@ def load_config_file() -> dict:
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key == "weight_grid":
-                values[key] = tuple(
-                    parse_rational(part) for part in value.split(",") if part.strip()
-                )
+                try:
+                    values[key] = tuple(
+                        parse_rational(part) for part in value.split(",") if part.strip()
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: weight_grid: {exc}") from None
                 # Several entries divide by a grid weight (they evaluate at uv/w),
                 # and an empty grid would pass them without a single case.
                 if not values[key] or 0 in values[key]:
@@ -173,7 +176,12 @@ def load_config_file() -> dict:
                         f"{path}:{lineno}: weight_grid must list nonzero rationals, got {value!r}"
                     )
             else:
-                values[key] = int(value)
+                try:
+                    values[key] = int(value)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: {key} must be an integer, got {value!r}"
+                    ) from None
                 if values[key] < 0:
                     raise ValueError(f"{path}:{lineno}: {key} must be nonnegative, got {value}")
     return values

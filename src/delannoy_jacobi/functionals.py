@@ -53,13 +53,18 @@ class MomentFunctional:
         return self.moments[k]
 
     def __call__(self, p: Poly) -> Fraction:
+        """The value on p = sum N_k x^k / D, which is sum N_k m_k / D: summed
+        on integers over the moments' common denominator, so one Fraction is
+        built per call."""
         if p.degree > self.max_degree:
             raise DegreeOutOfRange(
                 f"degree {p.degree} exceeds defined moments (max {self.max_degree})"
             )
-        return sum(
-            (c * self.moments[k] for k, c in enumerate(p.coeffs)), Fraction(0)
-        )
+        nums, d = p._numerators()
+        moments = self.moments[: len(nums)]
+        scale = math.lcm(*(m.denominator for m in moments))
+        total = sum(n * m.numerator * (scale // m.denominator) for n, m in zip(nums, moments))
+        return Fraction(total, d * scale)
 
     def extended(self, value: Scalar) -> "MomentFunctional":
         """Append one more moment."""
@@ -95,18 +100,23 @@ def inner_weighted(f: Poly, g: Poly, alpha: int = 0, beta: int = 0) -> Fraction:
     """Exact integral of f*g*(1-x)^alpha*x^beta over [0, 1].
 
     Term by term this is the Beta integral: x^k contributes
-    (k+beta)! alpha! / (k+beta+alpha+1)!.
+    (k+beta)! alpha! / (k+beta+alpha+1)!.  With f*g = sum N_k x^k / D and
+    T = deg(f*g) + beta + alpha + 1, the terms are summed on integers over
+    the common denominator D T!, so one Fraction is built per call.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be nonnegative")
+    nums, d = (f * g)._numerators()
     fact = math.factorial
-    return sum(
-        (
-            c * Fraction(fact(k + beta) * fact(alpha), fact(k + beta + alpha + 1))
-            for k, c in enumerate((f * g).coeffs)
-        ),
-        Fraction(0),
-    )
+    top = len(nums) + beta + alpha
+    lower = fact(beta)  # (k+beta)!
+    upper = fact(top) // fact(beta + alpha + 1)  # T! / (k+beta+alpha+1)!
+    total = 0
+    for k, n in enumerate(nums):
+        total += n * lower * upper
+        lower *= k + beta + 1
+        upper //= k + beta + alpha + 2
+    return Fraction(total * fact(alpha), d * fact(top))
 
 
 def gram_matrix(family, inner) -> Matrix:

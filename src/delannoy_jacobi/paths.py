@@ -9,8 +9,12 @@ Each quantity is computed two ways wherever feasible: explicit enumeration
 (the ground-truth oracle, guarded by a step cap) and dynamic programming or
 a closed binomial sum.  The DPs are the production routes; enumeration
 (the `*_enumerate` functions with `path_weight`) and the closed sum are
-their oracles.  The Legendre Motzkin moments, too, run as a height DP, with
-their enumeration kept as the capped oracle.  Weights may be rational
+their oracles.  Enumeration is a depth-first walk with an explicit stack
+over the steps allowed from each lattice point: it needs no recursion and
+yields every path exactly once, in the lexicographic order east < north <
+northeast, and it never uses the closed sum's choice of step positions,
+whose oracle it is.  The Legendre Motzkin moments, too, run as a height
+DP, with their enumeration kept as the capped oracle.  Weights may be rational
 constants or polynomials in a single variable, so substituting v = x turns
 the same DP into a polynomial-family constructor.  The DPs clear the
 weights' denominators once and evaluate them at a power of two large enough
@@ -87,25 +91,7 @@ def delannoy_enumerate(
     _require_quadrant(m, n)
     if m + n > cap:
         raise CapExceeded(f"enumeration of ({m},{n}) exceeds cap of {cap} steps")
-
-    def rec(i: int, j: int, prefix: list[Step]) -> Iterator[tuple[Step, ...]]:
-        if i == m and j == n:
-            yield tuple(prefix)
-            return
-        if i < m:
-            prefix.append(Step.EAST)
-            yield from rec(i + 1, j, prefix)
-            prefix.pop()
-        if j < n:
-            prefix.append(Step.NORTH)
-            yield from rec(i, j + 1, prefix)
-            prefix.pop()
-        if i < m and j < n:
-            prefix.append(Step.DIAG)
-            yield from rec(i + 1, j + 1, prefix)
-            prefix.pop()
-
-    return rec(0, 0, [])
+    return _depth_first((m, n), lambda i, j: i <= m and j <= n)
 
 
 def schroder_enumerate(
@@ -116,25 +102,44 @@ def schroder_enumerate(
         raise ValueError("n must be nonnegative")
     if 2 * n > cap:
         raise CapExceeded(f"enumeration of Schroeder paths to ({n},{n}) exceeds cap")
+    return _depth_first((n, n), lambda i, j: j <= i <= n)
 
-    def rec(i: int, j: int, prefix: list[Step]) -> Iterator[tuple[Step, ...]]:
-        if i == n and j == n:
-            yield tuple(prefix)
-            return
-        if i < n:
-            prefix.append(Step.EAST)
-            yield from rec(i + 1, j, prefix)
-            prefix.pop()
-        if j < i:
-            prefix.append(Step.NORTH)
-            yield from rec(i, j + 1, prefix)
-            prefix.pop()
-        if i < n and j < i + 1:
-            prefix.append(Step.DIAG)
-            yield from rec(i + 1, j + 1, prefix)
-            prefix.pop()
 
-    return rec(0, 0, [])
+def _depth_first(end: tuple[int, int], inside) -> Iterator[tuple[Step, ...]]:
+    """Yield the steps of every walk from (0,0) to `end` that stays on the
+    points (i, j) with inside(i, j), depth first.
+
+    The steps allowed from each point are listed once, east before north
+    before northeast, and stack[k] iterates over those still to try after
+    path[:k], so the walk needs no recursion and yields each walk once, in
+    that lexicographic order, when it reaches `end`.
+    """
+    if end == (0, 0):
+        yield ()
+        return
+    moves = {
+        (i, j): [
+            (step, (i + step.dx, j + step.dy))
+            for step in Step if inside(i + step.dx, j + step.dy)
+        ]
+        for i in range(end[0] + 1) for j in range(end[1] + 1) if inside(i, j)
+    }
+    path: list[Step] = []
+    stack = [iter(moves[0, 0])]
+    while stack:
+        move = next(stack[-1], None)
+        if move is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        step, point = move
+        path.append(step)
+        if point == end:
+            yield tuple(path)
+            path.pop()
+        else:
+            stack.append(iter(moves[point]))
 
 
 def path_weight(path: tuple[Step, ...], wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
@@ -147,20 +152,6 @@ def path_weight(path: tuple[Step, ...], wt: WeightTriple = UNIT_WEIGHTS) -> Poly
     for step in path:
         out = out * weights[step]
     return as_poly(out)
-
-
-def delannoy_table(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> list[list[Poly]]:
-    """Full DP table of weighted path totals for every corner (i,j) <= (m,n).
-
-    Entry (0,0) is 1 and each entry satisfies
-    d[i][j] = u*d[i-1][j] + v*d[i][j-1] + w*d[i-1][j-1].
-    """
-    _require_quadrant(m, n)
-    q, k, u, v, w = _packed_weights(wt, m + n)
-    return [
-        [_unpacked(value, q, k, i + j) for j, value in enumerate(row)]
-        for i, row in enumerate(_delannoy_rows(m, n, u, v, w))
-    ]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -428,9 +419,7 @@ def valid_pair_signed_sum(
 
     counts: Counter[tuple[int, int]] = Counter()
     for path in delannoy_enumerate(n + beta, n, cap=2 * cap):
-        east = sum(1 for s in path if s is Step.EAST)
-        diag = sum(1 for s in path if s is Step.DIAG)
-        counts[(east, diag)] += 1
+        counts[(path.count(Step.EAST), path.count(Step.DIAG))] += 1
 
     total = 0
     for (east, diag), npaths in sorted(counts.items()):

@@ -62,7 +62,8 @@ class Poly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        # A Fraction is already normalised, so it is kept rather than re-wrapped.
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -194,14 +195,9 @@ class Poly:
         if not self._coeffs:
             return Fraction(0)
         x = Fraction(x)
-        a, b = x.numerator, x.denominator
         nums, d = self._numerators()
-        acc = 0
-        b_pow = 1
-        for n in reversed(nums):
-            acc = acc * a + n * b_pow
-            b_pow *= b
-        return Fraction(acc, d * b ** self.degree)
+        a, b = x.numerator, x.denominator
+        return Fraction(_horner(nums, a, b), d * b ** self.degree)
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Poly":
         """Expand p(a*x + b) exactly, by a Taylor shift on integers.
@@ -242,9 +238,26 @@ class Poly:
         return Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self._coeffs)])
 
     def integrate(self, lo: Scalar, hi: Scalar) -> Fraction:
-        """Exact value of the definite integral over [lo, hi]."""
-        anti = self.antiderivative()
-        return anti(hi) - anti(lo)
+        """Exact value of the definite integral over [lo, hi], on integers.
+
+        With p = sum N_k x^k / D and L = lcm(1..d+1), d = deg(p), the
+        antiderivative is sum (L/(k+1)) N_k x^(k+1) / (L D), whose numerators
+        are integers.  Horner runs on them at both bounds, lo = a/b and
+        hi = c/e, and one Fraction is built from the difference over
+        L D (b e)^(d+1).
+        """
+        if not self._coeffs:
+            return Fraction(0)
+        lo, hi = Fraction(lo), Fraction(hi)
+        nums, d = self._numerators()
+        top = len(nums)
+        big_l = math.lcm(*range(1, top + 1))
+        anti = [0] + [n * (big_l // k) for k, n in enumerate(nums, start=1)]
+        b, e = lo.denominator, hi.denominator
+        difference = (
+            _horner(anti, hi.numerator, e) * b ** top - _horner(anti, lo.numerator, b) * e ** top
+        )
+        return Fraction(difference, big_l * d * (b * e) ** top)
 
     def div_x(self) -> "Poly":
         """Return q with x*q = p; p must have zero constant term."""
@@ -272,6 +285,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self._coeffs]})"
+
+
+def _horner(nums: list[int], a: int, b: int) -> int:
+    """sum N_k a^k b^(d-k), d = len(nums) - 1: the numerator of
+    sum N_k (a/b)^k over b^d, by Horner on integers."""
+    acc = 0
+    b_pow = 1
+    for n in reversed(nums):
+        acc = acc * a + n * b_pow
+        b_pow *= b
+    return acc
 
 
 def _coerce(value) -> "Poly":

@@ -354,6 +354,25 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith("error: ") and "weight_grid must list nonzero rationals" in err
 
+    @pytest.mark.parametrize("key", ["max_n", "enumeration_cap", "pair_cap"])
+    def test_non_integer_setting_names_file_and_line(self, capsys, tmp_path, monkeypatch, key):
+        config = tmp_path / "custom.conf"
+        config.write_text(f"# settings\n{key} = abc\n")
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "verify", "--all")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {config}:2: {key} must be an integer, got 'abc'\n"
+
+    def test_malformed_weight_grid_names_file_and_line(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "custom.conf"
+        config.write_text("max_n = 2\nweight_grid = 1, x\n")
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "verify", "--all")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {config}:2: weight_grid: not a rational literal")
+
     def test_zero_caps_are_accepted(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "custom.conf"
         config.write_text("enumeration_cap = 0\npair_cap = 0\nweight_grid = -1, 1/2\n")

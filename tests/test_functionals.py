@@ -26,6 +26,33 @@ from delannoy_jacobi.functionals import (
 )
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=8)
+small_polys = st.lists(rationals, max_size=6).map(Poly)
+
+
+def integrate_by_antiderivative(p, lo, hi):
+    """The former body of Poly.integrate: a Fraction antiderivative
+    evaluated at both bounds."""
+    anti = p.antiderivative()
+    return anti(hi) - anti(lo)
+
+
+def functional_by_fractions(functional, p):
+    """The former body of MomentFunctional.__call__: one Fraction product
+    per coefficient."""
+    return sum((c * functional.moments[k] for k, c in enumerate(p.coeffs)), F(0))
+
+
+def inner_by_fractions(f, g, alpha, beta):
+    """The former body of inner_weighted: one Beta-integral Fraction per
+    coefficient of f*g."""
+    fact = math.factorial
+    return sum(
+        (
+            c * F(fact(k + beta) * fact(alpha), fact(k + beta + alpha + 1))
+            for k, c in enumerate((f * g).coeffs)
+        ),
+        F(0),
+    )
 
 
 class TestFactorialFunctional:
@@ -43,6 +70,11 @@ class TestFactorialFunctional:
     def test_degree_guard(self):
         with pytest.raises(DegreeOutOfRange):
             factorial_functional(3)(Poly.monomial(4))
+
+    @given(small_polys)
+    def test_matches_fraction_sum(self, p):
+        L = factorial_functional(5)
+        assert L(p) == functional_by_fractions(L, p)
 
 
 class TestLbetaFunctional:
@@ -69,6 +101,14 @@ class TestLbetaFunctional:
         assert L.max_degree == 2
         assert L(Poly.monomial(2)) == F(3, 2)
 
+    @given(small_polys, st.integers(min_value=7, max_value=12))
+    def test_matches_fraction_sum(self, p, beta):
+        L = lbeta_functional(beta)
+        assert L(p) == functional_by_fractions(L, p)
+        extended = L.extended(F(-7, 3)).extended(F(5, 11))
+        q = p * Poly.monomial(beta - p.degree) if p else p  # reaches both extra moments
+        assert extended(q) == functional_by_fractions(extended, q)
+
 
 class TestInnerWeighted:
     def test_examples(self):
@@ -89,16 +129,25 @@ class TestInnerWeighted:
         st.integers(min_value=0, max_value=4),
     )
     def test_matches_integrated_weight(self, f, g, alpha, beta):
-        # The former body: multiply the weight out and integrate over [0, 1].
-        weight = Poly((1, -1)) ** alpha * X ** beta
-        assert inner_weighted(f, g, alpha, beta) == (f * g * weight).integrate(0, 1)
+        # Multiply the weight out and integrate over [0, 1], by the integer
+        # route and by the former antiderivative route.
+        integrand = f * g * Poly((1, -1)) ** alpha * X ** beta
+        expected = integrate_by_antiderivative(integrand, 0, 1)
+        assert inner_weighted(f, g, alpha, beta) == expected == integrand.integrate(0, 1)
 
     def test_grid_matches_integrated_weight(self):
         f, g = fam.shifted_jacobi(3, 1, 2), Poly((F(-1, 2), 3, F(2, 7)))
         for alpha in range(5):
             for beta in range(5):
-                weight = Poly((1, -1)) ** alpha * X ** beta
-                assert inner_weighted(f, g, alpha, beta) == (f * g * weight).integrate(0, 1)
+                integrand = f * g * Poly((1, -1)) ** alpha * X ** beta
+                expected = integrate_by_antiderivative(integrand, 0, 1)
+                assert inner_weighted(f, g, alpha, beta) == expected == integrand.integrate(0, 1)
+
+    @settings(max_examples=80)
+    @given(small_polys, small_polys, st.integers(min_value=0, max_value=6),
+           st.integers(min_value=0, max_value=6))
+    def test_matches_fraction_sum(self, f, g, alpha, beta):
+        assert inner_weighted(f, g, alpha, beta) == inner_by_fractions(f, g, alpha, beta)
 
     @pytest.mark.parametrize("alpha, beta", [(-1, 0), (0, -1), (-2, -3)])
     @pytest.mark.parametrize("f", [X, Poly()])

@@ -18,7 +18,6 @@ from delannoy_jacobi.paths import (
     delannoy_closed,
     delannoy_enumerate,
     delannoy_row,
-    delannoy_table,
     delannoy_weighted,
     modified_delannoy,
     modified_delannoy_enumerate,
@@ -54,6 +53,40 @@ def enumerated_total(paths, wt):
     return sum((path_weight(p, wt) for p in paths), Poly())
 
 
+def recursive_delannoy(m, n):
+    """The former recursive enumerator of the Delannoy paths to (m, n)."""
+
+    def rec(i, j, prefix):
+        if i == m and j == n:
+            yield tuple(prefix)
+            return
+        if i < m:
+            yield from rec(i + 1, j, prefix + [Step.EAST])
+        if j < n:
+            yield from rec(i, j + 1, prefix + [Step.NORTH])
+        if i < m and j < n:
+            yield from rec(i + 1, j + 1, prefix + [Step.DIAG])
+
+    return list(rec(0, 0, []))
+
+
+def recursive_schroder(n):
+    """The former recursive enumerator of the Schroeder paths to (n, n)."""
+
+    def rec(i, j, prefix):
+        if i == n and j == n:
+            yield tuple(prefix)
+            return
+        if i < n:
+            yield from rec(i + 1, j, prefix + [Step.EAST])
+        if j < i:
+            yield from rec(i, j + 1, prefix + [Step.NORTH])
+        if i < n and j < i + 1:
+            yield from rec(i + 1, j + 1, prefix + [Step.DIAG])
+
+    return list(rec(0, 0, []))
+
+
 class TestDelannoyEnumerate:
     def test_smallest_nontrivial(self):
         paths = set(delannoy_enumerate(1, 1))
@@ -82,6 +115,17 @@ class TestDelannoyEnumerate:
         with pytest.raises(CapExceeded):
             delannoy_enumerate(10, 7)
         assert sum(1 for _ in delannoy_enumerate(10, 7, cap=17)) > 0
+        with pytest.raises(CapExceeded):  # on the call, before any iteration
+            delannoy_enumerate(3, 3, cap=5)
+        assert len(list(delannoy_enumerate(3, 3, cap=6))) == 63
+
+    def test_same_paths_in_the_same_order_as_recursion(self):
+        # The stack walk must reproduce the recursive order east < north < northeast.
+        for m in range(11):
+            for n in range(11 - m):
+                assert list(delannoy_enumerate(m, n, cap=10)) == recursive_delannoy(m, n), (m, n)
+        for n in range(6):
+            assert list(schroder_enumerate(n, cap=10)) == recursive_schroder(n), n
 
 
 class TestPathWeight:
@@ -120,13 +164,15 @@ class TestDelannoyWeighted:
         assert delannoy_weighted(2, 1, POLY_WT) == Poly((-2, 3))
 
     def test_table_invariants(self):
-        table = delannoy_table(3, 3, POLY_WT)
-        assert table[0][0] == 1
+        def cell(i, j):
+            return delannoy_weighted(i, j, POLY_WT)
+
+        assert cell(0, 0) == 1
         u, v, w = POLY_WT.u, POLY_WT.v, POLY_WT.w
         for i in range(1, 4):
             for j in range(1, 4):
-                assert table[i][j] == u * table[i - 1][j] + v * table[i][j - 1] + w * table[i - 1][j - 1]
-        assert table[3][3] == delannoy_weighted(3, 3, POLY_WT)
+                assert cell(i, j) == u * cell(i - 1, j) + v * cell(i, j - 1) + w * cell(i - 1, j - 1)
+        assert cell(3, 3) == delannoy_closed(3, 3, POLY_WT)
 
     def test_closed_examples(self):
         assert delannoy_closed(2, 1) == 5
@@ -164,10 +210,9 @@ class TestDelannoyWeighted:
     @settings(max_examples=30, deadline=None)
     def test_table_matches_closed_at_every_cell(self, m, n, uvw):
         wt = WeightTriple.of(*uvw)
-        table = delannoy_table(m, n, wt)
-        assert [len(row) for row in table] == [n + 1] * (m + 1)
-        for i, row in enumerate(table):
-            for j, value in enumerate(row):
+        for i in range(m + 1):
+            for j in range(n + 1):
+                value = delannoy_weighted(i, j, wt)
                 assert isinstance(value, Poly)
                 assert value == delannoy_closed(i, j, wt)
 
@@ -184,10 +229,10 @@ class TestDelannoyWeighted:
         assert delannoy_weighted(2, 2, WeightTriple.of(0, 0, F(3, 5))) == F(9, 25)
 
     def test_unit_specialization_satisfies_recursion(self):
-        table = delannoy_table(5, 5)
+        d = delannoy_weighted
         for i in range(1, 6):
             for j in range(1, 6):
-                assert table[i][j] == table[i - 1][j] + table[i][j - 1] + table[i - 1][j - 1]
+                assert d(i, j) == d(i - 1, j) + d(i, j - 1) + d(i - 1, j - 1)
 
 
 class TestSchroder:
@@ -234,6 +279,9 @@ class TestSchroder:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             schroder_enumerate(9)
+        with pytest.raises(CapExceeded):
+            schroder_enumerate(3, cap=5)
+        assert len(list(schroder_enumerate(3, cap=6))) == 22
 
 
 class TestPackedDP:
@@ -262,7 +310,6 @@ class TestPackedDP:
         total = delannoy_weighted(*corner, wt)
         assert total == Poly.monomial(d * m, F(-a, q) ** m)
         assert abs(total.coefficient(d * m)) * q ** m == a ** m  # cleared: S^steps
-        assert delannoy_table(*corner, wt)[corner[0]][corner[1]] == total
         # A path off the axis needs the other two steps, which weigh 0.
         assert delannoy_weighted(m + 1, 1, wt) == 0
         if on_north_axis:
@@ -297,10 +344,9 @@ class TestPackedDP:
         w = Poly([F(2 ** 40 - k, 7) * (-1) ** k for k in range(7)])
         wt = WeightTriple.of(u, v, w)
         assert delannoy_weighted(10, 10, wt) == delannoy_closed(10, 10, wt)
-        table = delannoy_table(6, 6, wt)
-        for i, row in enumerate(table):
-            for j, value in enumerate(row):
-                assert value == delannoy_closed(i, j, wt)
+        for i in range(7):
+            for j in range(7):
+                assert delannoy_weighted(i, j, wt) == delannoy_closed(i, j, wt)
 
     @given(st.integers(min_value=0, max_value=12), st.one_of(wide_triples, poly_triples))
     @settings(max_examples=40, deadline=None)
@@ -308,13 +354,16 @@ class TestPackedDP:
         wt = WeightTriple.of(*uvw)
         assert delannoy_weighted(k, 0, wt) == wt.u ** k
         assert delannoy_weighted(0, k, wt) == wt.v ** k
-        assert delannoy_table(k, 0, wt) == [[wt.u ** i] for i in range(k + 1)]
-        assert delannoy_table(0, k, wt) == [[wt.v ** j for j in range(k + 1)]]
+        for i in range(k + 1):
+            assert delannoy_weighted(i, 0, wt) == wt.u ** i
+            assert delannoy_weighted(0, i, wt) == wt.v ** i
         assert schroder_weighted(0, wt) == 1
 
     def test_all_zero_weights(self):
         for zeros in (WeightTriple.of(0, 0, 0), WeightTriple(Poly(), Poly(), Poly())):
-            assert delannoy_table(3, 2, zeros) == [[1, 0, 0]] + [[0, 0, 0]] * 3
+            for i in range(4):
+                for j in range(3):
+                    assert delannoy_weighted(i, j, zeros) == (1 if i == j == 0 else 0)
             assert delannoy_weighted(0, 0, zeros) == 1
             assert delannoy_weighted(4, 7, zeros) == 0
             assert schroder_weighted(0, zeros) == 1

@@ -75,6 +75,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             X.constant_value()
 
+    def test_coefficients_are_fractions(self):
+        half = F(1, 2)
+        for coeffs in [(1, -2, 3), (True, False, True), (half, F(-3), F(0, 5)), (2, True, half)]:
+            p = Poly(coeffs)
+            assert all(type(c) is F for c in p.coeffs), coeffs
+        assert Poly((half,)).coeffs[0] is half  # a Fraction is kept, not re-wrapped
+        assert Poly((True, 2)).coeffs == (F(1), F(2))
+
+    @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=8))
+    def test_equality_and_hash_do_not_depend_on_input_type(self, ints):
+        by_int = Poly(ints)
+        by_fraction = Poly(F(c) for c in ints)
+        by_bool = Poly(bool(c) for c in ints)
+        assert by_int == by_fraction
+        assert hash(by_int) == hash(by_fraction) == hash(tuple(F(c) for c in by_int.coeffs))
+        assert by_bool == Poly(1 if c else 0 for c in ints)
+        assert hash(by_bool) == hash(Poly(F(1 if c else 0) for c in ints))
+
 
 class TestArithmetic:
     @given(polys, polys, rationals)
@@ -184,6 +202,13 @@ class TestComposeAffine:
         assert Poly.constant(F(-5, 7)).compose_affine(3, 4) == Poly.constant(F(-5, 7))
 
 
+def integrate_by_antiderivative(p, lo, hi):
+    """The former body of Poly.integrate: a Fraction antiderivative
+    evaluated at both bounds."""
+    anti = p.antiderivative()
+    return anti(hi) - anti(lo)
+
+
 class TestCalculus:
     def test_examples(self):
         assert Poly((-1, 2)).antiderivative() == Poly((0, -1, 1))
@@ -212,6 +237,26 @@ class TestCalculus:
     @given(polys, rationals, rationals, rationals)
     def test_integrate_chains_over_intervals(self, p, a, b, c):
         assert p.integrate(a, b) + p.integrate(b, c) == p.integrate(a, c)
+
+    @given(polys, rationals, rationals)
+    def test_integrate_matches_antiderivative_route(self, p, lo, hi):
+        assert p.integrate(lo, hi) == integrate_by_antiderivative(p, lo, hi)
+        assert p.integrate(lo, lo) == 0
+        assert p.integrate(hi, lo) == -p.integrate(lo, hi)
+
+    @given(rationals, small_ints, small_ints)
+    def test_integrate_constants_and_zero(self, c, lo, hi):
+        assert Poly.constant(c).integrate(lo, hi) == c * (hi - lo)
+        assert Poly.constant(c).integrate(lo, hi) == integrate_by_antiderivative(Poly.constant(c), lo, hi)
+        assert ZERO.integrate(lo, hi) == 0
+        assert type(ZERO.integrate(lo, hi)) is F
+
+    def test_integrate_integer_and_fraction_bounds(self):
+        p = Poly((F(1, 3), F(-2, 5), F(7, 2), 1, F(-11, 6)))
+        for lo, hi in [(0, 1), (-1, 1), (F(-1, 2), F(3, 7)), (2, 2), (5, -3), (F(9, 4), 0)]:
+            value = p.integrate(lo, hi)
+            assert type(value) is F
+            assert value == integrate_by_antiderivative(p, lo, hi), (lo, hi)
 
 
 class TestDivX:
