@@ -149,6 +149,13 @@ def load_config_file() -> dict:
     path = os.environ.get(CONFIG_ENV_VAR) or CONFIG_FILENAME
     if not os.path.exists(path):
         return {}
+    try:
+        return _parse_config(path)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _parse_config(path: str) -> dict:
     values: dict = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -203,6 +210,10 @@ def main(argv=None) -> int:
         return _run_verify(args)
     except (CapExceeded, InvalidIndex, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the config file or the --out report
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

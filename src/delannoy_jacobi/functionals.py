@@ -100,13 +100,21 @@ def inner_weighted(f: Poly, g: Poly, alpha: int = 0, beta: int = 0) -> Fraction:
     """Exact integral of f*g*(1-x)^alpha*x^beta over [0, 1].
 
     Term by term this is the Beta integral: x^k contributes
-    (k+beta)! alpha! / (k+beta+alpha+1)!.  With f*g = sum N_k x^k / D and
+    (k+beta)! alpha! / (k+beta+alpha+1)!.  With f = sum F_i x^i / D_f and
+    g = sum G_j x^j / D_g, the integer numerators of f*g are the
+    convolution N_k = sum F_i G_j (i+j = k) over D = D_f D_g; with
     T = deg(f*g) + beta + alpha + 1, the terms are summed on integers over
     the common denominator D T!, so one Fraction is built per call.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be nonnegative")
-    nums, d = (f * g)._numerators()
+    f_nums, f_den = f._numerators()
+    g_nums, g_den = g._numerators()
+    nums = [0] * (len(f_nums) + len(g_nums) - 1) if f_nums and g_nums else []
+    for i, a in enumerate(f_nums):
+        if a:
+            for j, b in enumerate(g_nums, start=i):
+                nums[j] += a * b
     fact = math.factorial
     top = len(nums) + beta + alpha
     lower = fact(beta)  # (k+beta)!
@@ -116,7 +124,7 @@ def inner_weighted(f: Poly, g: Poly, alpha: int = 0, beta: int = 0) -> Fraction:
         total += n * lower * upper
         lower *= k + beta + 1
         upper //= k + beta + alpha + 2
-    return Fraction(total * fact(alpha), d * fact(top))
+    return Fraction(total * fact(alpha), f_den * g_den * fact(top))
 
 
 def gram_matrix(family, inner) -> Matrix:

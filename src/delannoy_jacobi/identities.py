@@ -167,9 +167,12 @@ def run_all(config: SuiteConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
 
 
 def _weight_points(cfg: SuiteConfig):
+    """The nonzero (u, v, w) points of the weight grid, in grid order, each
+    with its WeightTriple; an entry builds this list once and reuses the
+    triples, so its DP cache lookups hash the same objects."""
     grid = tuple(Fraction(v) for v in cfg.weight_grid)
     return [
-        (u, v, w)
+        (u, v, w, lp.WeightTriple.of(u, v, w))
         for u in grid
         for v in grid
         for w in grid
@@ -177,11 +180,21 @@ def _weight_points(cfg: SuiteConfig):
     ]
 
 
-def _wt(u, v, w) -> lp.WeightTriple:
-    return lp.WeightTriple.of(u, v, w)
+def _x_points(cfg: SuiteConfig):
+    """The (u, w) pairs of the weight grid, each with the triple (u, x, w)."""
+    grid = cfg.weight_grid
+    return [(u, w, lp.WeightTriple.of(u, X, w)) for u in grid for w in grid]
 
 
 _POLY_X_WT = lp.WeightTriple.of(1, X, -1)
+
+# The enumeration leg's weights: unit, positive, and rational of mixed sign.
+_ENUMERATION_POINTS = [
+    (u, v, w, lp.WeightTriple.of(u, v, w))
+    for u, v, w in [(Fraction(1), Fraction(1), Fraction(1)),
+                    (Fraction(2), Fraction(3), Fraction(5)),
+                    (Fraction(1, 2), Fraction(-1, 3), Fraction(7))]
+]
 
 
 # --------------------------------------------------------------------------
@@ -200,8 +213,7 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig, rec: _Recorder) -> None:
     points = _weight_points(cfg)
     for m in range(top + 1):
         for n in range(top + 1):
-            for u, v, w in points:
-                wt = _wt(u, v, w)
+            for u, v, w, wt in points:
                 rec.check(
                     lp.delannoy_weighted(m, n, wt),
                     lp.delannoy_closed(m, n, wt),
@@ -217,16 +229,16 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig, rec: _Recorder) -> None:
         for n in range(top + 1):
             if m + n > min(8, cfg.enumeration_cap):
                 continue
-            for u, v, w in [(Fraction(1), Fraction(1), Fraction(1)),
-                            (Fraction(2), Fraction(3), Fraction(5)),
-                            (Fraction(1, 2), Fraction(-1, 3), Fraction(7))]:
-                wt = _wt(u, v, w)
+            # Every enumerated path with d northeast steps weighs
+            # u^(m-d) v^(n-d) w^d, so the paths are summed by that count.
+            tally = lp.diagonal_tally(m, n)
+            for u, v, w, wt in _ENUMERATION_POINTS:
                 total = sum(
-                    (lp.path_weight(p, wt) for p in lp.delannoy_enumerate(m, n)),
-                    Poly(),
+                    npaths * u ** (m - d) * v ** (n - d) * w ** d
+                    for d, npaths in enumerate(tally)
                 )
                 rec.check(
-                    total, lp.delannoy_weighted(m, n, wt),
+                    Poly.constant(total), lp.delannoy_weighted(m, n, wt),
                     m=m, n=n, u=str(u), v=str(v), w=str(w), route="enumeration",
                 )
 
@@ -239,13 +251,14 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig, rec: _Recorder) -> None:
 )
 def _wcd_legendre(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
+    points, x_points = _weight_points(cfg), _x_points(cfg)
     for n in range(cfg.cap(6) + 1):
-        for u, v, w in _weight_points(cfg):
-            lhs = lp.delannoy_weighted(n, n, _wt(u, v, w)).constant_value()
+        for u, v, w, wt in points:
+            lhs = lp.delannoy_weighted(n, n, wt).constant_value()
             rhs = (-w) ** n * F.shifted_legendre(n)(-u * v / w)
             rec.check(lhs, rhs, n=n, u=str(u), v=str(v), w=str(w))
-        for u, w in [(a, b) for a in cfg.weight_grid for b in cfg.weight_grid]:
-            lhs = lp.delannoy_weighted(n, n, _wt(u, X, w))
+        for u, w, wt in x_points:
+            lhs = lp.delannoy_weighted(n, n, wt)
             rhs = Fraction(-w) ** n * F.shifted_legendre(n).compose_affine(
                 -Fraction(u) / Fraction(w), 0
             )
@@ -260,13 +273,14 @@ def _wcd_legendre(cfg: SuiteConfig, rec: _Recorder) -> None:
 )
 def _wcd_legendre_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
+    points, x_points = _weight_points(cfg), _x_points(cfg)
     for n in range(cfg.cap(6) + 1):
-        for u, v, w in _weight_points(cfg):
-            lhs = lp.delannoy_weighted(n, n, _wt(u, v, w)).constant_value()
+        for u, v, w, wt in points:
+            lhs = lp.delannoy_weighted(n, n, wt).constant_value()
             rhs = w ** n * F.shifted_legendre(n)(u * v / w + 1)
             rec.check(lhs, rhs, n=n, u=str(u), v=str(v), w=str(w))
-        for u, w in [(a, b) for a in cfg.weight_grid for b in cfg.weight_grid]:
-            lhs = lp.delannoy_weighted(n, n, _wt(u, X, w))
+        for u, w, wt in x_points:
+            lhs = lp.delannoy_weighted(n, n, wt)
             rhs = Fraction(w) ** n * F.shifted_legendre(n).compose_affine(
                 Fraction(u) / Fraction(w), 1
             )
@@ -281,10 +295,11 @@ def _wcd_legendre_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
 )
 def _wd_jacobi(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
+    points = _weight_points(cfg)
     for n in range(cfg.cap(6) + 1):
         for beta in range(-n, 5):
-            for u, v, w in _weight_points(cfg):
-                lhs = lp.delannoy_weighted(n + beta, n, _wt(u, v, w)).constant_value()
+            for u, v, w, wt in points:
+                lhs = lp.delannoy_weighted(n + beta, n, wt).constant_value()
                 rhs = u ** beta * (-w) ** n * F.shifted_jacobi(n, 0, beta)(-u * v / w)
                 rec.check(lhs, rhs, n=n, beta=beta, u=str(u), v=str(v), w=str(w))
 
@@ -297,10 +312,11 @@ def _wd_jacobi(cfg: SuiteConfig, rec: _Recorder) -> None:
 )
 def _wd_jacobi_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
+    points = _weight_points(cfg)
     for n in range(cfg.cap(6) + 1):
         for beta in range(-n, 5):
-            for u, v, w in _weight_points(cfg):
-                lhs = lp.delannoy_weighted(n + beta, n, _wt(u, v, w)).constant_value()
+            for u, v, w, wt in points:
+                lhs = lp.delannoy_weighted(n + beta, n, wt).constant_value()
                 rhs = u ** beta * w ** n * F.shifted_jacobi(n, beta, 0)(u * v / w + 1)
                 rec.check(lhs, rhs, n=n, beta=beta, u=str(u), v=str(v), w=str(w))
 
@@ -372,7 +388,9 @@ def _orth_0beta(cfg: SuiteConfig, rec: _Recorder) -> None:
     for beta in range(5):
         for n in range(cfg.cap(6) + 1):
             for m in range(n):
-                value = (X ** (m + beta) * F.shifted_jacobi(n, 0, beta)).integrate(0, 1)
+                value = (
+                    Poly.monomial(m + beta) * F.shifted_jacobi(n, 0, beta)
+                ).integrate(0, 1)
                 rec.check(value, Fraction(0), beta=beta, n=n, m=m)
 
 
@@ -415,7 +433,7 @@ def _epl(cfg: SuiteConfig, rec: _Recorder) -> None:
         for m in range(top + 1):
             for beta in range(top + 1):
                 lhs = math.factorial(n + m + beta + 1) * (
-                    X ** (m + beta) * F.shifted_jacobi(n, 0, beta)
+                    Poly.monomial(m + beta) * F.shifted_jacobi(n, 0, beta)
                 ).integrate(0, 1)
                 rhs = sum(
                     (-1) ** k
@@ -453,7 +471,7 @@ def _abdec(cfg: SuiteConfig, rec: _Recorder) -> None:
                     (
                         binom(alpha, i)
                         * (-1) ** i
-                        * X ** (alpha - i)
+                        * Poly.monomial(alpha - i)
                         * F.shifted_jacobi(n, 0, alpha + beta - i)
                         for i in range(alpha + 1)
                     ),
@@ -485,7 +503,9 @@ def _laguerre_orth(cfg: SuiteConfig, rec: _Recorder) -> None:
                 if m != n:
                     rec.check(
                         functional(
-                            X ** beta * F.laguerre_gen(m, beta) * F.laguerre_gen(n, beta)
+                            Poly.monomial(beta)
+                            * F.laguerre_gen(m, beta)
+                            * F.laguerre_gen(n, beta)
                         ),
                         Fraction(0),
                         beta=beta, m=m, n=n,
@@ -494,16 +514,18 @@ def _laguerre_orth(cfg: SuiteConfig, rec: _Recorder) -> None:
     for n in range(bridge_top + 1):
         for m in range(bridge_top + 1):
             lhs = math.factorial(n + m + 1) * (
-                X ** m * F.shifted_legendre(n)
+                Poly.monomial(m) * F.shifted_legendre(n)
             ).integrate(0, 1)
-            rec.check(lhs, functional(X ** m * F.laguerre(n)), n=n, m=m, form="plain")
+            rec.check(
+                lhs, functional(Poly.monomial(m) * F.laguerre(n)), n=n, m=m, form="plain"
+            )
             for beta in range(bridge_top + 1):
                 lhs = math.factorial(n + m + beta + 1) * (
-                    X ** (m + beta) * F.shifted_jacobi(n, 0, beta)
+                    Poly.monomial(m + beta) * F.shifted_jacobi(n, 0, beta)
                 ).integrate(0, 1)
                 rec.check(
                     lhs,
-                    functional(X ** (m + beta) * F.laguerre_gen(n, beta)),
+                    functional(Poly.monomial(m + beta) * F.laguerre_gen(n, beta)),
                     n=n, m=m, beta=beta, form="weighted",
                 )
     diag = [str(functional(F.laguerre(n) * F.laguerre(n))) for n in range(top + 1)]
@@ -690,9 +712,10 @@ def _schroder(cfg: SuiteConfig, rec: _Recorder) -> None:
             Fraction(2, n + 1) * F.jacobi(n, -1, 1)(3),
             n=n, route="value at 3",
         )
+    points = _weight_points(cfg)
     for n in range(cfg.cap(6) + 1):
-        for u, v, w in _weight_points(cfg):
-            sn = lp.schroder_weighted(n, _wt(u, v, w)).constant_value()
+        for u, v, w, wt in points:
+            sn = lp.schroder_weighted(n, wt).constant_value()
             rec.check(
                 sn,
                 (-w) ** n * F.schroder_poly(n)(-u * v / w),
@@ -723,9 +746,9 @@ def _schroder(cfg: SuiteConfig, rec: _Recorder) -> None:
 def _cdrec(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
     top = cfg.cap(8)
+    points = _weight_points(cfg)
     for n in range(1, top + 1):
-        for u, v, w in _weight_points(cfg):
-            wt = _wt(u, v, w)
+        for u, v, w, wt in points:
             lhs = lp.delannoy_weighted(n, n, wt).constant_value()
             rhs = 2 * u * v * sum(
                 lp.delannoy_weighted(k, k, wt).constant_value()

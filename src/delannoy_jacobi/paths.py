@@ -13,7 +13,9 @@ their oracles.  Enumeration is a depth-first walk with an explicit stack
 over the steps allowed from each lattice point: it needs no recursion and
 yields every path exactly once, in the lexicographic order east < north <
 northeast, and it never uses the closed sum's choice of step positions,
-whose oracle it is.  The Legendre Motzkin moments, too, run as a height
+whose oracle it is.  diagonal_tally enumerates the paths to one endpoint
+once and counts them by northeast steps, for the oracles that only need
+those counts.  The Legendre Motzkin moments, too, run as a height
 DP, with their enumeration kept as the capped oracle.  Weights may be rational
 constants or polynomials in a single variable, so substituting v = x turns
 the same DP into a polynomial-family constructor.  The DPs clear the
@@ -24,7 +26,6 @@ whole sequence off one DP table.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -152,6 +153,29 @@ def path_weight(path: tuple[Step, ...], wt: WeightTriple = UNIT_WEIGHTS) -> Poly
     for step in path:
         out = out * weights[step]
     return as_poly(out)
+
+
+def diagonal_tally(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
+    """(N_0, .., N_min(m,n)): N_d paths to (m, n) take d northeast steps.
+
+    Counted by enumerating every Delannoy path, never from binomials, so it
+    stays an oracle of the closed sum.  A path with d northeast steps takes
+    m-d east and n-d north steps, so any sum over paths that depends only on
+    their step counts reads this tally instead of walking the paths again.
+    The cap is checked on every call, before the cached enumeration.
+    """
+    _require_quadrant(m, n)
+    if m + n > cap:
+        raise CapExceeded(f"enumeration of ({m},{n}) exceeds cap of {cap} steps")
+    return _diagonal_tally(m, n)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _diagonal_tally(m: int, n: int) -> tuple[int, ...]:
+    counts = [0] * (min(m, n) + 1)
+    for path in delannoy_enumerate(m, n, cap=m + n):
+        counts[path.count(Step.DIAG)] += 1
+    return tuple(counts)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -402,10 +426,10 @@ def valid_pair_signed_sum(
     sigma(r) < sigma(b_j) for every j.  The weight of a pair is
     (-1)**(number of northeast steps of L).
 
-    Paths are enumerated explicitly; the bijections of a path depend only on
-    how many elements are constrained to exceed sigma(r), and are counted in
-    closed form once per class (the permutation walk that checks that count
-    lives in the tests).
+    Paths are enumerated explicitly (through diagonal_tally); the bijections
+    of a path depend only on how many elements are constrained to exceed
+    sigma(r), and are counted in closed form once per class (the permutation
+    walk that checks that count lives in the tests).
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
@@ -417,12 +441,9 @@ def valid_pair_signed_sum(
     if n + beta < 0:
         raise ValueError("path endpoint (n+beta, n) leaves the quadrant")
 
-    counts: Counter[tuple[int, int]] = Counter()
-    for path in delannoy_enumerate(n + beta, n, cap=2 * cap):
-        counts[(path.count(Step.EAST), path.count(Step.DIAG))] += 1
-
     total = 0
-    for (east, diag), npaths in sorted(counts.items()):
+    for diag, npaths in enumerate(diagonal_tally(n + beta, n, cap=2 * cap)):
+        east = n + beta - diag
         total += (-1) ** diag * npaths * _count_leader_orders(total_items, east + m)
     return total
 

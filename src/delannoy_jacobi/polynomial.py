@@ -59,7 +59,7 @@ def pochhammer(a: Scalar, n: int) -> Fraction:
 class Poly:
     """Dense univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, coeffs=()):
         # A Fraction is already normalised, so it is kept rather than re-wrapped.
@@ -117,7 +117,13 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._coeffs)
+        # Hashing a Fraction is costly and the DP caches hash their weight
+        # polynomials on every lookup, so the hash is kept once computed.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._coeffs)
+            return self._hash
 
     def __neg__(self) -> "Poly":
         return Poly(-c for c in self._coeffs)

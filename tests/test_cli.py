@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import csv
+import errno
 import io
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from delannoy_jacobi import cli
 from delannoy_jacobi.cli import main
 from delannoy_jacobi.render import parse_poly
 
@@ -241,6 +243,17 @@ class TestVerify:
         assert [item["id"] for item in payload] == sorted(item["id"] for item in payload)
         assert "passed" in out
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_output_file_is_compute_error(self, capsys, tmp_path, target):
+        out_file = tmp_path / target
+        code, out, err = run_cli(
+            capsys, "verify", "--id", "bneg-table1", "--out", str(out_file)
+        )
+        assert code == 1
+        assert out == ""
+        reason = "No such file or directory" if target != "." else "Is a directory"
+        assert err == f"error: {out_file}: {reason}\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--id", "bneg-table1", "--format", "json"
@@ -372,6 +385,38 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {config}:2: weight_grid: not a rational literal")
+
+    def test_directory_is_compute_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("DJ_CONFIG", str(tmp_path))
+        code, out, err = run_cli(capsys, "verify", "--id", "dp1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {tmp_path}: Is a directory\n"
+
+    def test_unreadable_file_is_compute_error(self, capsys, tmp_path, monkeypatch):
+        # File permissions do not bind a superuser, so the refusal is made by
+        # the open() that the config reader calls.
+        config = tmp_path / "custom.conf"
+        config.write_text("max_n = 1\n")
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        code, out, err = run_cli(capsys, "verify", "--id", "dp1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {config}: Permission denied\n"
+
+    def test_non_utf8_file_names_the_file(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "custom.conf"
+        config.write_bytes(b"# r\xe9glages\nmax_n = 1\n")
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "verify", "--id", "dp1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {config}: not UTF-8 text")
 
     def test_zero_caps_are_accepted(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "custom.conf"

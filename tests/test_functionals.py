@@ -143,11 +143,33 @@ class TestInnerWeighted:
                 expected = integrate_by_antiderivative(integrand, 0, 1)
                 assert inner_weighted(f, g, alpha, beta) == expected == integrand.integrate(0, 1)
 
-    @settings(max_examples=80)
-    @given(small_polys, small_polys, st.integers(min_value=0, max_value=6),
+    # Zero, constant, small and large-denominator factors: the integer
+    # route convolves numerators over the product of two denominators.
+    factors = st.one_of(
+        st.just(Poly()),
+        rationals.map(Poly.constant),
+        small_polys,
+        st.lists(
+            st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**40),
+            max_size=5,
+        ).map(Poly),
+    )
+
+    @settings(max_examples=150)
+    @given(factors, factors, st.integers(min_value=0, max_value=6),
            st.integers(min_value=0, max_value=6))
     def test_matches_fraction_sum(self, f, g, alpha, beta):
         assert inner_weighted(f, g, alpha, beta) == inner_by_fractions(f, g, alpha, beta)
+
+    def test_zero_constant_and_large_denominator_factors(self):
+        big = Poly((F(1, 3**40), F(-7, 2**61 - 1), F(5, 10**30 + 1)))
+        for f in (Poly(), Poly.constant(F(-3, 7)), big, fam.shifted_jacobi(4, 2, 1)):
+            for g in (Poly(), ONE, big, X):
+                for alpha, beta in ((0, 0), (2, 5), (6, 1)):
+                    expected = inner_by_fractions(f, g, alpha, beta)
+                    assert inner_weighted(f, g, alpha, beta) == expected
+                    assert inner_weighted(g, f, alpha, beta) == expected
+        assert inner_weighted(Poly(), big, 3, 2) == 0
 
     @pytest.mark.parametrize("alpha, beta", [(-1, 0), (0, -1), (-2, -3)])
     @pytest.mark.parametrize("f", [X, Poly()])

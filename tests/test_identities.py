@@ -1,8 +1,11 @@
 """Tests for the identity registry runner, reports, and fault detection."""
 
+import itertools
+
 import pytest
 from faults import FAULT_TARGETS, CorruptingFamilies
 
+from delannoy_jacobi import paths
 from delannoy_jacobi.identities import (
     REGISTRY,
     SuiteConfig,
@@ -109,3 +112,42 @@ def test_corruption_error_paths_are_reported_not_raised():
     report = run_identity("schroder", config)
     assert report.status == "fail"
     assert report.counterexample is not None
+
+
+def _clear_path_caches():
+    for value in vars(paths).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@pytest.mark.parametrize("off_axes, wd_at, epl_at", [
+    (False, {"m": 0, "n": 0}, {"n": 0, "m": 0, "beta": 0}),
+    (True, {"m": 1, "n": 1}, {"n": 1, "m": 0, "beta": 0}),
+])
+def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, wd_at, epl_at):
+    # Both path oracles read one cached step tally per endpoint; an
+    # enumeration that loses a path (at every endpoint, or only where both
+    # coordinates are positive) must fail each entry at its first
+    # enumeration case that sees the loss, whatever the cache held before.
+    enumerate_paths = paths.delannoy_enumerate
+
+    def one_path_short(m, n, cap=paths.DEFAULT_ENUMERATION_CAP):
+        found = enumerate_paths(m, n, cap)
+        return found if off_axes and not (m and n) else itertools.islice(found, 1, None)
+
+    _clear_path_caches()
+    monkeypatch.setattr(paths, "delannoy_enumerate", one_path_short)
+    try:
+        report = run_identity("wd-closed-vs-dp-vs-enum")
+        assert report.status == "fail"
+        assert report.counterexample["params"] == {
+            **wd_at, "u": "1", "v": "1", "w": "1", "route": "enumeration",
+        }
+        report = run_identity("epl")
+        assert report.status == "fail"
+        assert report.counterexample["params"] == {**epl_at, "route": "pair enumeration"}
+    finally:
+        monkeypatch.undo()
+        _clear_path_caches()
+    assert run_identity("wd-closed-vs-dp-vs-enum").status == "pass"
+    assert run_identity("epl").status == "pass"

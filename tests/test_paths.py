@@ -19,6 +19,7 @@ from delannoy_jacobi.paths import (
     delannoy_enumerate,
     delannoy_row,
     delannoy_weighted,
+    diagonal_tally,
     modified_delannoy,
     modified_delannoy_enumerate,
     motzkin_legendre_moment,
@@ -126,6 +127,34 @@ class TestDelannoyEnumerate:
                 assert list(delannoy_enumerate(m, n, cap=10)) == recursive_delannoy(m, n), (m, n)
         for n in range(6):
             assert list(schroder_enumerate(n, cap=10)) == recursive_schroder(n), n
+
+
+class TestDiagonalTally:
+    def test_matches_per_path_classification(self):
+        # Each enumerated path classed by its own step counts.
+        for m in range(11):
+            for n in range(11 - m):
+                by_path = [0] * (min(m, n) + 1)
+                for path in delannoy_enumerate(m, n, cap=10):
+                    east, north, diag = (path.count(s) for s in Step)
+                    assert (east, north) == (m - diag, n - diag)
+                    by_path[diag] += 1
+                assert diagonal_tally(m, n, cap=10) == tuple(by_path), (m, n)
+
+    def test_totals_are_delannoy_numbers(self):
+        for m in range(6):
+            for n in range(6):
+                tally = diagonal_tally(m, n)
+                assert sum(tally) == delannoy_weighted(m, n).constant_value()
+                assert delannoy_weighted(m, n, WeightTriple.of(1, 1, X)) == Poly(tally)
+
+    def test_cap_is_checked_on_every_call(self):
+        assert diagonal_tally(3, 3, cap=6) == (20, 30, 12, 1)
+        for _ in range(2):  # the enumeration is cached, the cap is not
+            with pytest.raises(CapExceeded):
+                diagonal_tally(3, 3, cap=5)
+        with pytest.raises(ValueError):
+            diagonal_tally(-1, 2)
 
 
 class TestPathWeight:
@@ -506,6 +535,10 @@ class TestValidPairs:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             valid_pair_signed_sum(9, 0, 0)
+        assert valid_pair_signed_sum(2, 2, 2, cap=7) == self._factorial_sum(2, 2, 2)
+        for _ in range(2):  # raised before the cached path tally, on every call
+            with pytest.raises(CapExceeded):
+                valid_pair_signed_sum(2, 2, 2, cap=6)
 
     @staticmethod
     def _factorial_sum(n, m, beta):
@@ -580,7 +613,7 @@ class TestCacheBound:
             value for module in (families, paths) for value in vars(module).values()
             if hasattr(value, "cache_info") and value.__module__ == module.__name__
         ]
-        assert len(caches) == 13
+        assert len(caches) == 14
         assert all(cache.cache_info().maxsize == CACHE_SIZE for cache in caches)
 
     def test_distinct_calls_stay_within_bound(self):

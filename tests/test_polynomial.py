@@ -93,6 +93,16 @@ class TestConstruction:
         assert by_bool == Poly(1 if c else 0 for c in ints)
         assert hash(by_bool) == hash(Poly(F(1 if c else 0) for c in ints))
 
+    @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=8),
+           st.lists(st.fractions(max_denominator=9), max_size=6))
+    def test_cached_hash_is_the_hash_of_coeffs(self, ints, fractions):
+        for p, q in [(Poly(ints), Poly(F(c) for c in ints)),
+                     (Poly(fractions), Poly(F(c.numerator, c.denominator) for c in fractions))]:
+            for _ in range(2):  # computed once, then read back from the slot
+                assert hash(p) == hash(p.coeffs) == hash(q) == hash(q.coeffs)
+        # A key hashed from one input type is found from the other.
+        assert {Poly(ints): 1}.get(Poly(F(c) for c in ints)) == 1
+
 
 class TestArithmetic:
     @given(polys, polys, rationals)
