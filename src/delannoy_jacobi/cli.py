@@ -1,13 +1,13 @@
 """Command-line interface: compute sequences and polynomials, run identity
 checks.
 
-Exit codes are the machine contract: 0 success, 1 computation error (caps,
-invalid index), 2 usage error or unknown identity id, 3 verification
-failure.
+Exit codes are the machine contract: 0 success, 1 computation error
+(invalid index or input, unreadable config file or report), 2 usage error
+or unknown identity id, 3 verification failure.
 
 An optional key=value config file (delannoy-jacobi.conf in the working
-directory, or the path in DJ_CONFIG) supplies grid and enumeration caps;
-command-line flags override it.
+directory, or the path in DJ_CONFIG) supplies the index clamp and the
+weight grid; command-line flags override it.
 """
 
 import argparse
@@ -17,18 +17,18 @@ import json
 import os
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import families
 from . import identities
 from . import paths as lp
-from .families import InvalidIndex
-from .paths import CapExceeded
 from .render import format_poly, parse_rational
 
 CONFIG_FILENAME = "delannoy-jacobi.conf"
 CONFIG_ENV_VAR = "DJ_CONFIG"
-CONFIG_KEYS = ("max_n", "enumeration_cap", "pair_cap", "weight_grid")
+CONFIG_KEYS = ("max_n", "weight_grid")
+CONFIG_MAX_BYTES = 64 * 1024
 
 POLY_FAMILIES = {
     "jacobi": lambda n, a, b: families.jacobi(n, a, b),
@@ -59,10 +59,10 @@ formats:
 rational flags (--u/--v/--w) take integers or p/q literals; decimals are
 not accepted.
 
-config file: key=value lines (keys: max_n, enumeration_cap, pair_cap as
-nonnegative integers, weight_grid as comma-separated nonzero rationals),
-read from ./delannoy-jacobi.conf or the path in DJ_CONFIG; flags override
-the file.
+config file: key=value lines (keys: max_n as a nonnegative integer,
+weight_grid as comma-separated nonzero rationals), at most 64 KiB, read
+from ./delannoy-jacobi.conf or the path in DJ_CONFIG; flags override the
+file.
 
 exit codes: 0 success; 1 computation error; 2 usage error or unknown
 identity; 3 verification failure.
@@ -157,8 +157,15 @@ def load_config_file() -> dict:
 
 def _parse_config(path: str) -> dict:
     values: dict = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+    with open(path, "rb") as handle:
+        # One read past the limit tells an oversize file (or /dev/zero) from
+        # one that fits, without holding more than the limit in memory.
+        data = handle.read(CONFIG_MAX_BYTES + 1)
+        if len(data) > CONFIG_MAX_BYTES:
+            raise ValueError(f"{path}: larger than {CONFIG_MAX_BYTES} bytes")
+        # Lines end at \n, \r\n or \r, as in a text-mode read.
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -208,7 +215,7 @@ def main(argv=None) -> int:
         if args.command == "compute":
             return _run_compute(args)
         return _run_verify(args)
-    except (CapExceeded, InvalidIndex, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # the config file or the --out report
@@ -316,17 +323,21 @@ def _print_csv(header: tuple, rows: list[tuple]) -> None:
 
 def _run_verify(args) -> int:
     config = make_suite_config(args)
-    if args.all:
-        reports = identities.run_all(config)
-    else:
+    if not args.all:
         try:
-            reports = [identities.run_identity(args.id, config)]
+            identities.lookup(args.id)
         except identities.UnknownIdentity as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    payload = [r.to_dict() for r in reports]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+    # The report is opened before any entry runs, so an unwritable --out
+    # path fails at once instead of after the whole run.
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as handle:
+        if args.all:
+            reports = identities.run_all(config)
+        else:
+            reports = [identities.run_identity(args.id, config)]
+        payload = [r.to_dict() for r in reports]
+        if handle is not None:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
     if args.format == "json":

@@ -64,16 +64,14 @@ def romanovski_sum(n: int, alpha: int = 0, beta: int = 0) -> Poly:
     )
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def legendre(n: int) -> Poly:
     """Legendre polynomial P_n, the (0,0) Jacobi polynomial."""
     return jacobi(n, 0, 0)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def shifted_legendre(n: int) -> Poly:
     """Shifted Legendre polynomial: P_n composed with 2x-1."""
-    return legendre(n).compose_affine(2, -1)
+    return shifted_jacobi(n, 0, 0)
 
 
 def shifted_legendre_sum(n: int) -> Poly:
@@ -85,7 +83,6 @@ def shifted_legendre_sum(n: int) -> Poly:
     )
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def laguerre(n: int) -> Poly:
     """Rook-normalized Laguerre polynomial sum_k (-1)^k C(n,k)^2 k! x^(n-k).
 

@@ -42,8 +42,6 @@ class SuiteConfig:
 
     max_n: int | None = None
     weight_grid: tuple[Fraction, ...] = (Fraction(1), Fraction(2), Fraction(3))
-    enumeration_cap: int = lp.DEFAULT_ENUMERATION_CAP
-    pair_cap: int = lp.DEFAULT_PAIR_CAP
     families: Any = _families
 
     def cap(self, default: int) -> int:
@@ -132,13 +130,18 @@ def _register(id: str, description: str, grid: str):
     return wrap
 
 
-def run_identity(id: str, config: SuiteConfig = DEFAULT_CONFIG) -> IdentityReport:
-    """Run one registry entry and report the outcome."""
+def lookup(id: str) -> IdentityCheck:
+    """The registry entry with this id; UnknownIdentity if there is none."""
     try:
-        entry = REGISTRY[id]
+        return REGISTRY[id]
     except KeyError:
         known = ", ".join(sorted(REGISTRY))
         raise UnknownIdentity(f"unknown identity {id!r}; known ids: {known}") from None
+
+
+def run_identity(id: str, config: SuiteConfig = DEFAULT_CONFIG) -> IdentityReport:
+    """Run one registry entry and report the outcome."""
+    entry = lookup(id)
     rec = _Recorder()
     start = time.perf_counter()
     try:
@@ -227,7 +230,7 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig, rec: _Recorder) -> None:
             )
     for m in range(top + 1):
         for n in range(top + 1):
-            if m + n > min(8, cfg.enumeration_cap):
+            if m + n > 8:
                 continue
             # Every enumerated path with d northeast steps weighs
             # u^(m-d) v^(n-d) w^d, so the paths are summed by that count.
@@ -366,7 +369,7 @@ def _modified_delannoy(cfg: SuiteConfig, rec: _Recorder) -> None:
     for n in range(cfg.cap(6) + 1):
         for beta in range(5):
             rec.check(
-                Fraction(lp.modified_delannoy(n + beta, n, cap=cfg.enumeration_cap)),
+                Fraction(lp.modified_delannoy(n + beta, n)),
                 F.jacobi(n, 0, beta)(3),
                 n=n, beta=beta,
             )
@@ -428,7 +431,6 @@ def _orth_full(cfg: SuiteConfig, rec: _Recorder) -> None:
 def _epl(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
     top = cfg.cap(5)
-    oracle_cap = min(8, cfg.pair_cap)
     for n in range(top + 1):
         for m in range(top + 1):
             for beta in range(top + 1):
@@ -447,9 +449,9 @@ def _epl(cfg: SuiteConfig, rec: _Recorder) -> None:
                 if m < n:
                     rec.check(Fraction(rhs), Fraction(0), n=n, m=m, beta=beta,
                               claim="vanishes below the diagonal")
-                if n + m + beta + 1 <= oracle_cap:
+                if n + m + beta + 1 <= 8:
                     rec.check(
-                        Fraction(lp.valid_pair_signed_sum(n, m, beta, cap=oracle_cap)),
+                        Fraction(lp.valid_pair_signed_sum(n, m, beta, cap=8)),
                         Fraction(rhs),
                         n=n, m=m, beta=beta, route="pair enumeration",
                     )
@@ -690,7 +692,7 @@ def _borth2(cfg: SuiteConfig, rec: _Recorder) -> None:
 def _schroder(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
     for n, expected in enumerate((1, 2, 6, 22, 90)):
-        count = sum(1 for _ in lp.schroder_enumerate(n, cap=cfg.enumeration_cap))
+        count = sum(1 for _ in lp.schroder_enumerate(n))
         rec.check(count, expected, n=n, route="enumeration")
         rec.check(
             lp.schroder_weighted(n).constant_value(), Fraction(expected),
@@ -999,11 +1001,7 @@ def _favard_schroder(cfg: SuiteConfig, rec: _Recorder) -> None:
 def _motzkin_moments(cfg: SuiteConfig, rec: _Recorder) -> None:
     for n in range(cfg.cap(12) + 1):
         expected = Fraction(0) if n % 2 else Fraction(1, n + 1)
-        rec.check(
-            lp.motzkin_legendre_moment(n, cap=max(cfg.enumeration_cap, 12)),
-            expected,
-            n=n,
-        )
+        rec.check(lp.motzkin_legendre_moment(n), expected, n=n)
     rec.note(
         "extends a reported numerical experiment; the even-length value "
         "1/(n+1) is verified on this grid, not proved"

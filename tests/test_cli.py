@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from delannoy_jacobi import cli
+from delannoy_jacobi import cli, identities
 from delannoy_jacobi.cli import main
 from delannoy_jacobi.render import parse_poly
 
@@ -254,6 +254,25 @@ class TestVerify:
         reason = "No such file or directory" if target != "." else "Is a directory"
         assert err == f"error: {out_file}: {reason}\n"
 
+    def test_unwritable_output_file_fails_before_any_entry_runs(self, capsys, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an entry ran before the report was opened")
+
+        monkeypatch.setattr(identities, "run_identity", must_not_run)
+        out_file = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "verify", "--all", "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {out_file}: No such file or directory\n"
+
+    def test_unknown_id_leaves_output_file_untouched(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        out_file.write_text("kept\n")
+        code, _, err = run_cli(capsys, "verify", "--id", "no-such", "--out", str(out_file))
+        assert code == 2
+        assert "unknown identity" in err
+        assert out_file.read_text() == "kept\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--id", "bneg-table1", "--format", "json"
@@ -345,15 +364,16 @@ class TestConfigFile:
         assert err.startswith("error: ") and "max_n must be nonnegative" in err
 
     @pytest.mark.parametrize("key", ["enumeration_cap", "pair_cap"])
-    def test_negative_cap_is_compute_error(self, capsys, tmp_path, monkeypatch, key):
-        # A negative cap is invalid input (exit 1), not a verification failure (exit 3).
+    def test_removed_cap_key_is_unknown(self, capsys, tmp_path, monkeypatch, key):
+        # The registry's oracle bounds are fixed; a cap in the file is an
+        # unknown key (exit 1), never a smaller oracle or a failing entry.
         config = tmp_path / "custom.conf"
-        config.write_text(f"{key} = -1\n")
+        config.write_text(f"# settings\n{key} = 16\n")
         monkeypatch.setenv("DJ_CONFIG", str(config))
         code, out, err = run_cli(capsys, "verify", "--all")
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and f"{key} must be nonnegative" in err
+        assert err == f"error: {config}:2: unknown config key {key!r}\n"
 
     @pytest.mark.parametrize("grid", ["0", "1, 0, 3", "2, 0/5", "", " , "])
     def test_zero_or_empty_weight_grid_is_compute_error(self, capsys, tmp_path, monkeypatch, grid):
@@ -367,7 +387,7 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith("error: ") and "weight_grid must list nonzero rationals" in err
 
-    @pytest.mark.parametrize("key", ["max_n", "enumeration_cap", "pair_cap"])
+    @pytest.mark.parametrize("key", ["max_n"])
     def test_non_integer_setting_names_file_and_line(self, capsys, tmp_path, monkeypatch, key):
         config = tmp_path / "custom.conf"
         config.write_text(f"# settings\n{key} = abc\n")
@@ -418,9 +438,46 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith(f"error: {config}: not UTF-8 text")
 
-    def test_zero_caps_are_accepted(self, capsys, tmp_path, monkeypatch):
+    def test_oversize_file_is_compute_error(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "custom.conf"
-        config.write_text("enumeration_cap = 0\npair_cap = 0\nweight_grid = -1, 1/2\n")
+        config.write_text("# pad\n" * (cli.CONFIG_MAX_BYTES // 6 + 1) + "max_n = 1\n")
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "verify", "--id", "dp1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {config}: larger than {cli.CONFIG_MAX_BYTES} bytes\n"
+
+    def test_file_at_the_size_limit_is_read(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "custom.conf"
+        setting = "max_n = 1\n"
+        config.write_text("#" * (cli.CONFIG_MAX_BYTES - len(setting) - 1) + "\n" + setting)
+        assert config.stat().st_size == cli.CONFIG_MAX_BYTES
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, _ = run_cli(capsys, "verify", "--id", "dp1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["status"] == "pass"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_file_is_compute_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("DJ_CONFIG", "/dev/zero")
+        code, out, err = run_cli(capsys, "verify", "--id", "dp1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: /dev/zero: larger than {cli.CONFIG_MAX_BYTES} bytes\n"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_numbers_follow_every_newline_style(self, capsys, tmp_path, monkeypatch, newline):
+        config = tmp_path / "custom.conf"
+        config.write_bytes(newline.join(["max_n = 1", "", "bogus = 3", ""]).encode())
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "verify", "--id", "dp1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {config}:3: unknown config key 'bogus'\n"
+
+    def test_negative_rational_weight_grid_is_accepted(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "custom.conf"
+        config.write_text("weight_grid = -1, 1/2\n")
         monkeypatch.setenv("DJ_CONFIG", str(config))
         code, out, _ = run_cli(capsys, "verify", "--id", "wcd-legendre", "--format", "json")
         assert code == 0

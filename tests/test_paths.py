@@ -613,7 +613,7 @@ class TestCacheBound:
             value for module in (families, paths) for value in vars(module).values()
             if hasattr(value, "cache_info") and value.__module__ == module.__name__
         ]
-        assert len(caches) == 14
+        assert len(caches) == 11
         assert all(cache.cache_info().maxsize == CACHE_SIZE for cache in caches)
 
     def test_distinct_calls_stay_within_bound(self):
