@@ -66,10 +66,6 @@ class MomentFunctional:
         total = sum(n * m.numerator * (scale // m.denominator) for n, m in zip(nums, moments))
         return Fraction(total, d * scale)
 
-    def extended(self, value: Scalar) -> "MomentFunctional":
-        """Append one more moment."""
-        return MomentFunctional(self.moments + (Fraction(value),))
-
 
 def factorial_functional(max_degree: int) -> MomentFunctional:
     """The functional with k-th moment k!; on polynomials it agrees with

@@ -14,7 +14,7 @@ registry actually detects wrong coefficients.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -63,14 +63,7 @@ class IdentityReport:
     notes: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "status": self.status,
-            "cases_run": self.cases_run,
-            "counterexample": self.counterexample,
-            "millis": self.millis,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 class _CaseFailed(Exception):
@@ -451,7 +444,7 @@ def _epl(cfg: SuiteConfig, rec: _Recorder) -> None:
                               claim="vanishes below the diagonal")
                 if n + m + beta + 1 <= 8:
                     rec.check(
-                        Fraction(lp.valid_pair_signed_sum(n, m, beta, cap=8)),
+                        Fraction(lp.valid_pair_signed_sum(n, m, beta)),
                         Fraction(rhs),
                         n=n, m=m, beta=beta, route="pair enumeration",
                     )

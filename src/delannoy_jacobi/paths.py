@@ -6,23 +6,25 @@ northeast (1,1) steps; a path's weight is the product of its step weights
 Delannoy paths to (n,n) that never rise above the diagonal y = x.
 
 Each quantity is computed two ways wherever feasible: explicit enumeration
-(the ground-truth oracle, guarded by a step cap) and dynamic programming or
-a closed binomial sum.  The DPs are the production routes; enumeration
-(the `*_enumerate` functions with `path_weight`) and the closed sum are
-their oracles.  Enumeration is a depth-first walk with an explicit stack
-over the steps allowed from each lattice point: it needs no recursion and
-yields every path exactly once, in the lexicographic order east < north <
-northeast, and it never uses the closed sum's choice of step positions,
-whose oracle it is.  diagonal_tally enumerates the paths to one endpoint
-once and counts them by northeast steps, for the oracles that only need
-those counts.  The Legendre Motzkin moments, too, run as a height
-DP, with their enumeration kept as the capped oracle.  Weights may be rational
-constants or polynomials in a single variable, so substituting v = x turns
-the same DP into a polynomial-family constructor.  The DPs clear the
-weights' denominators once and evaluate them at a power of two large enough
-to hold every coefficient (Kronecker substitution), so constant and
-polynomial weights alike run on plain ints; the sequence helpers read a
-whole sequence off one DP table.
+(the ground-truth oracle) and dynamic programming or a closed binomial sum.
+The DPs are the production routes; enumeration (the `*_enumerate` functions
+with `path_weight`) and the closed sum are their oracles.  Enumeration runs
+up to fixed bounds, ENUMERATION_CAP = 16 steps per path and PAIR_CAP = 9
+elements per path/bijection pair, and raises CapExceeded beyond them; the
+polynomial-time DPs and closed sums have no bound.  Enumeration is a
+depth-first walk with an explicit stack over the steps allowed from each
+lattice point: it needs no recursion and yields every path exactly once, in
+the lexicographic order east < north < northeast, and it never uses the
+closed sum's choice of step positions, whose oracle it is.  diagonal_tally
+enumerates the paths to one endpoint once and counts them by northeast
+steps, for the oracles that only need those counts.  The Legendre Motzkin
+moments, too, run as a height DP, with their enumeration kept as the oracle.
+Weights may be rational constants or polynomials in a single variable, so
+substituting v = x turns the same DP into a polynomial-family constructor.
+The DPs clear the weights' denominators once and evaluate them at a power of
+two large enough to hold every coefficient (Kronecker substitution), so
+constant and polynomial weights alike run on plain ints; the sequence
+helpers read a whole sequence off one DP table.
 """
 
 import math
@@ -34,8 +36,8 @@ from typing import Iterator
 
 from .polynomial import CACHE_SIZE, Poly, as_poly, binom
 
-DEFAULT_ENUMERATION_CAP = 16  # max total steps for explicit path enumeration
-DEFAULT_PAIR_CAP = 9          # max element count for bijection enumeration
+ENUMERATION_CAP = 16  # max total steps for explicit path enumeration
+PAIR_CAP = 9          # max element count for bijection enumeration
 
 
 class CapExceeded(ValueError):
@@ -85,24 +87,18 @@ class WeightTriple:
 UNIT_WEIGHTS = WeightTriple.of(1, 1, 1)
 
 
-def delannoy_enumerate(
-    m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[tuple[Step, ...]]:
+def delannoy_enumerate(m: int, n: int) -> Iterator[tuple[Step, ...]]:
     """Yield every Delannoy path from (0,0) to (m,n) exactly once."""
     _require_quadrant(m, n)
-    if m + n > cap:
-        raise CapExceeded(f"enumeration of ({m},{n}) exceeds cap of {cap} steps")
+    _require_steps(m + n)
     return _depth_first((m, n), lambda i, j: i <= m and j <= n)
 
 
-def schroder_enumerate(
-    n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[tuple[Step, ...]]:
+def schroder_enumerate(n: int) -> Iterator[tuple[Step, ...]]:
     """Yield every Schroeder path to (n,n): Delannoy paths with y <= x throughout."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if 2 * n > cap:
-        raise CapExceeded(f"enumeration of Schroeder paths to ({n},{n}) exceeds cap")
+    _require_steps(2 * n)
     return _depth_first((n, n), lambda i, j: j <= i <= n)
 
 
@@ -155,25 +151,19 @@ def path_weight(path: tuple[Step, ...], wt: WeightTriple = UNIT_WEIGHTS) -> Poly
     return as_poly(out)
 
 
-def diagonal_tally(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
+@lru_cache(maxsize=CACHE_SIZE)
+def diagonal_tally(m: int, n: int) -> tuple[int, ...]:
     """(N_0, .., N_min(m,n)): N_d paths to (m, n) take d northeast steps.
 
     Counted by enumerating every Delannoy path, never from binomials, so it
     stays an oracle of the closed sum.  A path with d northeast steps takes
     m-d east and n-d north steps, so any sum over paths that depends only on
     their step counts reads this tally instead of walking the paths again.
-    The cap is checked on every call, before the cached enumeration.
+    An lru_cache stores no exception, so the enumeration's bound is checked
+    on every call.
     """
-    _require_quadrant(m, n)
-    if m + n > cap:
-        raise CapExceeded(f"enumeration of ({m},{n}) exceeds cap of {cap} steps")
-    return _diagonal_tally(m, n)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _diagonal_tally(m: int, n: int) -> tuple[int, ...]:
     counts = [0] * (min(m, n) + 1)
-    for path in delannoy_enumerate(m, n, cap=m + n):
+    for path in delannoy_enumerate(m, n):
         counts[path.count(Step.DIAG)] += 1
     return tuple(counts)
 
@@ -320,7 +310,7 @@ def _last(rows: Iterator[list]) -> list:
     return row
 
 
-def modified_delannoy(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def modified_delannoy(m: int, n: int) -> int:
     """Count lattice paths from (0,0) to (m, n+1) with steps from N x P.
 
     Every step (a,b) has a >= 0 and b >= 1, so a path is a sequence of
@@ -328,8 +318,6 @@ def modified_delannoy(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int
     last step.
     """
     _require_quadrant(m, n)
-    if m + n > cap:
-        raise CapExceeded(f"modified Delannoy ({m},{n}) exceeds cap {cap}")
     height = n + 1
     table = [[0] * (height + 1) for _ in range(m + 1)]
     table[0][0] = 1
@@ -343,11 +331,12 @@ def modified_delannoy(m: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int
     return table[m][height]
 
 
-def modified_delannoy_enumerate(m: int, n: int, cap: int = 8) -> int:
-    """Brute-force count of the same paths, by recursion over the first step."""
+def modified_delannoy_enumerate(m: int, n: int) -> int:
+    """Brute-force count of the same paths, by recursion over the first
+    step, for m + n <= 8."""
     _require_quadrant(m, n)
-    if m + n > cap:
-        raise CapExceeded(f"enumeration of modified Delannoy ({m},{n}) exceeds cap")
+    if m + n > 8:
+        raise CapExceeded(f"enumeration of modified Delannoy ({m},{n}) exceeds m + n = 8")
 
     def count_to(i: int, j: int) -> int:
         if i == 0 and j == 0:
@@ -361,17 +350,17 @@ def modified_delannoy_enumerate(m: int, n: int, cap: int = 8) -> int:
     return count_to(m, n + 1)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def motzkin_legendre_moment(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
+def motzkin_legendre_moment(n: int) -> Fraction:
     """Total weight of Motzkin paths of length n under the Legendre weights.
 
     Up steps weigh 1, level steps weigh 0, and a down step starting at
     height k weighs k^2/(4k^2 - 1).  Computed by a DP over the height after
     each step (a transfer matrix), O(n^2) Fraction operations; level steps
     add nothing, since they weigh 0.  motzkin_legendre_moment_enumerate is
-    the enumeration oracle, and both keep the same cap.
+    the enumeration oracle.
     """
-    _require_motzkin_length(n, cap)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     heights = [Fraction(1)]  # heights[k]: total weight of the prefixes ending at height k
     for remaining in range(n, 0, -1):
         # A prefix ending above the steps that remain cannot return to 0.
@@ -384,11 +373,13 @@ def motzkin_legendre_moment(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Fract
     return heights[0]
 
 
-def motzkin_legendre_moment_enumerate(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Fraction:
+def motzkin_legendre_moment_enumerate(n: int) -> Fraction:
     """The same total by explicit enumeration of the Motzkin paths of length
     n (fewer than 3^n; level steps included, contributing zero weight): the
     oracle of motzkin_legendre_moment."""
-    _require_motzkin_length(n, cap)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _require_steps(n)
 
     def rec(remaining: int, height: int, weight: Fraction) -> Fraction:
         if height > remaining:
@@ -408,16 +399,7 @@ def _legendre_down(height: int) -> Fraction:
     return Fraction(height * height, 4 * height * height - 1)
 
 
-def _require_motzkin_length(n: int, cap: int) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"Motzkin enumeration length {n} exceeds cap {cap}")
-
-
-def valid_pair_signed_sum(
-    n: int, m: int, beta: int, cap: int = DEFAULT_PAIR_CAP
-) -> int:
+def valid_pair_signed_sum(n: int, m: int, beta: int) -> int:
     """Signed count of valid path/bijection pairs, by brute force.
 
     A pair is a Delannoy path L to (n+beta, n) together with a bijection
@@ -426,23 +408,24 @@ def valid_pair_signed_sum(
     sigma(r) < sigma(b_j) for every j.  The weight of a pair is
     (-1)**(number of northeast steps of L).
 
-    Paths are enumerated explicitly (through diagonal_tally); the bijections
-    of a path depend only on how many elements are constrained to exceed
-    sigma(r), and are counted in closed form once per class (the permutation
-    walk that checks that count lives in the tests).
+    Paths are enumerated explicitly (through diagonal_tally, so the path
+    also has at most ENUMERATION_CAP steps); the bijections of a path depend
+    only on how many elements are constrained to exceed sigma(r), and are
+    counted in closed form once per class (the permutation walk that checks
+    that count lives in the tests).
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     total_items = n + m + beta + 1
-    if total_items > cap:
+    if total_items > PAIR_CAP:
         raise CapExceeded(
-            f"pair enumeration needs {total_items} elements, cap is {cap}"
+            f"pair enumeration needs {total_items} elements, the bound is {PAIR_CAP}"
         )
     if n + beta < 0:
         raise ValueError("path endpoint (n+beta, n) leaves the quadrant")
 
     total = 0
-    for diag, npaths in enumerate(diagonal_tally(n + beta, n, cap=2 * cap)):
+    for diag, npaths in enumerate(diagonal_tally(n + beta, n)):
         east = n + beta - diag
         total += (-1) ** diag * npaths * _count_leader_orders(total_items, east + m)
     return total
@@ -453,6 +436,11 @@ def _count_leader_orders(total: int, constrained: int) -> int:
     1..constrained: item 0 must be the least of its constrained+1 group,
     which holds in total!/(constrained+1) of the orders."""
     return math.factorial(total) // (constrained + 1)
+
+
+def _require_steps(steps: int) -> None:
+    if steps > ENUMERATION_CAP:
+        raise CapExceeded(f"enumeration of {steps} steps exceeds the bound of {ENUMERATION_CAP}")
 
 
 def _require_quadrant(m: int, n: int) -> None:

@@ -74,7 +74,9 @@ class Poly:
 
     @classmethod
     def monomial(cls, k: int, coeff: Scalar = 1) -> "Poly":
-        """coeff * x**k."""
+        """coeff * x**k, for k >= 0."""
+        if k < 0:
+            raise ValueError(f"monomial exponent must be nonnegative, got {k}")
         return cls((0,) * k + (coeff,))
 
     @property

@@ -12,6 +12,7 @@ from delannoy_jacobi import families as fam
 from delannoy_jacobi.polynomial import ONE, Poly, X
 from delannoy_jacobi.functionals import (
     DegreeOutOfRange,
+    MomentFunctional,
     NotInRecurrence,
     det_exact,
     factorial_functional,
@@ -96,16 +97,11 @@ class TestLbetaFunctional:
         with pytest.raises(ValueError):
             lbeta_functional(1)
 
-    def test_extension_appends_one_moment(self):
-        L = lbeta_functional(3).extended(F(3, 2))
-        assert L.max_degree == 2
-        assert L(Poly.monomial(2)) == F(3, 2)
-
     @given(small_polys, st.integers(min_value=7, max_value=12))
     def test_matches_fraction_sum(self, p, beta):
         L = lbeta_functional(beta)
         assert L(p) == functional_by_fractions(L, p)
-        extended = L.extended(F(-7, 3)).extended(F(5, 11))
+        extended = MomentFunctional(L.moments + (F(-7, 3), F(5, 11)))
         q = p * Poly.monomial(beta - p.degree) if p else p  # reaches both extra moments
         assert extended(q) == functional_by_fractions(extended, q)
 

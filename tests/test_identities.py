@@ -131,8 +131,8 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
     # enumeration case that sees the loss, whatever the cache held before.
     enumerate_paths = paths.delannoy_enumerate
 
-    def one_path_short(m, n, cap=paths.DEFAULT_ENUMERATION_CAP):
-        found = enumerate_paths(m, n, cap)
+    def one_path_short(m, n):
+        found = enumerate_paths(m, n)
         return found if off_axes and not (m and n) else itertools.islice(found, 1, None)
 
     _clear_path_caches()

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from delannoy_jacobi import families, paths
 from delannoy_jacobi.polynomial import CACHE_SIZE, Poly, X, binom
 from delannoy_jacobi.paths import (
+    ENUMERATION_CAP,
+    PAIR_CAP,
     CapExceeded,
     Step,
     WeightTriple,
@@ -113,20 +115,22 @@ class TestDelannoyEnumerate:
             assert sum(s.dy for s in path) == 2
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            delannoy_enumerate(10, 7)
-        assert sum(1 for _ in delannoy_enumerate(10, 7, cap=17)) > 0
-        with pytest.raises(CapExceeded):  # on the call, before any iteration
-            delannoy_enumerate(3, 3, cap=5)
-        assert len(list(delannoy_enumerate(3, 3, cap=6))) == 63
+        assert ENUMERATION_CAP == 16
+        for _ in range(2):
+            assert list(delannoy_enumerate(16, 0)) == [(Step.EAST,) * 16]
+            assert len(list(delannoy_enumerate(15, 1))) == 31
+            with pytest.raises(CapExceeded):  # on the call, before any iteration
+                delannoy_enumerate(10, 7)
+            with pytest.raises(CapExceeded):
+                delannoy_enumerate(0, 17)
 
     def test_same_paths_in_the_same_order_as_recursion(self):
         # The stack walk must reproduce the recursive order east < north < northeast.
         for m in range(11):
             for n in range(11 - m):
-                assert list(delannoy_enumerate(m, n, cap=10)) == recursive_delannoy(m, n), (m, n)
+                assert list(delannoy_enumerate(m, n)) == recursive_delannoy(m, n), (m, n)
         for n in range(6):
-            assert list(schroder_enumerate(n, cap=10)) == recursive_schroder(n), n
+            assert list(schroder_enumerate(n)) == recursive_schroder(n), n
 
 
 class TestDiagonalTally:
@@ -135,11 +139,11 @@ class TestDiagonalTally:
         for m in range(11):
             for n in range(11 - m):
                 by_path = [0] * (min(m, n) + 1)
-                for path in delannoy_enumerate(m, n, cap=10):
+                for path in delannoy_enumerate(m, n):
                     east, north, diag = (path.count(s) for s in Step)
                     assert (east, north) == (m - diag, n - diag)
                     by_path[diag] += 1
-                assert diagonal_tally(m, n, cap=10) == tuple(by_path), (m, n)
+                assert diagonal_tally(m, n) == tuple(by_path), (m, n)
 
     def test_totals_are_delannoy_numbers(self):
         for m in range(6):
@@ -149,12 +153,18 @@ class TestDiagonalTally:
                 assert delannoy_weighted(m, n, WeightTriple.of(1, 1, X)) == Poly(tally)
 
     def test_cap_is_checked_on_every_call(self):
-        assert diagonal_tally(3, 3, cap=6) == (20, 30, 12, 1)
-        for _ in range(2):  # the enumeration is cached, the cap is not
+        diagonal_tally.cache_clear()
+        for _ in range(2):  # the tallies are cached, the failures are not
+            assert diagonal_tally(3, 3) == (20, 30, 12, 1)
+            assert diagonal_tally(16, 0) == (1,)
+            assert diagonal_tally(15, 1) == (16, 15)
             with pytest.raises(CapExceeded):
-                diagonal_tally(3, 3, cap=5)
-        with pytest.raises(ValueError):
-            diagonal_tally(-1, 2)
+                diagonal_tally(0, 17)
+            with pytest.raises(CapExceeded):
+                diagonal_tally(9, 8)
+            with pytest.raises(ValueError):
+                diagonal_tally(-1, 2)
+        assert diagonal_tally.cache_info().currsize == 3
 
 
 class TestPathWeight:
@@ -306,11 +316,11 @@ class TestSchroder:
         assert schroder_weighted(n, wt).constant_value() <= delannoy_weighted(n, n, wt).constant_value()
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            schroder_enumerate(9)
-        with pytest.raises(CapExceeded):
-            schroder_enumerate(3, cap=5)
-        assert len(list(schroder_enumerate(3, cap=6))) == 22
+        # Schroeder paths have an even number of steps: 16 at n = 8, 18 at n = 9.
+        for _ in range(2):
+            assert next(schroder_enumerate(8)) == (Step.EAST,) * 8 + (Step.NORTH,) * 8
+            with pytest.raises(CapExceeded):  # on the call, before any iteration
+                schroder_enumerate(9)
 
 
 class TestPackedDP:
@@ -485,8 +495,13 @@ class TestModifiedDelannoy:
             assert modified_delannoy(m, 0) == 1
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            modified_delannoy(20, 20)
+        # The DP has none: d~_{n,n} = P_n(3) well past 16 steps.  The
+        # enumeration stops at m + n = 8.
+        assert modified_delannoy(20, 20) == families.legendre(20)(3)
+        assert modified_delannoy_enumerate(8, 0) == modified_delannoy(8, 0)
+        for _ in range(2):
+            with pytest.raises(CapExceeded):
+                modified_delannoy_enumerate(5, 4)
 
 
 class TestMotzkinMoments:
@@ -503,8 +518,10 @@ class TestMotzkinMoments:
         assert motzkin_legendre_moment(0) == 1
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            motzkin_legendre_moment(17)
+        # The DP has none (see test_even_lengths_beyond_the_enumeration);
+        # it still rejects a negative length.
+        with pytest.raises(ValueError):
+            motzkin_legendre_moment(-1)
 
     def test_dp_matches_enumeration(self):
         for n in range(13):
@@ -514,16 +531,16 @@ class TestMotzkinMoments:
         assert motzkin_legendre_moment_enumerate(0) == 1
         assert motzkin_legendre_moment_enumerate(2) == F(1, 3)
         assert motzkin_legendre_moment_enumerate(4) == F(1, 5)
-        with pytest.raises(CapExceeded):
-            motzkin_legendre_moment_enumerate(17)
+        for _ in range(2):
+            with pytest.raises(CapExceeded):
+                motzkin_legendre_moment_enumerate(17)
         with pytest.raises(ValueError):
             motzkin_legendre_moment_enumerate(-1)
 
     def test_even_lengths_beyond_the_enumeration(self):
-        # The DP reaches lengths the 3^n enumeration cannot, under a raised cap.
-        for k in range(20):
-            assert motzkin_legendre_moment(2 * k, cap=40) == F(1, 2 * k + 1)
-            assert motzkin_legendre_moment(2 * k + 1, cap=40) == 0
+        # The DP reaches lengths the 3^n enumeration cannot.
+        for n in range(40):
+            assert motzkin_legendre_moment(n) == (0 if n % 2 else F(1, n + 1)), n
 
 
 class TestValidPairs:
@@ -533,12 +550,24 @@ class TestValidPairs:
         assert valid_pair_signed_sum(1, 1, 0) == 1
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            valid_pair_signed_sum(9, 0, 0)
-        assert valid_pair_signed_sum(2, 2, 2, cap=7) == self._factorial_sum(2, 2, 2)
+        assert PAIR_CAP == 9
         for _ in range(2):  # raised before the cached path tally, on every call
+            assert valid_pair_signed_sum(0, 8, 0) == self._factorial_sum(0, 8, 0)
+            assert valid_pair_signed_sum(1, 6, 1) == self._factorial_sum(1, 6, 1)
             with pytest.raises(CapExceeded):
-                valid_pair_signed_sum(2, 2, 2, cap=6)
+                valid_pair_signed_sum(0, 9, 0)
+            with pytest.raises(CapExceeded):
+                valid_pair_signed_sum(9, 0, 0)
+
+    def test_path_is_capped_by_the_enumeration(self):
+        # At most 9 elements, but the path to (n+beta, n) has 2n+beta > 16
+        # steps, so the path tally's cap applies.  In (n, m, beta) order the
+        # first such input is (9, 0, -1) (its sum is 40320), the last (18, 8, -18).
+        for _ in range(2):
+            for n, m, beta in [(9, 0, -1), (10, 0, -2), (17, 8, -17), (18, 8, -18)]:
+                with pytest.raises(CapExceeded):
+                    valid_pair_signed_sum(n, m, beta)
+        assert valid_pair_signed_sum(16, 0, -16) == 1  # the single north path
 
     @staticmethod
     def _factorial_sum(n, m, beta):
@@ -613,7 +642,7 @@ class TestCacheBound:
             value for module in (families, paths) for value in vars(module).values()
             if hasattr(value, "cache_info") and value.__module__ == module.__name__
         ]
-        assert len(caches) == 11
+        assert len(caches) == 10
         assert all(cache.cache_info().maxsize == CACHE_SIZE for cache in caches)
 
     def test_distinct_calls_stay_within_bound(self):

@@ -68,6 +68,9 @@ class TestConstruction:
     def test_monomial(self):
         assert Poly.monomial(3, 2) == Poly((0, 0, 0, 2))
         assert Poly.monomial(0) == ONE
+        for k in (-1, -2):
+            with pytest.raises(ValueError):
+                Poly.monomial(k)
 
     def test_constant_value(self):
         assert Poly.constant(F(2, 3)).constant_value() == F(2, 3)
