@@ -82,7 +82,7 @@ class _Recorder:
         self.cases += 1
         if lhs != rhs:
             self.counterexample = {
-                "params": params,
+                "params": _labels(params),
                 "lhs": _show(lhs),
                 "rhs": _show(rhs),
             }
@@ -91,11 +91,18 @@ class _Recorder:
     def check_true(self, condition: bool, claim: str, **params) -> None:
         self.cases += 1
         if not condition:
-            self.counterexample = {"params": params, "claim": claim}
+            self.counterexample = {"params": _labels(params), "claim": claim}
             raise _CaseFailed
 
     def note(self, text: str) -> None:
         self.notes.append(text)
+
+
+def _labels(params: dict) -> dict:
+    """A case's parameters as the report shows them: Fraction values (the
+    weights) as "p/q" text.  Built only for a failing case, since most
+    cases pass and their labels would never be read."""
+    return {k: str(v) if isinstance(v, Fraction) else v for k, v in params.items()}
 
 
 def _show(value) -> str:
@@ -178,7 +185,7 @@ def _weight_points(cfg: SuiteConfig):
 
 def _x_points(cfg: SuiteConfig):
     """The (u, w) pairs of the weight grid, each with the triple (u, x, w)."""
-    grid = cfg.weight_grid
+    grid = tuple(Fraction(v) for v in cfg.weight_grid)
     return [(u, w, lp.WeightTriple.of(u, X, w)) for u in grid for w in grid]
 
 
@@ -213,7 +220,7 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig, rec: _Recorder) -> None:
                 rec.check(
                     lp.delannoy_weighted(m, n, wt),
                     lp.delannoy_closed(m, n, wt),
-                    m=m, n=n, u=str(u), v=str(v), w=str(w),
+                    m=m, n=n, u=u, v=v, w=w,
                 )
             # Polynomial weights exercise the same code path symbolically.
             rec.check(
@@ -235,7 +242,7 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig, rec: _Recorder) -> None:
                 )
                 rec.check(
                     Poly.constant(total), lp.delannoy_weighted(m, n, wt),
-                    m=m, n=n, u=str(u), v=str(v), w=str(w), route="enumeration",
+                    m=m, n=n, u=u, v=v, w=w, route="enumeration",
                 )
 
 
@@ -252,13 +259,11 @@ def _wcd_legendre(cfg: SuiteConfig, rec: _Recorder) -> None:
         for u, v, w, wt in points:
             lhs = lp.delannoy_weighted(n, n, wt).constant_value()
             rhs = (-w) ** n * F.shifted_legendre(n)(-u * v / w)
-            rec.check(lhs, rhs, n=n, u=str(u), v=str(v), w=str(w))
+            rec.check(lhs, rhs, n=n, u=u, v=v, w=w)
         for u, w, wt in x_points:
             lhs = lp.delannoy_weighted(n, n, wt)
-            rhs = Fraction(-w) ** n * F.shifted_legendre(n).compose_affine(
-                -Fraction(u) / Fraction(w), 0
-            )
-            rec.check(lhs, rhs, n=n, u=str(u), w=str(w), v="x")
+            rhs = (-w) ** n * F.shifted_legendre(n).compose_affine(-u / w, 0)
+            rec.check(lhs, rhs, n=n, u=u, w=w, v="x")
 
 
 @_register(
@@ -274,13 +279,11 @@ def _wcd_legendre_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
         for u, v, w, wt in points:
             lhs = lp.delannoy_weighted(n, n, wt).constant_value()
             rhs = w ** n * F.shifted_legendre(n)(u * v / w + 1)
-            rec.check(lhs, rhs, n=n, u=str(u), v=str(v), w=str(w))
+            rec.check(lhs, rhs, n=n, u=u, v=v, w=w)
         for u, w, wt in x_points:
             lhs = lp.delannoy_weighted(n, n, wt)
-            rhs = Fraction(w) ** n * F.shifted_legendre(n).compose_affine(
-                Fraction(u) / Fraction(w), 1
-            )
-            rec.check(lhs, rhs, n=n, u=str(u), w=str(w), v="x")
+            rhs = w ** n * F.shifted_legendre(n).compose_affine(u / w, 1)
+            rec.check(lhs, rhs, n=n, u=u, w=w, v="x")
 
 
 @_register(
@@ -297,7 +300,7 @@ def _wd_jacobi(cfg: SuiteConfig, rec: _Recorder) -> None:
             for u, v, w, wt in points:
                 lhs = lp.delannoy_weighted(n + beta, n, wt).constant_value()
                 rhs = u ** beta * (-w) ** n * F.shifted_jacobi(n, 0, beta)(-u * v / w)
-                rec.check(lhs, rhs, n=n, beta=beta, u=str(u), v=str(v), w=str(w))
+                rec.check(lhs, rhs, n=n, beta=beta, u=u, v=v, w=w)
 
 
 @_register(
@@ -314,7 +317,7 @@ def _wd_jacobi_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
             for u, v, w, wt in points:
                 lhs = lp.delannoy_weighted(n + beta, n, wt).constant_value()
                 rhs = u ** beta * w ** n * F.shifted_jacobi(n, beta, 0)(u * v / w + 1)
-                rec.check(lhs, rhs, n=n, beta=beta, u=str(u), v=str(v), w=str(w))
+                rec.check(lhs, rhs, n=n, beta=beta, u=u, v=v, w=w)
 
 
 @_register(
@@ -459,16 +462,16 @@ def _epl(cfg: SuiteConfig, rec: _Recorder) -> None:
 def _abdec(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
     for alpha in range(5):
+        shift = (X - 1) ** alpha
+        # term i of the sum is binom(alpha, i) (-1)^i x^(alpha-i) P~_n^(0,alpha+beta-i)
+        scaled = [Poly.monomial(alpha - i, binom(alpha, i) * (-1) ** i) for i in range(alpha + 1)]
         for beta in range(4):
             for n in range(cfg.cap(6) + 1):
-                lhs = Poly((-1, 1)) ** alpha * F.shifted_jacobi(n, alpha, beta)
+                lhs = shift * F.shifted_jacobi(n, alpha, beta)
                 rhs = sum(
                     (
-                        binom(alpha, i)
-                        * (-1) ** i
-                        * Poly.monomial(alpha - i)
-                        * F.shifted_jacobi(n, 0, alpha + beta - i)
-                        for i in range(alpha + 1)
+                        monomial * F.shifted_jacobi(n, 0, alpha + beta - i)
+                        for i, monomial in enumerate(scaled)
                     ),
                     Poly(),
                 )
@@ -494,14 +497,11 @@ def _laguerre_orth(cfg: SuiteConfig, rec: _Recorder) -> None:
                 )
     for beta in range(5):
         for m in range(top + 1):
+            weighted = Poly.monomial(beta) * F.laguerre_gen(m, beta)
             for n in range(top + 1):
                 if m != n:
                     rec.check(
-                        functional(
-                            Poly.monomial(beta)
-                            * F.laguerre_gen(m, beta)
-                            * F.laguerre_gen(n, beta)
-                        ),
+                        functional(weighted * F.laguerre_gen(n, beta)),
                         Fraction(0),
                         beta=beta, m=m, n=n,
                     )
@@ -714,21 +714,21 @@ def _schroder(cfg: SuiteConfig, rec: _Recorder) -> None:
             rec.check(
                 sn,
                 (-w) ** n * F.schroder_poly(n)(-u * v / w),
-                n=n, u=str(u), v=str(v), w=str(w), route="scaled value",
+                n=n, u=u, v=v, w=w, route="scaled value",
             )
             if n >= 2:
                 rec.check(
                     sn,
                     (-w) ** n / (n + 1) * (1 + w / (u * v))
                     * F.shifted_jacobi(n, 1, -1)(-u * v / w),
-                    n=n, u=str(u), v=str(v), w=str(w), route="(1,-1) form",
+                    n=n, u=u, v=v, w=w, route="(1,-1) form",
                 )
             if n >= 1:
                 rec.check(
                     sn,
                     w ** n / (n + 1) * (1 + w / (u * v))
                     * F.shifted_jacobi(n, -1, 1)(u * v / w + 1),
-                    n=n, u=str(u), v=str(v), w=str(w), route="(-1,1) form",
+                    n=n, u=u, v=v, w=w, route="(-1,1) form",
                 )
 
 
@@ -750,7 +750,7 @@ def _cdrec(cfg: SuiteConfig, rec: _Recorder) -> None:
                 * lp.schroder_weighted(n - k - 1, wt).constant_value()
                 for k in range(n)
             ) + w * lp.delannoy_weighted(n - 1, n - 1, wt).constant_value()
-            rec.check(lhs, rhs, n=n, u=str(u), v=str(v), w=str(w))
+            rec.check(lhs, rhs, n=n, u=u, v=v, w=w)
     for n in range(1, top + 1):
         lhs = F.shifted_legendre(n)
         rhs = 2 * X * sum(
@@ -797,13 +797,14 @@ def _antideriv(cfg: SuiteConfig, rec: _Recorder) -> None:
             F.shifted_legendre(n).antiderivative(),
             n=n, form="bridge",
         )
+    shifts = [(X - 1) ** alpha for alpha in range(5)]
     for n in range(1, cfg.cap(8) + 1):
         for alpha in range(1, 5):
             iterated = F.shifted_legendre(n)
             for _ in range(alpha):
                 iterated = iterated.antiderivative()
             closed = (
-                (X - 1) ** alpha
+                shifts[alpha]
                 * F.shifted_jacobi(n, alpha, -alpha)
                 * Fraction(1, pochhammer(n + 1, alpha))
             )
@@ -867,12 +868,13 @@ def _narayana(cfg: SuiteConfig, rec: _Recorder) -> None:
 )
 def _sj_expansion(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
+    shifts = [(X - 1) ** alpha for alpha in range(5)]
     for n in range(cfg.cap(8) + 1):
         for alpha in range(5):
             for beta in range(-4, 5):
                 rec.check(
                     F.sj_product_expansion(n, alpha, beta),
-                    (X - 1) ** alpha * F.shifted_jacobi(n, alpha, beta),
+                    shifts[alpha] * F.shifted_jacobi(n, alpha, beta),
                     n=n, alpha=alpha, beta=beta,
                 )
 

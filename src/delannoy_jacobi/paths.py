@@ -21,17 +21,17 @@ steps, for the oracles that only need those counts.  The Legendre Motzkin
 moments, too, run as a height DP, with their enumeration kept as the oracle.
 Weights may be rational constants or polynomials in a single variable, so
 substituting v = x turns the same DP into a polynomial-family constructor.
-The DPs clear the weights' denominators once and evaluate them at a power of
-two large enough to hold every coefficient (Kronecker substitution), so
-constant and polynomial weights alike run on plain ints; the sequence
-helpers read a whole sequence off one DP table.
+The DPs clear the weights' denominators once per weight triple and evaluate
+them at a power of two large enough to hold every coefficient (Kronecker
+substitution), so constant and polynomial weights alike run on plain ints;
+the sequence helpers read a whole sequence off one DP table.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .polynomial import CACHE_SIZE, Poly, as_poly, binom
@@ -60,7 +60,12 @@ class Step(Enum):
 
 @dataclass(frozen=True)
 class WeightTriple:
-    """Step weights (u east, v north, w northeast), each a polynomial."""
+    """Step weights (u east, v north, w northeast), each a polynomial.
+
+    The weights with their denominators cleared, which the DPs run on, are
+    computed on first use and kept on the triple (`cleared`); like the
+    polynomials' own memos they take no part in equality or hashing.
+    """
 
     u: Poly
     v: Poly
@@ -82,6 +87,21 @@ class WeightTriple:
                 self.w.constant_value(),
             )
         return (self.u, self.v, self.w)
+
+    @cached_property
+    def cleared(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+        """(q, U, V, W, bitlength(S)): the weights with their denominators
+        cleared, for the DPs.
+
+        q is the lcm of the denominators of every coefficient of u, v and w,
+        and U = q*u, V = q*v, W = q^2*w are integer polynomials, given by
+        their coefficients; S = max(1, |U|_1 + |V|_1 + |W|_1) bounds the
+        growth of a DP cell per step (see _packed_weights).
+        """
+        q = math.lcm(*(c.denominator for p in (self.u, self.v, self.w) for c in p.coeffs))
+        u, v, w = _scaled(self.u, q), _scaled(self.v, q), _scaled(self.w, q * q)
+        size = max(1, sum(abs(c) for c in (*u, *v, *w)))
+        return q, u, v, w, size.bit_length()
 
 
 UNIT_WEIGHTS = WeightTriple.of(1, 1, 1)
@@ -225,30 +245,27 @@ def schroder_numbers(count: int) -> list[int]:
 def _packed_weights(wt: WeightTriple, steps: int) -> tuple[int, int, int, int, int]:
     """(q, K, U(2^K), V(2^K), W(2^K)) for DPs of at most `steps` steps.
 
-    q is the lcm of the denominators of every coefficient of u, v and w, and
-    U = q*u, V = q*v, W = q^2*w are integer polynomials: east and north steps
-    gain a factor q and diagonal steps q^2, so every path to (i,j) gains
-    q^(i+j).  With S = max(1, |U|_1 + |V|_1 + |W|_1), every DP cell obeys
-    |D(i,j)|_1 <= S^(i+j) by induction, so each of its signed coefficients
-    fits in a K-bit digit for K = steps * bitlength(S) + 2 (a sign bit to
-    spare, and K >= 2 even for the empty path).  Evaluating the
+    With the cleared weights U = q*u, V = q*v, W = q^2*w of wt.cleared, east
+    and north steps gain a factor q and diagonal steps q^2, so every path to
+    (i,j) gains q^(i+j).  With S = max(1, |U|_1 + |V|_1 + |W|_1), every DP
+    cell obeys |D(i,j)|_1 <= S^(i+j) by induction, so each of its signed
+    coefficients fits in a K-bit digit for K = steps * bitlength(S) + 2 (a
+    sign bit to spare, and K >= 2 even for the empty path).  Evaluating the
     cleared weights at x = 2^K (Kronecker substitution) then lets the DP run
     on plain ints and read D(i,j) off the digits of one integer, with no gcd
     in any cell; constant weights are the degree-0 case.
     """
-    q = math.lcm(*(c.denominator for p in (wt.u, wt.v, wt.w) for c in p.coeffs))
-    u, v, w = _scaled(wt.u, q), _scaled(wt.v, q), _scaled(wt.w, q * q)
-    size = max(1, sum(abs(c) for c in (*u, *v, *w)))
-    k = steps * size.bit_length() + 2
+    q, u, v, w, bits = wt.cleared
+    k = steps * bits + 2
     return q, k, _at_power_of_two(u, k), _at_power_of_two(v, k), _at_power_of_two(w, k)
 
 
-def _scaled(p: Poly, scale: int) -> list[int]:
+def _scaled(p: Poly, scale: int) -> tuple[int, ...]:
     """The integer coefficients of scale * p; scale is a multiple of every denominator."""
-    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
+    return tuple(c.numerator * (scale // c.denominator) for c in p.coeffs)
 
 
-def _at_power_of_two(coeffs: list[int], k: int) -> int:
+def _at_power_of_two(coeffs: tuple[int, ...], k: int) -> int:
     return sum(c << (k * i) for i, c in enumerate(coeffs))
 
 

@@ -9,9 +9,17 @@ Everything is immutable and exact: no floats, no rounding, ever.  The
 transforms every other module leans on live here: affine composition,
 derivative and zero-based antiderivative, definite integration, division by
 x, and the denominator-clearing substitution x -> x/(x-1).
+
+Since a Poly never changes, two derived values are kept on it once computed:
+its hash and its integer form (integer numerators over one denominator,
+see Poly._numerators), which evaluation, affine composition, integration
+and the functionals run on.  A cached family polynomial therefore clears
+its denominators once, however often it is evaluated.  Neither memo takes
+part in equality or hashing.
 """
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 Scalar = int | Fraction
@@ -59,7 +67,7 @@ def pochhammer(a: Scalar, n: int) -> Fraction:
 class Poly:
     """Dense univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_coeffs", "_hash", "_nums")
 
     def __init__(self, coeffs=()):
         # A Fraction is already normalised, so it is kept rather than re-wrapped.
@@ -187,10 +195,18 @@ class Poly:
 
     # -- evaluation and transforms ------------------------------------------
 
-    def _numerators(self) -> tuple[list[int], int]:
-        """Integer numerators N_k and one denominator D with p = sum N_k x^k / D."""
-        d = math.lcm(*(c.denominator for c in self._coeffs))
-        return [c.numerator * (d // c.denominator) for c in self._coeffs], d
+    def _numerators(self) -> tuple[tuple[int, ...], int]:
+        """Integer numerators N_k and one denominator D with p = sum N_k x^k / D.
+
+        Kept once computed, like the hash, as an immutable tuple that every
+        caller shares.
+        """
+        try:
+            return self._nums
+        except AttributeError:
+            d = math.lcm(*(c.denominator for c in self._coeffs))
+            self._nums = tuple(c.numerator * (d // c.denominator) for c in self._coeffs), d
+            return self._nums
 
     def __call__(self, x: Scalar) -> Fraction:
         """Exact Horner evaluation at a rational point, on integers.
@@ -295,7 +311,7 @@ class Poly:
         return f"Poly({[str(c) for c in self._coeffs]})"
 
 
-def _horner(nums: list[int], a: int, b: int) -> int:
+def _horner(nums: Sequence[int], a: int, b: int) -> int:
     """sum N_k a^k b^(d-k), d = len(nums) - 1: the numerator of
     sum N_k (a/b)^k over b^d, by Horner on integers."""
     acc = 0

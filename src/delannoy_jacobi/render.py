@@ -5,8 +5,8 @@ syntax, e.g. "3x^2 - 12x + 10" or "1/2x^3 - x + 2/3".  parse_poly accepts
 exactly the emitted format, so render/parse round-trips coefficient
 sequences unchanged.
 
-Rational literals are "p/q" or integer strings; decimals are rejected to
-keep the exactness contract visible at the boundary.
+Rational literals are "p/q" or integer strings in ASCII digits; decimals
+are rejected to keep the exactness contract visible at the boundary.
 """
 
 import re
@@ -22,7 +22,8 @@ MAX_PARSED_DEGREE = 100_000
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or an integer literal; no decimal forms."""
     text = text.strip()
-    match = re.fullmatch(r"-?\d+(?:/(\d+))?", text)
+    # [0-9], not \d: \d also matches non-ASCII decimal digits such as "٣".
+    match = re.fullmatch(r"-?[0-9]+(?:/([0-9]+))?", text)
     if not match:
         raise ValueError(f"not a rational literal (use p/q or an integer): {text!r}")
     if match.group(1) and int(match.group(1)) == 0:
@@ -59,7 +60,7 @@ def format_poly(p: Poly) -> str:
 
 
 _TERM = re.compile(
-    r"^(?P<coeff>\d+(?:/\d+)?)?(?P<x>x(?:\^(?P<power>\d+))?)?$"
+    r"^(?P<coeff>[0-9]+(?:/[0-9]+)?)?(?P<x>x(?:\^(?P<power>[0-9]+))?)?$"
 )
 
 

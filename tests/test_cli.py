@@ -1,15 +1,18 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import csv
+import dataclasses
 import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from faults import CorruptingFamilies
 
 from delannoy_jacobi import cli, identities
 from delannoy_jacobi.cli import main
@@ -200,6 +203,13 @@ class TestComputeCounts:
             main(["compute", "delannoy", "--m", "1", "--n", "1", "--u", "1/0"])
         assert info.value.code == 2
         assert "zero denominator" in capsys.readouterr().err
+
+    def test_non_ascii_digit_weight_is_usage_error(self, capsys):
+        # "\u0663" is ARABIC-INDIC DIGIT THREE, which int() and Fraction() accept.
+        with pytest.raises(SystemExit) as info:
+            main(["compute", "delannoy", "--m", "2", "--n", "2", "--u", "\u0663"])
+        assert info.value.code == 2
+        assert "not a rational literal" in capsys.readouterr().err
 
     def test_schroder_count(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "schroder", "--n", "3")
@@ -406,6 +416,15 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith(f"error: {config}:2: weight_grid: not a rational literal")
 
+    def test_non_ascii_digit_in_weight_grid_names_file_and_line(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "custom.conf"
+        config.write_text("weight_grid = \u0661, 2\n", encoding="utf-8")  # ARABIC-INDIC ONE
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "verify", "--id", "dp1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {config}:1: weight_grid: not a rational literal")
+
     def test_directory_is_compute_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("DJ_CONFIG", str(tmp_path))
         code, out, err = run_cli(capsys, "verify", "--id", "dp1")
@@ -482,6 +501,47 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "verify", "--id", "wcd-legendre", "--format", "json")
         assert code == 0
         assert json.loads(out)[0]["status"] == "pass"
+
+
+class TestCounterexampleLabels:
+    """A failing case reports its weights as "p/q" strings, whether the grid
+    came from a config file or as ints from Python, and the --out report
+    keeps its exact layout."""
+
+    @pytest.mark.parametrize("config_text,python_grid,weight,rhs", [
+        ("weight_grid = 1/2, 3\n", None, "1/2", "1/2"),
+        ("", (1, 2), "1", "0"),
+    ])
+    def test_weights_are_strings_in_the_report(
+        self, capsys, tmp_path, monkeypatch, config_text, python_grid, weight, rhs
+    ):
+        config = tmp_path / "custom.conf"
+        config.write_text(config_text)
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        build = cli.make_suite_config
+
+        def corrupted_config(args):
+            cfg = build(args)
+            if python_grid is not None:
+                cfg = dataclasses.replace(cfg, weight_grid=python_grid)
+            return dataclasses.replace(cfg, families=CorruptingFamilies("shifted_jacobi", 1))
+
+        monkeypatch.setattr(cli, "make_suite_config", corrupted_config)
+        out_file = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "verify", "--id", "wd-jacobi", "--out", str(out_file))
+        assert code == 3
+        params = {"n": 0, "beta": 0, "u": weight, "v": weight, "w": weight}
+        assert f"counterexample: {{'params': {params}" in out
+        expected = [{
+            "id": "wd-jacobi",
+            "status": "fail",
+            "cases_run": 1,
+            "counterexample": {"params": params, "lhs": "1", "rhs": rhs},
+            "millis": 0,
+            "notes": None,
+        }]
+        report = re.sub(r'"millis": [0-9]+', '"millis": 0', out_file.read_text())
+        assert report == json.dumps(expected, indent=2) + "\n"
 
 
 class TestModuleEntry:

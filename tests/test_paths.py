@@ -1,13 +1,16 @@
 """Tests for path enumeration, DP counts, and the brute-force oracles."""
 
+import importlib
 import itertools
 import math
+import pkgutil
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delannoy_jacobi
 from delannoy_jacobi import families, paths
 from delannoy_jacobi.polynomial import CACHE_SIZE, Poly, X, binom
 from delannoy_jacobi.paths import (
@@ -414,6 +417,59 @@ class TestPackedDP:
             assert schroder_weighted(n, POLY_WT) == families.schroder_poly(n)
 
 
+class TestClearedWeights:
+    """WeightTriple.cleared is computed once per triple and read by every DP
+    call on it, whatever its step count."""
+
+    @staticmethod
+    def fresh(wt):
+        q = math.lcm(*(c.denominator for p in (wt.u, wt.v, wt.w) for c in p.coeffs))
+        u, v, w = (
+            tuple(c.numerator * (scale // c.denominator) for c in p.coeffs)
+            for p, scale in ((wt.u, q), (wt.v, q), (wt.w, q * q))
+        )
+        return q, u, v, w, max(1, sum(abs(c) for c in (*u, *v, *w))).bit_length()
+
+    @given(st.one_of(wide_triples, poly_triples))
+    def test_cleared_matches_a_fresh_clearing(self, uvw):
+        wt, twin = WeightTriple.of(*uvw), WeightTriple.of(*uvw)
+        before = hash(wt)
+        cleared = wt.cleared
+        assert cleared == self.fresh(wt)
+        assert wt.cleared is cleared  # kept, not rebuilt
+        q, u, v, w, _ = cleared
+        assert Poly(F(c, q) for c in u) == wt.u
+        assert Poly(F(c, q) for c in v) == wt.v
+        assert Poly(F(c, q * q) for c in w) == wt.w
+        assert wt == twin and hash(wt) == before == hash(twin)
+        assert {wt: 1}.get(twin) == 1
+        assert repr(wt) == repr(twin)
+
+    @given(st.one_of(wide_triples, poly_triples))
+    @settings(max_examples=40, deadline=None)
+    def test_one_triple_serves_every_size(self, uvw):
+        wt = WeightTriple.of(*uvw)
+        delannoy_weighted.cache_clear()
+        schroder_weighted.cache_clear()
+        for m, n in ((0, 0), (3, 1), (1, 4), (5, 5), (2, 0), (0, 6)):
+            assert delannoy_weighted(m, n, wt) == delannoy_closed(m, n, WeightTriple.of(*uvw))
+        for n in range(4):
+            assert schroder_weighted(n, wt) == enumerated_total(schroder_enumerate(n), wt)
+
+    @pytest.mark.parametrize("uvw", [
+        (F(-1, 2), F(2, 3), -3),
+        (-2, F(-5, 7), F(1, 9)),
+        (Poly((F(-1, 2), F(1, 3))), X, F(-5, 7)),
+        (Poly((3, 0, F(-2, 5))), Poly((F(1, 4), -1)), Poly((0, F(-7, 3)))),
+    ])
+    def test_negative_and_rational_triples(self, uvw):
+        wt = WeightTriple.of(*uvw)
+        for m in range(6):
+            for n in range(6):
+                assert delannoy_weighted(m, n, wt) == delannoy_closed(m, n, wt)
+        assert wt.cleared == self.fresh(WeightTriple.of(*uvw))
+
+
 class TestSequences:
     """The one-table sequences against the per-index routes and against the
     P-recursive three-term recurrences (Petkovsek-Wilf-Zeilberger, A=B)."""
@@ -638,8 +694,13 @@ class TestValidPairs:
 
 class TestCacheBound:
     def test_every_cache_is_bounded(self):
+        modules = [
+            importlib.import_module(f"delannoy_jacobi.{info.name}")
+            for info in pkgutil.iter_modules(delannoy_jacobi.__path__)
+        ]
+        assert {families, paths} <= set(modules)
         caches = [
-            value for module in (families, paths) for value in vars(module).values()
+            value for module in modules for value in vars(module).values()
             if hasattr(value, "cache_info") and value.__module__ == module.__name__
         ]
         assert len(caches) == 10

@@ -1,11 +1,13 @@
 """Tests for exact polynomial arithmetic and its transforms."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delannoy_jacobi.functionals import factorial_functional, inner_weighted
 from delannoy_jacobi.polynomial import (
     ONE,
     DegreeTooLarge,
@@ -105,6 +107,46 @@ class TestConstruction:
                 assert hash(p) == hash(p.coeffs) == hash(q) == hash(q.coeffs)
         # A key hashed from one input type is found from the other.
         assert {Poly(ints): 1}.get(Poly(F(c) for c in ints)) == 1
+
+
+class TestIntegerForm:
+    """Poly._numerators() is computed once and kept on the polynomial."""
+
+    @staticmethod
+    def fresh(p):
+        d = math.lcm(*(c.denominator for c in p.coeffs))
+        return tuple(c.numerator * (d // c.denominator) for c in p.coeffs), d
+
+    @given(polys, rationals, rationals)
+    @settings(deadline=None)
+    def test_kept_form_survives_every_caller(self, p, a, b):
+        assert p._numerators() == self.fresh(p)
+        form = p._numerators()
+        assert type(form[0]) is tuple
+        assert p._numerators() is form  # kept, not rebuilt
+        functional = factorial_functional(max(p.degree, 0))
+        for _ in range(2):  # once filling the memo of p, once reading it
+            twin = Poly(p.coeffs)  # an equal Poly with no memo
+            assert p(a) == twin(a)
+            assert p.compose_affine(a, b) == twin.compose_affine(a, b)
+            assert p.integrate(a, b) == twin.integrate(a, b)
+            assert inner_weighted(p, p, 2, 1) == inner_weighted(twin, twin, 2, 1)
+            assert functional(p) == functional(twin)
+            assert p._numerators() == self.fresh(p) == self.fresh(twin)
+
+    @given(polys)
+    def test_memo_takes_no_part_in_equality_or_hash(self, p):
+        p._numerators()
+        hash(p)
+        twin = Poly(p.coeffs)
+        assert p == twin and twin == p
+        assert hash(p) == hash(twin)
+        assert {p: 1}.get(twin) == 1
+
+    def test_examples(self):
+        assert Poly((F(1, 2), F(-2, 3), 3))._numerators() == ((3, -4, 18), 6)
+        assert Poly()._numerators() == ((), 1)
+        assert X._numerators() == ((0, 1), 1)
 
 
 class TestArithmetic:

@@ -51,6 +51,18 @@ def test_parse_rational():
             parse_rational(bad)
 
 
+def test_non_ascii_digits_are_rejected():
+    # Arabic-Indic and fullwidth digits match \d and are read by int() and
+    # Fraction(), but the literal grammar is ASCII.
+    for bad in ["\u0663", "-\u0661/2", "1/\u0662", "\uff17"]:
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(bad)
+    for bad in ["\u0663x^\u0662 + 1", "3x^\u0662 + 1", "\u0663x + 1", "x + \u0661"]:
+        with pytest.raises(ValueError, match="malformed term"):
+            parse_poly(bad)
+    assert parse_poly("3x^2 + 1") == Poly((1, 0, 3))
+
+
 def test_parse_rational_zero_denominator():
     for bad in ["1/0", "-3/00", " 0/0 "]:
         with pytest.raises(ValueError, match="zero denominator"):
