@@ -45,6 +45,8 @@ POLY_FAMILIES = {
 SEQUENCES = ("central-delannoy", "schroder", "delannoy-row")
 WEIGHT_FLAGS = ("--u", "--v", "--w")
 NEGATIVE_LITERAL = re.compile(r"-\d")
+# [0-9], not \d: int() and \d also take non-ASCII decimal digits such as "٢".
+INTEGER_LITERAL = re.compile(r"-?[0-9]+")
 
 EPILOG = """\
 formats:
@@ -56,8 +58,9 @@ formats:
            poly:      power,coefficient   (ascending powers)
            sequence:  index,value
 
-rational flags (--u/--v/--w) take integers or p/q literals; decimals are
-not accepted.
+integer flags take ASCII digits with an optional leading "-"; rational
+flags (--u/--v/--w) take integers or p/q literals; decimals are not
+accepted.
 
 config file: key=value lines (keys: max_n as a nonnegative integer,
 weight_grid as comma-separated nonzero rationals), at most 64 KiB, read
@@ -82,27 +85,27 @@ def build_parser() -> argparse.ArgumentParser:
     csub = compute.add_subparsers(dest="what", required=True)
 
     pd = csub.add_parser("delannoy", help="weighted Delannoy total at (m, n)")
-    pd.add_argument("--m", type=int, required=True)
-    pd.add_argument("--n", type=int, required=True)
+    pd.add_argument("--m", type=_int_flag, required=True)
+    pd.add_argument("--n", type=_int_flag, required=True)
     _add_weight_flags(pd)
     _add_format_flag(pd)
 
     ps = csub.add_parser("schroder", help="weighted Schroeder total at (n, n)")
-    ps.add_argument("--n", type=int, required=True)
+    ps.add_argument("--n", type=_int_flag, required=True)
     _add_weight_flags(ps)
     _add_format_flag(ps)
 
     pp = csub.add_parser("poly", help="print one member of a polynomial family")
     pp.add_argument("--family", choices=sorted(POLY_FAMILIES), required=True)
-    pp.add_argument("--n", type=int, required=True)
-    pp.add_argument("--alpha", type=int, default=0)
-    pp.add_argument("--beta", type=int, default=0)
+    pp.add_argument("--n", type=_int_flag, required=True)
+    pp.add_argument("--alpha", type=_int_flag, default=0)
+    pp.add_argument("--beta", type=_int_flag, default=0)
     _add_format_flag(pp)
 
     pq = csub.add_parser("sequence", help="print an integer sequence table")
     pq.add_argument("--name", choices=SEQUENCES, required=True)
-    pq.add_argument("--count", type=int, required=True)
-    pq.add_argument("--m", type=int, help="row index (delannoy-row only)")
+    pq.add_argument("--count", type=_int_flag, required=True)
+    pq.add_argument("--m", type=_int_flag, help="row index (delannoy-row only)")
     _add_format_flag(pq)
 
     verify = sub.add_parser("verify", help="run identity checks")
@@ -134,11 +137,22 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _nonnegative_int(text: str) -> int:
+def _parse_int(text: str) -> int:
+    """An integer literal: ASCII digits with an optional leading "-"."""
+    if not INTEGER_LITERAL.fullmatch(text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
+
+
+def _int_flag(text: str) -> int:
     try:
-        value = int(text)
+        return _parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _nonnegative_int(text: str) -> int:
+    value = _int_flag(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
@@ -191,7 +205,7 @@ def _parse_config(path: str) -> dict:
                     )
             else:
                 try:
-                    values[key] = int(value)
+                    values[key] = _parse_int(value)
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: {key} must be an integer, got {value!r}"

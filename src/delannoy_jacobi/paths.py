@@ -16,15 +16,20 @@ depth-first walk with an explicit stack over the steps allowed from each
 lattice point: it needs no recursion and yields every path exactly once, in
 the lexicographic order east < north < northeast, and it never uses the
 closed sum's choice of step positions, whose oracle it is.  diagonal_tally
-enumerates the paths to one endpoint once and counts them by northeast
-steps, for the oracles that only need those counts.  The Legendre Motzkin
-moments, too, run as a height DP, with their enumeration kept as the oracle.
-Weights may be rational constants or polynomials in a single variable, so
-substituting v = x turns the same DP into a polynomial-family constructor.
-The DPs clear the weights' denominators once per weight triple and evaluate
-them at a power of two large enough to hold every coefficient (Kronecker
-substitution), so constant and polynomial weights alike run on plain ints;
-the sequence helpers read a whole sequence off one DP table.
+counts the paths to one endpoint by northeast steps, for the oracles that
+only need those counts: the same walk, visiting every path once, keeps
+only each path's northeast count instead of its steps.  The closed sum
+runs constant weights on integers, clearing the denominators itself, and
+polynomial weights on Poly.  Neither the walk nor the closed sum reads the
+weights the DPs clear and pack, so a fault there cannot make an oracle
+agree with its DP.  The Legendre Motzkin moments, too, run as a height
+DP, with their enumeration kept as the oracle.  Weights may be rational
+constants or polynomials in a single variable, so substituting v = x turns
+the same DP into a polynomial-family constructor.  The DPs clear the
+weights' denominators once per weight triple and evaluate them at a power
+of two large enough to hold every coefficient (Kronecker substitution), so
+constant and polynomial weights alike run on plain ints; the sequence
+helpers read a whole sequence off one DP table.
 """
 
 import math
@@ -175,17 +180,46 @@ def path_weight(path: tuple[Step, ...], wt: WeightTriple = UNIT_WEIGHTS) -> Poly
 def diagonal_tally(m: int, n: int) -> tuple[int, ...]:
     """(N_0, .., N_min(m,n)): N_d paths to (m, n) take d northeast steps.
 
-    Counted by enumerating every Delannoy path, never from binomials, so it
-    stays an oracle of the closed sum.  A path with d northeast steps takes
-    m-d east and n-d north steps, so any sum over paths that depends only on
-    their step counts reads this tally instead of walking the paths again.
-    An lru_cache stores no exception, so the enumeration's bound is checked
-    on every call.
+    Counted by walking every Delannoy path (_diagonal_counts), never from
+    binomials, so it stays an oracle of the closed sum and of the DPs.  A
+    path with d northeast steps takes m-d east and n-d north steps, so any
+    sum over paths that depends only on their step counts reads this tally
+    instead of walking the paths again.  An lru_cache stores no exception,
+    so the enumeration's bound is checked on every call.
     """
     counts = [0] * (min(m, n) + 1)
-    for path in delannoy_enumerate(m, n):
-        counts[path.count(Step.DIAG)] += 1
+    for diag in _diagonal_counts(m, n):
+        counts[diag] += 1
     return tuple(counts)
+
+
+def _diagonal_counts(m: int, n: int) -> Iterator[int]:
+    """Yield the number of northeast steps of every Delannoy path to (m, n),
+    one path at a time, in delannoy_enumerate's order.
+
+    A depth-first walk like delannoy_enumerate's, with the path reduced to
+    what the tally needs: each stack entry is a lattice point with the
+    northeast steps taken to reach it, and no step tuple is built.  A point
+    on the line i = m or j = n has one way left to (m, n), all north or all
+    east, so it ends its path there.
+    """
+    _require_quadrant(m, n)
+    _require_steps(m + n)
+    return _diagonal_walk(m, n)
+
+
+def _diagonal_walk(m: int, n: int) -> Iterator[int]:
+    stack = [(0, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, j, diag = pop()
+        if i == m or j == n:
+            yield diag
+            continue
+        # Pushed last, popped first: east before north before northeast.
+        push((i + 1, j + 1, diag + 1))
+        push((i, j + 1, diag))
+        push((i + 1, j, diag))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -202,15 +236,45 @@ def delannoy_closed(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
 
     sum_k C(m+n-k, k) C(m+n-2k, n-k) u^(m-k) v^(n-k) w^k, k up to min(m,n);
     a path with k northeast steps has m-k east and n-k north steps, and the
-    steps interleave in multinomial(m+n-k; k, m-k, n-k) ways.
+    steps interleave in multinomial(m+n-k; k, m-k, n-k) ways.  Constant
+    weights run the sum on integers (_closed_constant); polynomial weights
+    run it on Poly arithmetic.  Neither route reads the cleared or packed
+    weights of the DPs, so the sum stays their independent oracle.
     """
     _require_quadrant(m, n)
     u, v, w = wt.values()
+    if wt.is_constant():
+        return Poly.constant(_closed_constant(m, n, u, v, w))
     total = 0 * u
     for k in range(min(m, n) + 1):
         coeff = binom(m + n - k, k) * binom(m + n - 2 * k, n - k)
         total = total + coeff * u ** (m - k) * v ** (n - k) * w ** k
     return as_poly(total)
+
+
+def _closed_constant(m: int, n: int, u: Fraction, v: Fraction, w: Fraction) -> Fraction:
+    """The closed sum for rational weights u = a/b, v = c/d, w = e/f.
+
+    With K = min(m, n), multiplying the sum by b^m d^n f^K turns its k-th
+    term into C_k a^(m-k) c^(n-k) (bde)^k f^(K-k), C_k the multinomial
+    coefficient, so the sum is a^(m-K) c^(n-K) times the homogeneous
+    sum_k C_k (acf)^(K-k) (bde)^k, which a Horner loop builds on integers
+    from C_0 = C(m+n, n) and C_(k+1) = C_k (m-k)(n-k) / ((k+1)(m+n-k)).
+    One Fraction is made at the end.
+    """
+    a, b = u.numerator, u.denominator
+    c, d = v.numerator, v.denominator
+    e, f = w.numerator, w.denominator
+    top = min(m, n)
+    low, high = a * c * f, b * d * e
+    coeff = total = math.comb(m + n, n)
+    high_power = 1
+    for k in range(top):
+        coeff = coeff * (m - k) * (n - k) // ((k + 1) * (m + n - k))
+        high_power *= high
+        total = total * low + coeff * high_power
+    total *= a ** (m - top) * c ** (n - top)
+    return Fraction(total, b ** m * d ** n * f ** top)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -211,6 +211,26 @@ class TestComputeCounts:
         assert info.value.code == 2
         assert "not a rational literal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "delannoy", "--m", "\u0662", "--n", "2"],
+        ["compute", "delannoy", "--m", "2", "--n", "\u0662"],
+        ["compute", "schroder", "--n", "\u0662"],
+        ["compute", "poly", "--family", "jacobi", "--n", "2", "--alpha", "-\u0661"],
+        ["compute", "poly", "--family", "jacobi", "--n", "2", "--beta", "\u0661"],
+        ["compute", "sequence", "--name", "schroder", "--count", "\u0663"],
+        ["compute", "sequence", "--name", "delannoy-row", "--m", "\u0661", "--count", "3"],
+        ["verify", "--id", "dp1", "--max-n", "\u0662"],
+        ["compute", "delannoy", "--m", "+2", "--n", "2"],
+        ["compute", "delannoy", "--m", "1_0", "--n", "2"],
+    ])
+    def test_non_ascii_digit_integer_is_usage_error(self, capsys, argv):
+        # "\u0662" is ARABIC-INDIC DIGIT TWO, which int() accepts; integer
+        # flags take ASCII digits with an optional leading "-" only.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
     def test_schroder_count(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "schroder", "--n", "3")
         assert code == 0
@@ -424,6 +444,16 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {config}:1: weight_grid: not a rational literal")
+
+    @pytest.mark.parametrize("value", ["\u0663", "+3", "3_0"])
+    def test_non_ascii_digit_max_n_names_file_and_line(self, capsys, tmp_path, monkeypatch, value):
+        config = tmp_path / "custom.conf"
+        config.write_text(f"# settings\nmax_n = {value}\n", encoding="utf-8")
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "verify", "--id", "dp1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {config}:2: max_n must be an integer, got {value!r}\n"
 
     def test_directory_is_compute_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("DJ_CONFIG", str(tmp_path))

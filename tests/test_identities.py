@@ -125,18 +125,19 @@ def _clear_path_caches():
     (True, {"m": 1, "n": 1}, {"n": 1, "m": 0, "beta": 0}),
 ])
 def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, wd_at, epl_at):
-    # Both path oracles read one cached step tally per endpoint; an
-    # enumeration that loses a path (at every endpoint, or only where both
-    # coordinates are positive) must fail each entry at its first
-    # enumeration case that sees the loss, whatever the cache held before.
-    enumerate_paths = paths.delannoy_enumerate
+    # Both path oracles read one cached step tally per endpoint, counted by
+    # the path walk; a walk that loses its first path (at every endpoint, or
+    # only where both coordinates are positive) must fail each entry at its
+    # first enumeration case that sees the loss, whatever the cache held
+    # before.
+    count_paths = paths._diagonal_counts
 
     def one_path_short(m, n):
-        found = enumerate_paths(m, n)
+        found = count_paths(m, n)
         return found if off_axes and not (m and n) else itertools.islice(found, 1, None)
 
     _clear_path_caches()
-    monkeypatch.setattr(paths, "delannoy_enumerate", one_path_short)
+    monkeypatch.setattr(paths, "_diagonal_counts", one_path_short)
     try:
         report = run_identity("wd-closed-vs-dp-vs-enum")
         assert report.status == "fail"

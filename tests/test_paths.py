@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import delannoy_jacobi
 from delannoy_jacobi import families, paths
-from delannoy_jacobi.polynomial import CACHE_SIZE, Poly, X, binom
+from delannoy_jacobi.polynomial import CACHE_SIZE, Poly, X, as_poly, binom
 from delannoy_jacobi.paths import (
     ENUMERATION_CAP,
     PAIR_CAP,
@@ -57,6 +57,16 @@ RATIONAL_POLY_WT = WeightTriple.of(Poly((F(1, 2), F(-2, 3))), X, F(-1, 4))
 
 def enumerated_total(paths, wt):
     return sum((path_weight(p, wt) for p in paths), Poly())
+
+
+def _closed_by_fractions(m, n, wt):
+    """The former body of delannoy_closed: the closed sum on Fractions or Poly."""
+    u, v, w = wt.values()
+    total = 0 * u
+    for k in range(min(m, n) + 1):
+        coeff = binom(m + n - k, k) * binom(m + n - 2 * k, n - k)
+        total = total + coeff * u ** (m - k) * v ** (n - k) * w ** k
+    return as_poly(total)
 
 
 def recursive_delannoy(m, n):
@@ -168,6 +178,21 @@ class TestDiagonalTally:
             with pytest.raises(ValueError):
                 diagonal_tally(-1, 2)
         assert diagonal_tally.cache_info().currsize == 3
+
+    def test_counting_walk_follows_the_enumeration(self):
+        # One northeast count per path, in delannoy_enumerate's order.
+        for m in range(13):
+            for n in range(13 - m):
+                expected = [p.count(Step.DIAG) for p in delannoy_enumerate(m, n)]
+                assert list(paths._diagonal_counts(m, n)) == expected, (m, n)
+
+    def test_counting_walk_cap(self):
+        for m in range(18):
+            with pytest.raises(CapExceeded):  # on the call, before any iteration
+                paths._diagonal_counts(m, 17 - m)
+        assert sum(1 for _ in paths._diagonal_counts(8, 8)) == 265729
+        with pytest.raises(ValueError):
+            paths._diagonal_counts(2, -1)
 
 
 class TestPathWeight:
@@ -415,6 +440,59 @@ class TestPackedDP:
         # (1, x, -1) gives S_n; the benchmark's largest Schroeder size is 38.
         for n in range(41):
             assert schroder_weighted(n, POLY_WT) == families.schroder_poly(n)
+
+
+class TestClosedSum:
+    """delannoy_closed runs constant weights on integers and polynomial
+    weights on Poly; both must equal the former Fraction sum and the DP."""
+
+    @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12),
+           wide_triples)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_route_matches_fractions_and_dp(self, m, n, uvw):
+        wt = WeightTriple.of(*uvw)
+        by_closed = delannoy_closed(m, n, wt)
+        assert by_closed == _closed_by_fractions(m, n, wt)
+        assert by_closed == delannoy_weighted(m, n, wt)
+        assert by_closed.is_constant()
+
+    @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6),
+           poly_triples)
+    @settings(max_examples=30, deadline=None)
+    def test_polynomial_route_matches_fractions_and_dp(self, m, n, uvw):
+        wt = WeightTriple.of(*uvw)
+        assert delannoy_closed(m, n, wt) == _closed_by_fractions(m, n, wt)
+        assert delannoy_closed(m, n, wt) == delannoy_weighted(m, n, wt)
+
+    @pytest.mark.parametrize("uvw", [
+        (0, 0, 0), (0, 1, 1), (1, 0, F(-2, 3)), (F(1, 2), F(-1, 3), 0),
+        (F(1, 2), F(-1, 3), 7), (-1, -1, -1), (F(-5, 4), F(3, 7), F(-9, 2)),
+    ])
+    def test_zero_negative_and_rational_corners(self, uvw):
+        wt = WeightTriple.of(*uvw)
+        for m in range(13):
+            for n in range(13):
+                assert delannoy_closed(m, n, wt) == _closed_by_fractions(m, n, wt), (m, n)
+
+    def test_independent_of_the_dp_weights(self, monkeypatch):
+        # The oracles never read the DPs' cleared or packed weights.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle read the DPs' weights")
+
+        for name in ("_packed_weights", "_unpacked", "_scaled"):
+            monkeypatch.setattr(paths, name, refuse)
+        monkeypatch.setattr(WeightTriple, "cleared", property(refuse))
+        delannoy_closed.cache_clear()
+        diagonal_tally.cache_clear()
+        try:
+            assert delannoy_closed(6, 6, WeightTriple.of(F(1, 2), F(-1, 3), 7)) == (
+                _closed_by_fractions(6, 6, WeightTriple.of(F(1, 2), F(-1, 3), 7))
+            )
+            assert delannoy_closed(3, 2, POLY_WT) == _closed_by_fractions(3, 2, POLY_WT)
+            assert diagonal_tally(4, 3) == (35, 60, 30, 4)
+        finally:
+            delannoy_closed.cache_clear()
+            diagonal_tally.cache_clear()
 
 
 class TestClearedWeights:
