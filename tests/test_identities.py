@@ -1,7 +1,9 @@
 """Tests for the identity registry runner, reports, and fault detection."""
 
 import itertools
+import json
 
+import golden_reports
 import pytest
 from faults import FAULT_TARGETS, CorruptingFamilies
 
@@ -152,3 +154,14 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
         _clear_path_caches()
     assert run_identity("wd-closed-vs-dp-vs-enum").status == "pass"
     assert run_identity("epl").status == "pass"
+
+
+GOLDEN = json.loads(golden_reports.GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_reports_match_the_golden_file(label):
+    # Counts, statuses, notes and first counterexamples, fixed per
+    # configuration; tests/golden_reports.py regenerates the file.
+    assert sorted(GOLDEN) == sorted(golden_reports.configurations())
+    assert golden_reports.reports(label) == GOLDEN[label]
