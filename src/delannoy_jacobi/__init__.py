@@ -21,7 +21,6 @@ from .functionals import (
     det_exact,
     factorial_functional,
     favard_fit,
-    gram_matrix,
     hankel_mbeta,
     inner_weighted,
     lbeta_extension_threshold,

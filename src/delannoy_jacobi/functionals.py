@@ -1,5 +1,5 @@
-"""Moment functionals, exact inner products, Gram/Hankel matrices, and
-three-term recurrence fitting.
+"""Moment functionals, exact inner products, Hankel moment matrices with
+their exact determinants, and three-term recurrence fitting.
 
 A moment functional is represented by its finite moment sequence and fails
 loudly when applied past its last defined moment: the finite functionals
@@ -121,21 +121,6 @@ def inner_weighted(f: Poly, g: Poly, alpha: int = 0, beta: int = 0) -> Fraction:
         lower *= k + beta + 1
         upper //= k + beta + alpha + 2
     return Fraction(total * fact(alpha), f_den * g_den * fact(top))
-
-
-def gram_matrix(family, inner) -> Matrix:
-    """G[i][j] = inner(family[i], family[j]), computed exactly."""
-    family = list(family)
-    return [[inner(p, q) for q in family] for p in family]
-
-
-def is_diagonal(matrix: Matrix) -> bool:
-    return all(
-        matrix[i][j] == 0
-        for i in range(len(matrix))
-        for j in range(len(matrix))
-        if i != j
-    )
 
 
 def hankel_mbeta(beta: int, top: Scalar) -> Matrix:

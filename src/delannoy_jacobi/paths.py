@@ -8,7 +8,7 @@ Delannoy paths to (n,n) that never rise above the diagonal y = x.
 Each quantity is computed two ways wherever feasible: explicit enumeration
 (the ground-truth oracle) and dynamic programming or a closed binomial sum.
 The DPs are the production routes; enumeration (the `*_enumerate` functions
-with `path_weight`) and the closed sum are their oracles.  Enumeration runs
+and diagonal_tally) and the closed sum are their oracles.  Enumeration runs
 up to fixed bounds, ENUMERATION_CAP = 16 steps per path and PAIR_CAP = 9
 elements per path/bijection pair, and raises CapExceeded beyond them; the
 polynomial-time DPs and closed sums have no bound.  Enumeration is a
@@ -18,14 +18,16 @@ the lexicographic order east < north < northeast, and it never uses the
 closed sum's choice of step positions, whose oracle it is.  diagonal_tally
 counts the paths to one endpoint by northeast steps, for the oracles that
 only need those counts: the same walk, visiting every path once, keeps
-only each path's northeast count instead of its steps.  The closed sum
-runs constant weights on integers, clearing the denominators itself, and
-polynomial weights on Poly.  Neither the walk nor the closed sum reads the
-weights the DPs clear and pack, so a fault there cannot make an oracle
-agree with its DP.  The Legendre Motzkin moments, too, run as a height
-DP, with their enumeration kept as the oracle.  Weights may be rational
-constants or polynomials in a single variable, so substituting v = x turns
-the same DP into a polynomial-family constructor.  The DPs clear the
+only each path's northeast count instead of its steps.  The closed sum is
+one Horner loop, run on integers for constant weights, clearing the
+denominators itself, and on Poly for polynomial weights.  Neither the walk
+nor the closed sum reads the weights the DPs clear and pack, so a fault
+there cannot make an oracle agree with its DP.  The Legendre Motzkin
+moments and the modified Delannoy numbers, too, run as DPs; the oracles
+that only the tests read (path weights step by step, and these two counts
+by enumeration) live with the tests.  Weights may be rational constants
+or polynomials in a single variable, so substituting v = x turns the same
+DP into a polynomial-family constructor.  The DPs clear the
 weights' denominators once per weight triple and evaluate them at a power
 of two large enough to hold every coefficient (Kronecker substitution), so
 constant and polynomial weights alike run on plain ints; the sequence
@@ -39,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator
 
-from .polynomial import CACHE_SIZE, Poly, as_poly, binom
+from .polynomial import CACHE_SIZE, Poly, as_poly
 
 ENUMERATION_CAP = 16  # max total steps for explicit path enumeration
 PAIR_CAP = 9          # max element count for bijection enumeration
@@ -164,18 +166,6 @@ def _depth_first(end: tuple[int, int], inside) -> Iterator[tuple[Step, ...]]:
             stack.append(iter(moves[point]))
 
 
-def path_weight(path: tuple[Step, ...], wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
-    """Product of the step weights along a path.
-
-    Constant weights are multiplied as Fractions and wrapped once.
-    """
-    weights = dict(zip((Step.EAST, Step.NORTH, Step.DIAG), wt.values()))
-    out = 1
-    for step in path:
-        out = out * weights[step]
-    return as_poly(out)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def diagonal_tally(m: int, n: int) -> tuple[int, ...]:
     """(N_0, .., N_min(m,n)): N_d paths to (m, n) take d northeast steps.
@@ -234,47 +224,37 @@ def delannoy_weighted(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
 def delannoy_closed(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Delannoy total by the closed binomial sum.
 
-    sum_k C(m+n-k, k) C(m+n-2k, n-k) u^(m-k) v^(n-k) w^k, k up to min(m,n);
-    a path with k northeast steps has m-k east and n-k north steps, and the
-    steps interleave in multinomial(m+n-k; k, m-k, n-k) ways.  Constant
-    weights run the sum on integers (_closed_constant); polynomial weights
-    run it on Poly arithmetic.  Neither route reads the cleared or packed
-    weights of the DPs, so the sum stays their independent oracle.
+    sum_k C_k u^(m-k) v^(n-k) w^k, C_k = C(m+n-k, k) C(m+n-2k, n-k) for k
+    up to K = min(m,n); a path with k northeast steps has m-k east and n-k
+    north steps, and the steps interleave in C_k ways.  The sum is
+    u^(m-K) v^(n-K) times the homogeneous sum_k C_k (uv)^(K-k) w^k, which
+    _closed_sum builds by Horner's rule.  Polynomial weights run it on Poly.
+    For constant weights u = a/b, v = c/d, w = e/f, multiplying by
+    b^m d^n f^K turns (uv, w) into the integers (acf, bde), so the loop
+    runs on ints and one Fraction is made at the end.  Neither route reads
+    the cleared or packed weights of the DPs, so the sum stays their
+    independent oracle.
     """
     _require_quadrant(m, n)
-    u, v, w = wt.values()
-    if wt.is_constant():
-        return Poly.constant(_closed_constant(m, n, u, v, w))
-    total = 0 * u
-    for k in range(min(m, n) + 1):
-        coeff = binom(m + n - k, k) * binom(m + n - 2 * k, n - k)
-        total = total + coeff * u ** (m - k) * v ** (n - k) * w ** k
-    return as_poly(total)
-
-
-def _closed_constant(m: int, n: int, u: Fraction, v: Fraction, w: Fraction) -> Fraction:
-    """The closed sum for rational weights u = a/b, v = c/d, w = e/f.
-
-    With K = min(m, n), multiplying the sum by b^m d^n f^K turns its k-th
-    term into C_k a^(m-k) c^(n-k) (bde)^k f^(K-k), C_k the multinomial
-    coefficient, so the sum is a^(m-K) c^(n-K) times the homogeneous
-    sum_k C_k (acf)^(K-k) (bde)^k, which a Horner loop builds on integers
-    from C_0 = C(m+n, n) and C_(k+1) = C_k (m-k)(n-k) / ((k+1)(m+n-k)).
-    One Fraction is made at the end.
-    """
-    a, b = u.numerator, u.denominator
-    c, d = v.numerator, v.denominator
-    e, f = w.numerator, w.denominator
     top = min(m, n)
-    low, high = a * c * f, b * d * e
+    if wt.is_constant():
+        (a, b), (c, d), (e, f) = (x.as_integer_ratio() for x in wt.values())
+        total = _closed_sum(m, n, a * c * f, b * d * e) * a ** (m - top) * c ** (n - top)
+        return Poly.constant(Fraction(total, b ** m * d ** n * f ** top))
+    u, v, w = wt.values()
+    return u ** (m - top) * v ** (n - top) * _closed_sum(m, n, u * v, w)
+
+
+def _closed_sum(m: int, n: int, low, high):
+    """sum_k C_k low^(K-k) high^k for K = min(m,n), on ints or Polys, from
+    C_0 = C(m+n, n) and C_(k+1) = C_k (m-k)(n-k) / ((k+1)(m+n-k))."""
     coeff = total = math.comb(m + n, n)
     high_power = 1
-    for k in range(top):
+    for k in range(min(m, n)):
         coeff = coeff * (m - k) * (n - k) // ((k + 1) * (m + n - k))
         high_power *= high
         total = total * low + coeff * high_power
-    total *= a ** (m - top) * c ** (n - top)
-    return Fraction(total, b ** m * d ** n * f ** top)
+    return total
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -412,33 +392,13 @@ def modified_delannoy(m: int, n: int) -> int:
     return table[m][height]
 
 
-def modified_delannoy_enumerate(m: int, n: int) -> int:
-    """Brute-force count of the same paths, by recursion over the first
-    step, for m + n <= 8."""
-    _require_quadrant(m, n)
-    if m + n > 8:
-        raise CapExceeded(f"enumeration of modified Delannoy ({m},{n}) exceeds m + n = 8")
-
-    def count_to(i: int, j: int) -> int:
-        if i == 0 and j == 0:
-            return 1
-        total = 0
-        for a in range(i + 1):
-            for b in range(1, j + 1):
-                total += count_to(i - a, j - b)
-        return total
-
-    return count_to(m, n + 1)
-
-
 def motzkin_legendre_moment(n: int) -> Fraction:
     """Total weight of Motzkin paths of length n under the Legendre weights.
 
     Up steps weigh 1, level steps weigh 0, and a down step starting at
     height k weighs k^2/(4k^2 - 1).  Computed by a DP over the height after
     each step (a transfer matrix), O(n^2) Fraction operations; level steps
-    add nothing, since they weigh 0.  motzkin_legendre_moment_enumerate is
-    the enumeration oracle.
+    add nothing, since they weigh 0.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -452,28 +412,6 @@ def motzkin_legendre_moment(n: int) -> Fraction:
             for k in range(top + 1)
         ]
     return heights[0]
-
-
-def motzkin_legendre_moment_enumerate(n: int) -> Fraction:
-    """The same total by explicit enumeration of the Motzkin paths of length
-    n (fewer than 3^n; level steps included, contributing zero weight): the
-    oracle of motzkin_legendre_moment."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _require_steps(n)
-
-    def rec(remaining: int, height: int, weight: Fraction) -> Fraction:
-        if height > remaining:
-            return Fraction(0)
-        if remaining == 0:
-            return weight
-        total = rec(remaining - 1, height + 1, weight)
-        total += rec(remaining - 1, height, weight * 0)
-        if height > 0:
-            total += rec(remaining - 1, height - 1, weight * _legendre_down(height))
-        return total
-
-    return rec(n, 0, Fraction(1))
 
 
 def _legendre_down(height: int) -> Fraction:

@@ -184,12 +184,20 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = ONE
+        if n == 0:
+            return ONE
+        # Square up to the lowest set bit, start from there, and square no
+        # further than the top bit: x^64 takes 6 products, p^1 none.
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
         return out
 

@@ -14,6 +14,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from oracles import gram_matrix, is_diagonal
 
 from delannoy_jacobi import families as fam
 from delannoy_jacobi import functionals as fn
@@ -107,10 +108,10 @@ def test_criterion_6_gram_diagonal():
     for alpha in range(4):
         for beta in range(4):
             polys = [fam.shifted_jacobi(n, alpha, beta) for n in range(7)]
-            grams = fn.gram_matrix(
+            grams = gram_matrix(
                 polys, lambda p, q: fn.inner_weighted(p, q, alpha, beta)
             )
-            assert fn.is_diagonal(grams), (alpha, beta)
+            assert is_diagonal(grams), (alpha, beta)
             assert all(grams[n][n] > 0 for n in range(7)), (alpha, beta)
 
 
@@ -140,8 +141,8 @@ def test_criterion_8_romanovski():
         functional = fn.lbeta_functional(beta)
         top = (beta - 2) // 2
         polys = [fam.romanovski(n, 0, -beta) for n in range(top + 1)]
-        grams = fn.gram_matrix(polys, lambda p, q: functional(p * q))
-        assert fn.is_diagonal(grams), beta
+        grams = gram_matrix(polys, lambda p, q: functional(p * q))
+        assert is_diagonal(grams), beta
         assert all(grams[n][n] != 0 for n in range(top + 1)), beta
     assert fn.lbeta_extension_threshold(3) == F(1, 2)
     for beta in (3, 5, 7, 9, 11):

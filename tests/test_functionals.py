@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gram_matrix, is_diagonal
 
 from delannoy_jacobi import families as fam
 from delannoy_jacobi.polynomial import ONE, Poly, X
@@ -17,10 +18,8 @@ from delannoy_jacobi.functionals import (
     det_exact,
     factorial_functional,
     favard_fit,
-    gram_matrix,
     hankel_mbeta,
     inner_weighted,
-    is_diagonal,
     lbeta_extension_threshold,
     lbeta_functional,
     leading_principal_minors,

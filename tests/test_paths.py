@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import modified_delannoy_enumerate, motzkin_legendre_moment_enumerate, path_weight
 
 import delannoy_jacobi
 from delannoy_jacobi import families, paths
@@ -26,10 +27,7 @@ from delannoy_jacobi.paths import (
     delannoy_weighted,
     diagonal_tally,
     modified_delannoy,
-    modified_delannoy_enumerate,
     motzkin_legendre_moment,
-    motzkin_legendre_moment_enumerate,
-    path_weight,
     schroder_enumerate,
     schroder_numbers,
     schroder_weighted,
@@ -467,12 +465,22 @@ class TestClosedSum:
     @pytest.mark.parametrize("uvw", [
         (0, 0, 0), (0, 1, 1), (1, 0, F(-2, 3)), (F(1, 2), F(-1, 3), 0),
         (F(1, 2), F(-1, 3), 7), (-1, -1, -1), (F(-5, 4), F(3, 7), F(-9, 2)),
+        (RATIONAL_POLY_WT.u, RATIONAL_POLY_WT.v, RATIONAL_POLY_WT.w),
     ])
     def test_zero_negative_and_rational_corners(self, uvw):
         wt = WeightTriple.of(*uvw)
         for m in range(13):
             for n in range(13):
                 assert delannoy_closed(m, n, wt) == _closed_by_fractions(m, n, wt), (m, n)
+
+    @pytest.mark.parametrize("m, n", [
+        (20, 25), (30, 35), (45, 40), (60, 55), (35, 60), (50, 20),
+    ])
+    def test_polynomial_route_at_benchmark_sizes(self, m, n):
+        # At (1, x, -1) the total to (n+beta, n) is P~_n^(0,beta), built by
+        # the families' own product expansion, in both orientations.
+        for m, n in ((m, n), (n, m)):
+            assert delannoy_closed(m, n, POLY_WT) == families.sj_product_expansion(n, 0, m - n)
 
     def test_independent_of_the_dp_weights(self, monkeypatch):
         # The oracles never read the DPs' cleared or packed weights.

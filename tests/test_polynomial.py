@@ -169,6 +169,28 @@ class TestArithmetic:
             expected = expected * p
         assert p ** k == expected
 
+    def test_pow_squares_no_further_than_the_top_bit(self, monkeypatch):
+        products = []
+        multiply = Poly.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+
+        def count(p, n):
+            products.clear()
+            out = p ** n
+            return out, len(products)
+
+        assert count(X, 64) == (Poly.monomial(64), 6)
+        assert count(X - 1, 1) == (X - 1, 0)
+        assert count(X - 1, 0) == (ONE, 0)
+        # floor(log2 n) squarings and one product per further set bit.
+        for n in range(1, 40):
+            assert count(X, n) == (Poly.monomial(n), n.bit_length() + bin(n).count("1") - 2)
+
     def test_scalar_mixing(self):
         assert 2 * X + 1 == Poly((1, 2))
         assert (X - 1) * (X + 1) == Poly((-1, 0, 1))
