@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import golden_reports
 import pytest
 from faults import CorruptingFamilies
 
@@ -586,3 +587,13 @@ class TestModuleEntry:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "1, 2, 6, 22, 90\n"
+
+
+OUTPUTS = json.loads(golden_reports.OUTPUTS.read_text())
+
+
+@pytest.mark.parametrize("golden", OUTPUTS, ids=lambda record: " ".join(record["argv"][1:]))
+def test_output_matches_the_golden_file(golden):
+    # Exit code, stdout digest and error line of each recorded compute
+    # request; tests/golden_reports.py regenerates the file.
+    assert golden_reports.cli_output(golden["argv"]) == golden
