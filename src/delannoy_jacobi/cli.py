@@ -259,50 +259,28 @@ def _attach_negative_weights(argv: list[str]) -> list[str]:
 
 
 def _run_compute(args) -> int:
-    if args.what == "delannoy":
+    if args.what in ("delannoy", "schroder"):
         wt = lp.WeightTriple.of(args.u, args.v, args.w)
-        value = lp.delannoy_weighted(args.m, args.n, wt).constant_value()
-        record = {
-            "m": args.m, "n": args.n,
-            "u": str(args.u), "v": str(args.v), "w": str(args.w),
-            "value": str(value),
-        }
-        _emit_scalar(args.format, record, ("m", "n", "u", "v", "w", "value"))
-    elif args.what == "schroder":
-        wt = lp.WeightTriple.of(args.u, args.v, args.w)
-        value = lp.schroder_weighted(args.n, wt).constant_value()
-        record = {
-            "n": args.n,
-            "u": str(args.u), "v": str(args.v), "w": str(args.w),
-            "value": str(value),
-        }
-        _emit_scalar(args.format, record, ("n", "u", "v", "w", "value"))
+        if args.what == "delannoy":
+            index, total = {"m": args.m, "n": args.n}, lp.delannoy_weighted(args.m, args.n, wt)
+        else:
+            index, total = {"n": args.n}, lp.schroder_weighted(args.n, wt)
+        record = {**index, "u": str(args.u), "v": str(args.v), "w": str(args.w),
+                  "value": str(total.constant_value())}
+        _emit(args.format, lambda: record["value"], lambda: record,
+              tuple(record), lambda: [record.values()])
     elif args.what == "poly":
         poly = POLY_FAMILIES[args.family](args.n, args.alpha, args.beta)
-        if args.format == "text":
-            print(format_poly(poly))
-        elif args.format == "json":
-            print(json.dumps({
-                "family": args.family,
-                "n": args.n,
-                "alpha": args.alpha,
-                "beta": args.beta,
-                "coefficients": [str(c) for c in poly.coeffs],
-                "text": format_poly(poly),
-            }))
-        else:
-            _print_csv(
-                ("power", "coefficient"),
-                [(k, str(c)) for k, c in enumerate(poly.coeffs)],
-            )
-    elif args.what == "sequence":
+        fields = {"family": args.family, "n": args.n, "alpha": args.alpha, "beta": args.beta}
+        _emit(args.format, lambda: format_poly(poly),
+              lambda: {**fields, "coefficients": list(map(str, poly.coeffs)),
+                       "text": format_poly(poly)},
+              ("power", "coefficient"), lambda: enumerate(map(str, poly.coeffs)))
+    else:
         values = _sequence_values(args)
-        if args.format == "text":
-            print(", ".join(str(v) for v in values))
-        elif args.format == "json":
-            print(json.dumps({"name": args.name, "values": [str(v) for v in values]}))
-        else:
-            _print_csv(("index", "value"), list(enumerate(values)))
+        _emit(args.format, lambda: ", ".join(map(str, values)),
+              lambda: {"name": args.name, "values": list(map(str, values))},
+              ("index", "value"), lambda: enumerate(values))
     return 0
 
 
@@ -318,21 +296,23 @@ def _sequence_values(args) -> list[int]:
     return lp.delannoy_row(args.m, args.count)
 
 
-def _emit_scalar(fmt: str, record: dict, columns: tuple[str, ...]) -> None:
+def _emit(fmt: str, text, record, header: tuple, rows) -> None:
+    """Print one compute result as a text line, one JSON object, or a CSV
+    header and rows.
+
+    text, record and rows are called only for their own format, so each
+    format builds only what it prints (csv never renders a polynomial).
+    """
     if fmt == "text":
-        print(record["value"])
+        print(text())
     elif fmt == "json":
-        print(json.dumps(record))
+        print(json.dumps(record()))
     else:
-        _print_csv(columns, [tuple(record[c] for c in columns)])
-
-
-def _print_csv(header: tuple, rows: list[tuple]) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(out.getvalue())
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows())
+        sys.stdout.write(out.getvalue())
 
 
 def _run_verify(args) -> int:

@@ -9,14 +9,18 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import golden_reports
 import pytest
 from faults import CorruptingFamilies
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from delannoy_jacobi import cli, identities
 from delannoy_jacobi.cli import main
+from delannoy_jacobi.polynomial import Poly
 from delannoy_jacobi.render import parse_poly
 
 
@@ -152,6 +156,17 @@ class TestComputePoly:
         assert code == 1
         assert "error" in err
 
+    def test_csv_does_not_render_the_polynomial(self, capsys, monkeypatch):
+        def no_render(poly):
+            raise AssertionError("format_poly called for csv output")
+
+        monkeypatch.setattr(cli, "format_poly", no_render)
+        code, out, _ = run_cli(
+            capsys, "compute", "poly", "--family", "narayana", "--n", "3", "--format", "csv"
+        )
+        assert code == 0
+        assert out == "power,coefficient\r\n0,0\r\n1,1\r\n2,3\r\n3,1\r\n"
+
 
 class TestComputeCounts:
     def test_weighted_delannoy(self, capsys):
@@ -244,6 +259,66 @@ class TestComputeCounts:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["m", "n", "u", "v", "w", "value"]
         assert rows[1] == ["1", "1", "1", "1", "1", "3"]
+
+
+def _weight_flags(draw) -> list[str]:
+    # Signed p/q literals, each as a separate token, which cli joins to its flag.
+    flags = []
+    for flag in ("--u", "--v", "--w"):
+        weight = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 5)))
+        flags += [flag, str(weight)]
+    return flags
+
+
+@st.composite
+def compute_argv(draw) -> list[str]:
+    """A small compute request of any kind, without --format."""
+    what = draw(st.sampled_from(("delannoy", "schroder", "poly", "sequence")))
+    size = st.integers(0, 6)
+    if what == "delannoy":
+        return [what, "--m", str(draw(size)), "--n", str(draw(size)), *_weight_flags(draw)]
+    if what == "schroder":
+        return [what, "--n", str(draw(size)), *_weight_flags(draw)]
+    if what == "poly":
+        family = draw(st.sampled_from(sorted(cli.POLY_FAMILIES)))
+        return [what, "--family", family, "--n", str(draw(size)),
+                "--alpha", str(draw(st.integers(-8, 4))), "--beta", str(draw(st.integers(-8, 4)))]
+    name = draw(st.sampled_from(cli.SEQUENCES))
+    row = ["--m", str(draw(size))] if name == "delannoy-row" else []
+    return [what, "--name", name, "--count", str(draw(st.integers(0, 8))), *row]
+
+
+class TestCrossFormat:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(compute_argv())
+    def test_formats_carry_the_same_values(self, capsys, argv):
+        results = {
+            fmt: run_cli(capsys, "compute", *argv, "--format", fmt)
+            for fmt in ("text", "json", "csv")
+        }
+        codes = {code for code, _, _ in results.values()}
+        assert len(codes) == 1
+        if codes != {0}:  # a computation error reads the same in every format
+            assert {(out, err) for _, out, err in results.values()} == {("", results["text"][2])}
+            return
+        text = results["text"][1].removesuffix("\n")
+        record = json.loads(results["json"][1])
+        rows = list(csv.reader(io.StringIO(results["csv"][1])))
+        if argv[0] in ("delannoy", "schroder"):
+            assert text == record["value"]
+            assert rows == [list(record), [str(v) for v in record.values()]]
+        elif argv[0] == "poly":
+            coefficients = record["coefficients"]
+            assert text == record["text"]
+            assert parse_poly(text) == Poly(map(Fraction, coefficients))
+            numbered = ([str(k), c] for k, c in enumerate(coefficients))
+            assert rows == [["power", "coefficient"], *numbered]
+        else:
+            values = record["values"]
+            assert text == ", ".join(values)
+            numbered = ([str(k), v] for k, v in enumerate(values))
+            assert rows == [["index", "value"], *numbered]
 
 
 class TestVerify:
