@@ -6,11 +6,19 @@ loudly when applied past its last defined moment: the finite functionals
 here are only defined up to a degree bound, and silent extrapolation would
 hide exactly the boundary effects the Hankel-extension machinery probes.
 
+Both inner products here, a functional applied to a product
+(MomentFunctional.pair) and the weighted integral over [0, 1]
+(inner_weighted), take the two factors rather than their product: one
+helper, _convolve, multiplies the factors' integer numerators, and the
+result is summed against the moments on integers, so no product Poly and
+no Fraction per coefficient is built.
+
 Matrices are plain lists of Fraction rows; determinants use fraction-free
 (Bareiss) elimination, so integer inputs never leave the integers.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,14 +61,26 @@ class MomentFunctional:
         return self.moments[k]
 
     def __call__(self, p: Poly) -> Fraction:
-        """The value on p = sum N_k x^k / D, which is sum N_k m_k / D: summed
-        on integers over the moments' common denominator, so one Fraction is
-        built per call."""
-        if p.degree > self.max_degree:
-            raise DegreeOutOfRange(
-                f"degree {p.degree} exceeds defined moments (max {self.max_degree})"
-            )
+        """The value on p = sum N_k x^k / D, which is sum N_k m_k / D."""
         nums, d = p._numerators()
+        return self._apply(nums, d)
+
+    def pair(self, f: Poly, g: Poly) -> Fraction:
+        """The value on f*g, from the convolution of the integer numerators
+        of f and g (see _convolve); the product f*g is never built.  Raises
+        DegreeOutOfRange exactly when, and as, self(f * g) does."""
+        f_nums, f_den = f._numerators()
+        g_nums, g_den = g._numerators()
+        return self._apply(_convolve(f_nums, g_nums), f_den * g_den)
+
+    def _apply(self, nums: Sequence[int], d: int) -> Fraction:
+        """sum N_k m_k / D, summed on integers over the moments' common
+        denominator, so one Fraction is built per call."""
+        degree = len(nums) - 1
+        if degree > self.max_degree:
+            raise DegreeOutOfRange(
+                f"degree {degree} exceeds defined moments (max {self.max_degree})"
+            )
         moments = self.moments[: len(nums)]
         scale = math.lcm(*(m.denominator for m in moments))
         total = sum(n * m.numerator * (scale // m.denominator) for n, m in zip(nums, moments))
@@ -92,25 +112,34 @@ def lbeta_functional(beta: int) -> MomentFunctional:
     )
 
 
+def _convolve(f_nums: Sequence[int], g_nums: Sequence[int]) -> list[int]:
+    """The integer numerators of f*g from those of f and g: N_k = sum F_i G_j
+    over i+j = k.  A nonzero f and g give a nonzero top term, so the result
+    has exactly deg(f*g) + 1 entries, and none when f or g is zero."""
+    nums = [0] * (len(f_nums) + len(g_nums) - 1) if f_nums and g_nums else []
+    for i, a in enumerate(f_nums):
+        if a:
+            for j, b in enumerate(g_nums, start=i):
+                nums[j] += a * b
+    return nums
+
+
 def inner_weighted(f: Poly, g: Poly, alpha: int = 0, beta: int = 0) -> Fraction:
     """Exact integral of f*g*(1-x)^alpha*x^beta over [0, 1].
 
     Term by term this is the Beta integral: x^k contributes
     (k+beta)! alpha! / (k+beta+alpha+1)!.  With f = sum F_i x^i / D_f and
     g = sum G_j x^j / D_g, the integer numerators of f*g are the
-    convolution N_k = sum F_i G_j (i+j = k) over D = D_f D_g; with
-    T = deg(f*g) + beta + alpha + 1, the terms are summed on integers over
-    the common denominator D T!, so one Fraction is built per call.
+    convolution N_k = sum F_i G_j (i+j = k, see _convolve) over
+    D = D_f D_g; with T = deg(f*g) + beta + alpha + 1, the terms are summed
+    on integers over the common denominator D T!, so one Fraction is built
+    per call.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be nonnegative")
     f_nums, f_den = f._numerators()
     g_nums, g_den = g._numerators()
-    nums = [0] * (len(f_nums) + len(g_nums) - 1) if f_nums and g_nums else []
-    for i, a in enumerate(f_nums):
-        if a:
-            for j, b in enumerate(g_nums, start=i):
-                nums[j] += a * b
+    nums = _convolve(f_nums, g_nums)
     fact = math.factorial
     top = len(nums) + beta + alpha
     lower = fact(beta)  # (k+beta)!

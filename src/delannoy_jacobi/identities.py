@@ -7,6 +7,13 @@ lexicographic parameter order, so a reported counterexample is minimal),
 and optional free-form notes for observations that are recorded rather
 than asserted.
 
+A check that only reduces a product to a number, a moment functional of
+f*g or its weighted integral over [0, 1], never builds the product: it
+hands the two factors to MomentFunctional.pair or inner_weighted, which
+convolve their integer numerators.  The weight-grid entries compute each
+point's evaluation point and powers, and each family polynomial, outside
+their innermost loop.
+
 Family constructors are reached through the config's `families` namespace,
 which tests may replace with a corrupting wrapper to confirm that the
 registry actually detects wrong coefficients.
@@ -169,11 +176,19 @@ def run_all(config: SuiteConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
     return [run_identity(id, config) for id in sorted(REGISTRY)]
 
 
+def _grid(cfg: SuiteConfig) -> tuple[Fraction, ...]:
+    """The weight grid as Fractions.  Values that already are Fractions are
+    kept, not copied, so the triples that different entries build share
+    their coefficient objects, and a DP cache hit on another entry's triple
+    compares them by identity."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in cfg.weight_grid)
+
+
 def _weight_points(cfg: SuiteConfig):
     """The nonzero (u, v, w) points of the weight grid, in grid order, each
     with its WeightTriple; an entry builds this list once and reuses the
     triples, so its DP cache lookups hash the same objects."""
-    grid = tuple(Fraction(v) for v in cfg.weight_grid)
+    grid = _grid(cfg)
     return [
         (u, v, w, lp.WeightTriple.of(u, v, w))
         for u in grid
@@ -185,8 +200,14 @@ def _weight_points(cfg: SuiteConfig):
 
 def _x_points(cfg: SuiteConfig):
     """The (u, w) pairs of the weight grid, each with the triple (u, x, w)."""
-    grid = tuple(Fraction(v) for v in cfg.weight_grid)
+    grid = _grid(cfg)
     return [(u, w, lp.WeightTriple.of(u, X, w)) for u in grid for w in grid]
+
+
+def _powers(base: Fraction, lo: int, hi: int) -> dict[int, Fraction]:
+    """base^k for lo <= k <= hi, keyed by k: the powers a weight-grid entry
+    reads at one point, computed once per point rather than once per case."""
+    return {k: base ** k for k in range(lo, hi + 1)}
 
 
 _POLY_X_WT = lp.WeightTriple.of(1, X, -1)
@@ -254,15 +275,16 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig, rec: _Recorder) -> None:
 )
 def _wcd_legendre(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
-    points, x_points = _weight_points(cfg), _x_points(cfg)
+    points = [(u, v, w, wt, -w, -u * v / w) for u, v, w, wt in _weight_points(cfg)]
+    x_points = _x_points(cfg)
     for n in range(cfg.cap(6) + 1):
-        for u, v, w, wt in points:
+        p = F.shifted_legendre(n)
+        for u, v, w, wt, minus_w, at in points:
             lhs = lp.delannoy_weighted(n, n, wt).constant_value()
-            rhs = (-w) ** n * F.shifted_legendre(n)(-u * v / w)
-            rec.check(lhs, rhs, n=n, u=u, v=v, w=w)
+            rec.check(lhs, minus_w ** n * p(at), n=n, u=u, v=v, w=w)
         for u, w, wt in x_points:
             lhs = lp.delannoy_weighted(n, n, wt)
-            rhs = (-w) ** n * F.shifted_legendre(n).compose_affine(-u / w, 0)
+            rhs = (-w) ** n * p.compose_affine(-u / w, 0)
             rec.check(lhs, rhs, n=n, u=u, w=w, v="x")
 
 
@@ -274,15 +296,16 @@ def _wcd_legendre(cfg: SuiteConfig, rec: _Recorder) -> None:
 )
 def _wcd_legendre_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
-    points, x_points = _weight_points(cfg), _x_points(cfg)
+    points = [(u, v, w, wt, u * v / w + 1) for u, v, w, wt in _weight_points(cfg)]
+    x_points = _x_points(cfg)
     for n in range(cfg.cap(6) + 1):
-        for u, v, w, wt in points:
+        p = F.shifted_legendre(n)
+        for u, v, w, wt, at in points:
             lhs = lp.delannoy_weighted(n, n, wt).constant_value()
-            rhs = w ** n * F.shifted_legendre(n)(u * v / w + 1)
-            rec.check(lhs, rhs, n=n, u=u, v=v, w=w)
+            rec.check(lhs, w ** n * p(at), n=n, u=u, v=v, w=w)
         for u, w, wt in x_points:
             lhs = lp.delannoy_weighted(n, n, wt)
-            rhs = w ** n * F.shifted_legendre(n).compose_affine(u / w, 1)
+            rhs = w ** n * p.compose_affine(u / w, 1)
             rec.check(lhs, rhs, n=n, u=u, w=w, v="x")
 
 
@@ -294,12 +317,17 @@ def _wcd_legendre_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
 )
 def _wd_jacobi(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
-    points = _weight_points(cfg)
-    for n in range(cfg.cap(6) + 1):
+    top = cfg.cap(6)
+    points = [
+        (u, v, w, wt, -u * v / w, _powers(u, -top, 4), _powers(-w, 0, top))
+        for u, v, w, wt in _weight_points(cfg)
+    ]
+    for n in range(top + 1):
         for beta in range(-n, 5):
-            for u, v, w, wt in points:
+            p = F.shifted_jacobi(n, 0, beta)
+            for u, v, w, wt, at, u_pow, w_pow in points:
                 lhs = lp.delannoy_weighted(n + beta, n, wt).constant_value()
-                rhs = u ** beta * (-w) ** n * F.shifted_jacobi(n, 0, beta)(-u * v / w)
+                rhs = u_pow[beta] * w_pow[n] * p(at)
                 rec.check(lhs, rhs, n=n, beta=beta, u=u, v=v, w=w)
 
 
@@ -311,12 +339,17 @@ def _wd_jacobi(cfg: SuiteConfig, rec: _Recorder) -> None:
 )
 def _wd_jacobi_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
-    points = _weight_points(cfg)
-    for n in range(cfg.cap(6) + 1):
+    top = cfg.cap(6)
+    points = [
+        (u, v, w, wt, u * v / w + 1, _powers(u, -top, 4), _powers(w, 0, top))
+        for u, v, w, wt in _weight_points(cfg)
+    ]
+    for n in range(top + 1):
         for beta in range(-n, 5):
-            for u, v, w, wt in points:
+            p = F.shifted_jacobi(n, beta, 0)
+            for u, v, w, wt, at, u_pow, w_pow in points:
                 lhs = lp.delannoy_weighted(n + beta, n, wt).constant_value()
-                rhs = u ** beta * w ** n * F.shifted_jacobi(n, beta, 0)(u * v / w + 1)
+                rhs = u_pow[beta] * w_pow[n] * p(at)
                 rec.check(lhs, rhs, n=n, beta=beta, u=u, v=v, w=w)
 
 
@@ -386,10 +419,9 @@ def _orth_0beta(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
     for beta in range(5):
         for n in range(cfg.cap(6) + 1):
+            p = F.shifted_jacobi(n, 0, beta)
             for m in range(n):
-                value = (
-                    Poly.monomial(m + beta) * F.shifted_jacobi(n, 0, beta)
-                ).integrate(0, 1)
+                value = fn.inner_weighted(Poly.monomial(m), p, 0, beta)
                 rec.check(value, Fraction(0), beta=beta, n=n, m=m)
 
 
@@ -430,9 +462,9 @@ def _epl(cfg: SuiteConfig, rec: _Recorder) -> None:
     for n in range(top + 1):
         for m in range(top + 1):
             for beta in range(top + 1):
-                lhs = math.factorial(n + m + beta + 1) * (
-                    Poly.monomial(m + beta) * F.shifted_jacobi(n, 0, beta)
-                ).integrate(0, 1)
+                lhs = math.factorial(n + m + beta + 1) * fn.inner_weighted(
+                    Poly.monomial(m), F.shifted_jacobi(n, 0, beta), 0, beta
+                )
                 rhs = sum(
                     (-1) ** k
                     * binom(n + beta, k)
@@ -493,7 +525,7 @@ def _laguerre_orth(cfg: SuiteConfig, rec: _Recorder) -> None:
         for n in range(top + 1):
             if m != n:
                 rec.check(
-                    functional(F.laguerre(m) * F.laguerre(n)), Fraction(0), m=m, n=n
+                    functional.pair(F.laguerre(m), F.laguerre(n)), Fraction(0), m=m, n=n
                 )
     for beta in range(5):
         for m in range(top + 1):
@@ -501,29 +533,28 @@ def _laguerre_orth(cfg: SuiteConfig, rec: _Recorder) -> None:
             for n in range(top + 1):
                 if m != n:
                     rec.check(
-                        functional(weighted * F.laguerre_gen(n, beta)),
+                        functional.pair(weighted, F.laguerre_gen(n, beta)),
                         Fraction(0),
                         beta=beta, m=m, n=n,
                     )
     bridge_top = cfg.cap(5)
     for n in range(bridge_top + 1):
         for m in range(bridge_top + 1):
-            lhs = math.factorial(n + m + 1) * (
-                Poly.monomial(m) * F.shifted_legendre(n)
-            ).integrate(0, 1)
+            monomial = Poly.monomial(m)
+            lhs = math.factorial(n + m + 1) * fn.inner_weighted(monomial, F.shifted_legendre(n))
             rec.check(
-                lhs, functional(Poly.monomial(m) * F.laguerre(n)), n=n, m=m, form="plain"
+                lhs, functional.pair(monomial, F.laguerre(n)), n=n, m=m, form="plain"
             )
             for beta in range(bridge_top + 1):
-                lhs = math.factorial(n + m + beta + 1) * (
-                    Poly.monomial(m + beta) * F.shifted_jacobi(n, 0, beta)
-                ).integrate(0, 1)
+                lhs = math.factorial(n + m + beta + 1) * fn.inner_weighted(
+                    monomial, F.shifted_jacobi(n, 0, beta), 0, beta
+                )
                 rec.check(
                     lhs,
-                    functional(Poly.monomial(m + beta) * F.laguerre_gen(n, beta)),
+                    functional.pair(Poly.monomial(m + beta), F.laguerre_gen(n, beta)),
                     n=n, m=m, beta=beta, form="weighted",
                 )
-    diag = [str(functional(F.laguerre(n) * F.laguerre(n))) for n in range(top + 1)]
+    diag = [str(functional.pair(F.laguerre(n), F.laguerre(n))) for n in range(top + 1)]
     rec.note(
         "diagonal values L(l_n^2) for n = 0.. are "
         + ", ".join(diag)
@@ -619,7 +650,7 @@ def _romanovski_orth(cfg: SuiteConfig, rec: _Recorder) -> None:
         polys = [F.romanovski(n, 0, -beta) for n in range(top + 1)]
         for m in range(top + 1):
             for n in range(top + 1):
-                value = functional(polys[m] * polys[n])
+                value = functional.pair(polys[m], polys[n])
                 if m != n:
                     rec.check(value, Fraction(0), beta=beta, m=m, n=n)
                 else:
@@ -633,7 +664,7 @@ def _romanovski_orth(cfg: SuiteConfig, rec: _Recorder) -> None:
         extra = F.romanovski(boundary, 0, -beta)
         for m in range(boundary):
             rec.check(
-                functional(F.romanovski(m, 0, -beta) * extra),
+                functional.pair(F.romanovski(m, 0, -beta), extra),
                 Fraction(0),
                 beta=beta, m=m, n=boundary, claim="extension orthogonality",
             )
@@ -707,27 +738,32 @@ def _schroder(cfg: SuiteConfig, rec: _Recorder) -> None:
             Fraction(2, n + 1) * F.jacobi(n, -1, 1)(3),
             n=n, route="value at 3",
         )
-    points = _weight_points(cfg)
+    # Each point with -w, its two evaluation points -uv/w and uv/w + 1, and
+    # the factor 1 + w/(uv) of the (1,-1) and (-1,1) forms.
+    points = [
+        (u, v, w, wt, -w, -u * v / w, u * v / w + 1, 1 + w / (u * v))
+        for u, v, w, wt in _weight_points(cfg)
+    ]
     for n in range(cfg.cap(6) + 1):
-        for u, v, w, wt in points:
+        sn_poly = F.schroder_poly(n)
+        up_down = F.shifted_jacobi(n, 1, -1)
+        down_up = F.shifted_jacobi(n, -1, 1)
+        for u, v, w, wt, minus_w, at, swapped_at, factor in points:
             sn = lp.schroder_weighted(n, wt).constant_value()
+            scale = minus_w ** n
             rec.check(
-                sn,
-                (-w) ** n * F.schroder_poly(n)(-u * v / w),
-                n=n, u=u, v=v, w=w, route="scaled value",
+                sn, scale * sn_poly(at), n=n, u=u, v=v, w=w, route="scaled value",
             )
             if n >= 2:
                 rec.check(
                     sn,
-                    (-w) ** n / (n + 1) * (1 + w / (u * v))
-                    * F.shifted_jacobi(n, 1, -1)(-u * v / w),
+                    scale / (n + 1) * factor * up_down(at),
                     n=n, u=u, v=v, w=w, route="(1,-1) form",
                 )
             if n >= 1:
                 rec.check(
                     sn,
-                    w ** n / (n + 1) * (1 + w / (u * v))
-                    * F.shifted_jacobi(n, -1, 1)(u * v / w + 1),
+                    w ** n / (n + 1) * factor * down_up(swapped_at),
                     n=n, u=u, v=v, w=w, route="(-1,1) form",
                 )
 
@@ -741,11 +777,11 @@ def _schroder(cfg: SuiteConfig, rec: _Recorder) -> None:
 def _cdrec(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
     top = cfg.cap(8)
-    points = _weight_points(cfg)
+    points = [(u, v, w, wt, 2 * u * v) for u, v, w, wt in _weight_points(cfg)]
     for n in range(1, top + 1):
-        for u, v, w, wt in points:
+        for u, v, w, wt, two_uv in points:
             lhs = lp.delannoy_weighted(n, n, wt).constant_value()
-            rhs = 2 * u * v * sum(
+            rhs = two_uv * sum(
                 lp.delannoy_weighted(k, k, wt).constant_value()
                 * lp.schroder_weighted(n - k - 1, wt).constant_value()
                 for k in range(n)
@@ -879,6 +915,12 @@ def _sj_expansion(cfg: SuiteConfig, rec: _Recorder) -> None:
                 )
 
 
+def _reflected(p: Poly, n: int) -> Poly:
+    """(-1)^n p(-x), with the sign applied by negation, not by a product."""
+    p = p.compose_affine(-1, 0)
+    return -p if n % 2 else p
+
+
 @_register(
     "swap-rules",
     "Parameter swaps hold as polynomial identities: reflecting x swaps "
@@ -889,19 +931,19 @@ def _swap_rules(cfg: SuiteConfig, rec: _Recorder) -> None:
     F = cfg.families
     for n in range(cfg.cap(8) + 1):
         rec.check(
-            (-1) ** n * F.shifted_legendre(n).compose_affine(-1, 0),
+            _reflected(F.shifted_legendre(n), n),
             F.shifted_legendre(n).compose_affine(1, 1),
             n=n, rule="legendre shift",
         )
         for alpha in range(-3, 4):
             for beta in range(-3, 4):
                 rec.check(
-                    (-1) ** n * F.jacobi(n, alpha, beta).compose_affine(-1, 0),
+                    _reflected(F.jacobi(n, alpha, beta), n),
                     F.jacobi(n, beta, alpha),
                     n=n, alpha=alpha, beta=beta, rule="plain",
                 )
                 rec.check(
-                    (-1) ** n * F.shifted_jacobi(n, alpha, beta).compose_affine(-1, 0),
+                    _reflected(F.shifted_jacobi(n, alpha, beta), n),
                     F.shifted_jacobi(n, beta, alpha).compose_affine(1, 1),
                     n=n, alpha=alpha, beta=beta, rule="shifted",
                 )
