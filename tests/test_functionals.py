@@ -173,6 +173,49 @@ class TestInnerWeighted:
             inner_weighted(f, ONE, alpha, beta)
 
 
+class TestPair:
+    """MomentFunctional.pair(f, g) against the functional of the Poly
+    product f*g, and inner_weighted with a monomial factor against the
+    integral of the product Poly: the product routes are the oracles."""
+
+    # Rational coefficients with zero, negative and p/q values, and the zero
+    # polynomial.
+    factors = st.one_of(st.just(Poly()), st.lists(rationals, max_size=7).map(Poly))
+    # Degree bounds from 0 up, so that many products land past the last
+    # defined moment.
+    functionals = st.one_of(
+        st.integers(min_value=0, max_value=12).map(factorial_functional),
+        st.integers(min_value=2, max_value=14).map(lbeta_functional),
+    )
+
+    def test_examples(self):
+        L = factorial_functional(6)
+        assert L.pair(fam.laguerre(1), fam.laguerre(2)) == 0
+        assert L.pair(fam.laguerre(2), fam.laguerre(2)) == 4
+        assert L.pair(Poly(), Poly.monomial(9)) == 0
+        message = r"^degree 3 exceeds defined moments \(max 2\)$"
+        with pytest.raises(DegreeOutOfRange, match=message):
+            lbeta_functional(4).pair(X, X ** 2)
+
+    @settings(max_examples=300)
+    @given(functionals, factors, factors)
+    def test_matches_the_functional_of_the_product(self, functional, f, g):
+        try:
+            expected = functional(f * g)
+        except DegreeOutOfRange as exc:
+            with pytest.raises(DegreeOutOfRange) as info:
+                functional.pair(f, g)
+            assert str(info.value) == str(exc)
+        else:
+            assert functional.pair(f, g) == expected
+
+    @settings(max_examples=150)
+    @given(st.integers(min_value=0, max_value=6), factors, st.integers(min_value=0, max_value=6))
+    def test_monomial_factor_matches_the_integral_of_the_product(self, m, p, beta):
+        expected = (Poly.monomial(m + beta) * p).integrate(0, 1)
+        assert inner_weighted(Poly.monomial(m), p, 0, beta) == expected
+
+
 class TestGramMatrix:
     def test_shifted_legendre_diagonal(self):
         grams = gram_matrix(

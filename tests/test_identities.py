@@ -7,7 +7,7 @@ import golden_reports
 import pytest
 from faults import FAULT_TARGETS, CorruptingFamilies
 
-from delannoy_jacobi import paths
+from delannoy_jacobi import families, paths
 from delannoy_jacobi.identities import (
     REGISTRY,
     SuiteConfig,
@@ -15,6 +15,7 @@ from delannoy_jacobi.identities import (
     run_all,
     run_identity,
 )
+from delannoy_jacobi.polynomial import Poly
 
 SMALL = SuiteConfig(max_n=2)
 
@@ -116,10 +117,11 @@ def test_corruption_error_paths_are_reported_not_raised():
     assert report.counterexample is not None
 
 
-def _clear_path_caches():
-    for value in vars(paths).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+def _clear_caches(*modules):
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 @pytest.mark.parametrize("off_axes, wd_at, epl_at", [
@@ -138,7 +140,7 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
         found = count_paths(m, n)
         return found if off_axes and not (m and n) else itertools.islice(found, 1, None)
 
-    _clear_path_caches()
+    _clear_caches(paths)
     monkeypatch.setattr(paths, "_diagonal_counts", one_path_short)
     try:
         report = run_identity("wd-closed-vs-dp-vs-enum")
@@ -151,9 +153,47 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
         assert report.counterexample["params"] == {**epl_at, "route": "pair enumeration"}
     finally:
         monkeypatch.undo()
-        _clear_path_caches()
+        _clear_caches(paths)
     assert run_identity("wd-closed-vs-dp-vs-enum").status == "pass"
     assert run_identity("epl").status == "pass"
+
+
+def _products_from_cold_caches(monkeypatch, id):
+    """The operands of every Poly product one entry takes, run with empty
+    path and family caches.  __rmul__ is counted too: a scalar times a Poly
+    reaches the product through it."""
+    products = []
+    multiply = Poly.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return multiply(self, other)
+
+    _clear_caches(paths, families)
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    report = run_identity(id)
+    monkeypatch.undo()
+    assert report.status == "pass"
+    return products
+
+
+@pytest.mark.parametrize("id", ["swap-rules", "epl", "orth-0beta", "romanovski-orth"])
+def test_checks_that_reduce_products_to_numbers_build_none(monkeypatch, id):
+    # Functionals and [0, 1] integrals take both factors, and (-1)^n is a
+    # negation, so none of these entries multiplies two polynomials.
+    assert _products_from_cold_caches(monkeypatch, id) == []
+
+
+def test_laguerre_orth_builds_only_the_weighted_laguerre_factors(monkeypatch):
+    # x^beta L_m^(beta) is a factor of every weighted off-diagonal pair, so
+    # it alone is built, once per (beta, m).
+    expected = [
+        (Poly.monomial(beta), families.laguerre_gen(m, beta))
+        for beta in range(5)
+        for m in range(7)
+    ]
+    assert _products_from_cold_caches(monkeypatch, "laguerre-orth") == expected
 
 
 GOLDEN = json.loads(golden_reports.GOLDEN.read_text())
