@@ -2,19 +2,18 @@
 
 All parameters are integers (negative values allowed where noted), so every
 coefficient comes out of generalized binomials and stays an exact rational.
-The Jacobi polynomials are built by one integer Taylor shift of the
-coefficient sequence that romanovski_sum returns, and the shifted and
-Romanovski families compose them with 2x-1 and 2x+1.  So the identity
-suite's dual-routes entry checks a compose_affine round trip against the
-direct sum (and, for the shifted Legendre family, against a second
-binomial sum); the Jacobi formula itself is checked independently through
-the path DP by the dp1, llp, wd-jacobi and wd-jacobi-swap entries.
+The Jacobi-type families are the integer sequence R = romanovski_sum
+shifted once or not at all: romanovski is R, jacobi is R((x-1)/2) and
+shifted_jacobi is R(x-1).  The path DP checks jacobi in the dp1,
+modified-delannoy and schroder entries and shifted_jacobi in llp, wd-jacobi
+and wd-jacobi-swap; dual-routes checks romanovski against jacobi composed
+with 2x+1, and the shifted Legendre family against a second binomial sum.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomial import CACHE_SIZE, ONE, Poly, X, binom
+from .polynomial import CACHE_SIZE, Poly, binom
 
 
 class InvalidIndex(ValueError):
@@ -28,33 +27,34 @@ def jacobi(n: int, alpha: int = 0, beta: int = 0) -> Poly:
     Defined by the explicit sum
         sum_j C(n+alpha+beta+j, j) C(n+alpha, n-j) ((x-1)/2)^j,
     which agrees with the classical polynomials for alpha, beta > -1.  For
-    negative integer parameters the degree may drop below n.  The sum is
-    the integer sequence of romanovski_sum composed with (x-1)/2, so it is
-    built by one Taylor shift on integers (Poly.compose_affine).
+    negative integer parameters the degree may drop below n.  It is
+    R((x-1)/2) for R = romanovski_sum, one integer Taylor shift.
     """
     return romanovski_sum(n, alpha, beta).compose_affine(Fraction(1, 2), Fraction(-1, 2))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def shifted_jacobi(n: int, alpha: int = 0, beta: int = 0) -> Poly:
-    """Shifted Jacobi polynomial: the Jacobi polynomial composed with 2x-1."""
-    return jacobi(n, alpha, beta).compose_affine(2, -1)
+    """Shifted Jacobi polynomial: the Jacobi polynomial composed with 2x-1,
+    which is R(x-1) for R = romanovski_sum, one integer Taylor shift."""
+    return romanovski_sum(n, alpha, beta).compose_affine(1, -1)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def romanovski(n: int, alpha: int = 0, beta: int = 0) -> Poly:
-    """Romanovski-Jacobi polynomial: the Jacobi polynomial composed with 2x+1.
+    """Romanovski-Jacobi polynomial: the Jacobi polynomial composed with 2x+1,
+    which is R((2x+1-1)/2) = R(x), romanovski_sum itself.
 
     For alpha = 0 and negative integer second parameter these form finite
     orthogonal sequences; the definition itself is valid for all n.
     """
-    return jacobi(n, alpha, beta).compose_affine(2, 1)
+    return romanovski_sum(n, alpha, beta)
 
 
 def romanovski_sum(n: int, alpha: int = 0, beta: int = 0) -> Poly:
     """Direct sum: sum_j C(n+alpha+beta+j, j) C(n+alpha, n-j) x^j.
 
-    These are the Romanovski coefficients, and jacobi is built from them.
+    The Romanovski coefficients, from which each Jacobi-type family is built.
     """
     if n < 0:
         raise InvalidIndex("n must be nonnegative")
@@ -167,9 +167,8 @@ def legendre_q(n: int) -> Poly:
 
 
 def monic_schroder(n: int) -> Poly:
-    """Monic family (1/C(2n,n)) ((x-1)/x) times the (1,-1) shifted Jacobi
-    polynomial; equal to (n+1) S_n / C(2n,n) for n >= 1."""
-    if n == 0:
-        return ONE
-    cleared = (X - 1) * shifted_jacobi(n, 1, -1)
-    return Fraction(1, binom(2 * n, n)) * cleared.div_x()
+    """Monic family (n+1) S_n / C(2n,n) of the Schroeder polynomials; it
+    equals (1/C(2n,n)) ((x-1)/x) times the (1,-1) shifted Jacobi polynomial
+    (the schroder entry checks S_n against that division form)."""
+    sn = schroder_poly(n)  # raises InvalidIndex for n < 0, before C(2n, n) = 0
+    return Fraction(n + 1, binom(2 * n, n)) * sn

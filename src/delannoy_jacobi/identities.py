@@ -45,11 +45,31 @@ class SuiteConfig:
     the rational substitution points for (u, v, w).  families is the
     namespace the verifiers build polynomial families from; tests swap in a
     fault-injecting wrapper to exercise the harness itself.
+
+    Values the CLI rejects raise here too: a negative max_n or an empty
+    grid would run entries with no case, a zero weight divides by zero, and
+    a float would enter as its binary expansion.
     """
 
     max_n: int | None = None
     weight_grid: tuple[Fraction, ...] = (Fraction(1), Fraction(2), Fraction(3))
     families: Any = _families
+
+    def __post_init__(self):
+        max_n = self.max_n
+        if max_n is not None and (
+            not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 0
+        ):
+            raise ValueError(f"max_n must be a nonnegative int or None, got {max_n!r}")
+        for value in self.weight_grid:
+            if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+                raise TypeError(
+                    f"weight_grid values must be ints or Fractions, got {value!r}"
+                )
+        if not self.weight_grid or 0 in self.weight_grid:
+            raise ValueError(
+                f"weight_grid must list nonzero rationals, got {self.weight_grid!r}"
+            )
 
     def cap(self, default: int) -> int:
         if self.max_n is None:
@@ -965,7 +985,7 @@ def _dual_routes(cfg: SuiteConfig, rec: _Recorder) -> None:
             for beta in range(-3, 4):
                 rec.check(
                     F.romanovski(n, alpha, beta),
-                    F.romanovski_sum(n, alpha, beta),
+                    F.jacobi(n, alpha, beta).compose_affine(2, 1),
                     n=n, alpha=alpha, beta=beta, family="2x+1 transform",
                 )
 

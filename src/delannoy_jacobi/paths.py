@@ -12,8 +12,8 @@ and diagonal_tally) and the closed sum are their oracles.  Enumeration runs
 up to fixed bounds, ENUMERATION_CAP = 16 steps per path and PAIR_CAP = 9
 elements per path/bijection pair, and raises CapExceeded beyond them; the
 polynomial-time DPs and closed sums have no bound.  Enumeration is a
-depth-first walk with an explicit stack over the steps allowed from each
-lattice point: it needs no recursion and yields every path exactly once, in
+depth-first walk with an explicit stack of lattice points and the steps
+that reach them: it needs no recursion and yields every path exactly once, in
 the lexicographic order east < north < northeast, and it never uses the
 closed sum's choice of step positions, whose oracle it is.  diagonal_tally
 counts the paths to one endpoint by northeast steps, for the oracles that
@@ -131,39 +131,25 @@ def schroder_enumerate(n: int) -> Iterator[tuple[Step, ...]]:
 
 def _depth_first(end: tuple[int, int], inside) -> Iterator[tuple[Step, ...]]:
     """Yield the steps of every walk from (0,0) to `end` that stays on the
-    points (i, j) with inside(i, j), depth first.
-
-    The steps allowed from each point are listed once, east before north
-    before northeast, and stack[k] iterates over those still to try after
-    path[:k], so the walk needs no recursion and yields each walk once, in
-    that lexicographic order, when it reaches `end`.
-    """
-    if end == (0, 0):
-        yield ()
-        return
-    moves = {
-        (i, j): [
-            (step, (i + step.dx, j + step.dy))
-            for step in Step if inside(i + step.dx, j + step.dy)
-        ]
-        for i in range(end[0] + 1) for j in range(end[1] + 1) if inside(i, j)
-    }
-    path: list[Step] = []
-    stack = [iter(moves[0, 0])]
+    points (i, j) with inside(i, j), depth first, in the lexicographic order
+    east < north < northeast.  Each stack entry is a lattice point with the
+    steps taken to reach it, as in _diagonal_walk."""
+    m, n = end
+    east, north, diag = Step.EAST, Step.NORTH, Step.DIAG
+    stack = [(0, 0, ())]
+    pop, push = stack.pop, stack.append
     while stack:
-        move = next(stack[-1], None)
-        if move is None:
-            stack.pop()
-            if path:
-                path.pop()
+        i, j, steps = pop()
+        if i == m and j == n:
+            yield steps
             continue
-        step, point = move
-        path.append(step)
-        if point == end:
-            yield tuple(path)
-            path.pop()
-        else:
-            stack.append(iter(moves[point]))
+        # Pushed last, popped first: east before north before northeast.
+        if inside(i + 1, j + 1):
+            push((i + 1, j + 1, steps + (diag,)))
+        if inside(i, j + 1):
+            push((i, j + 1, steps + (north,)))
+        if inside(i + 1, j):
+            push((i + 1, j, steps + (east,)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -663,6 +663,25 @@ class TestModuleEntry:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "1, 2, 6, 22, 90\n"
 
+    @pytest.mark.parametrize("argv, last_line", [
+        (["compute", "sequence", "--name", "schroder", "--count", "5"], "1, 2, 6, 22, 90"),
+        (["verify", "--all", "--max-n", "2"], "28 identities: 28 passed, 0 failed"),
+    ])
+    def test_console_script_entrypoint(self, capsys, monkeypatch, tmp_path, argv, last_line):
+        # The installed delannoy-jacobi command calls cli.entrypoint with no
+        # arguments; it exits with main's status.  Run from an empty
+        # directory, as the installed command would be, so no config applies.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = pyproject.read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        assert 'delannoy-jacobi = "delannoy_jacobi.cli:entrypoint"' in scripts
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DJ_CONFIG", raising=False)
+        monkeypatch.setattr(sys, "argv", ["delannoy-jacobi", *argv])
+        with pytest.raises(SystemExit) as exited:
+            cli.entrypoint()
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == last_line
+
 
 OUTPUTS = json.loads(golden_reports.OUTPUTS.read_text())
 

@@ -81,6 +81,85 @@ class TestJacobi:
         assert p.compose_affine(2, 1) == fam.romanovski_sum(145, alpha, beta)
 
 
+def _cold_compose_calls(monkeypatch, constructor, *args):
+    """The value of one family call made with empty family caches, and the
+    number of Poly.compose_affine calls it took."""
+    calls = []
+    compose = Poly.compose_affine
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return compose(self, a, b)
+
+    for value in vars(fam).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    monkeypatch.setattr(Poly, "compose_affine", counted)
+    value = constructor(*args)
+    monkeypatch.undo()
+    return value, len(calls)
+
+
+class TestOneStepConstruction:
+    """Each Jacobi-type family is one Taylor shift, or none, of the
+    Romanovski coefficients; the former two-shift chain is the oracle."""
+
+    def test_romanovski_shifts_nothing(self, monkeypatch):
+        value, calls = _cold_compose_calls(monkeypatch, fam.romanovski, 6, 1, -4)
+        assert (value, calls) == (fam.romanovski_sum(6, 1, -4), 0)
+
+    def test_shifted_jacobi_shifts_once(self, monkeypatch):
+        value, calls = _cold_compose_calls(monkeypatch, fam.shifted_jacobi, 6, 1, -4)
+        assert calls == 1
+        assert value == fam.jacobi(6, 1, -4).compose_affine(2, -1)
+
+    def test_monic_schroder_shifts_nothing(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("monic_schroder called shifted_jacobi")
+
+        monkeypatch.setattr(fam, "shifted_jacobi", forbidden)
+        value, calls = _cold_compose_calls(monkeypatch, fam.monic_schroder, 7)
+        assert calls == 0
+        assert value.degree == 7 and value.leading == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_shifted_jacobi_matches_the_two_shift_chain(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=30))
+        alpha = data.draw(st.integers(min_value=-n - 3, max_value=10))
+        beta = data.draw(st.integers(min_value=-n - 3, max_value=10))
+        expected = fam.jacobi(n, alpha, beta).compose_affine(2, -1)
+        assert fam.shifted_jacobi(n, alpha, beta) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_romanovski_matches_the_two_shift_chain(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=30))
+        alpha = data.draw(st.integers(min_value=-n - 3, max_value=10))
+        beta = data.draw(st.integers(min_value=-n - 3, max_value=10))
+        expected = fam.jacobi(n, alpha, beta).compose_affine(2, 1)
+        assert fam.romanovski(n, alpha, beta) == expected
+
+    @pytest.mark.parametrize("alpha, beta", [(0, 0), (3, -7), (-40, 6), (6, -145), (-150, 2)])
+    def test_both_match_the_two_shift_chain_at_n_145(self, alpha, beta):
+        p = fam.jacobi(145, alpha, beta)
+        assert fam.shifted_jacobi(145, alpha, beta) == p.compose_affine(2, -1)
+        assert fam.romanovski(145, alpha, beta) == p.compose_affine(2, 1)
+
+    def test_monic_schroder_matches_the_division_form(self):
+        for n in range(1, 41):
+            cleared = (X - 1) * fam.shifted_jacobi(n, 1, -1)
+            expected = F(1, binom(2 * n, n)) * cleared.div_x()
+            assert fam.monic_schroder(n) == expected, n
+
+    @pytest.mark.parametrize("constructor", [
+        fam.shifted_jacobi, fam.romanovski, fam.monic_schroder,
+    ])
+    def test_negative_index_is_invalid(self, constructor):
+        with pytest.raises(InvalidIndex):
+            constructor(-1)
+
+
 class TestShiftedJacobi:
     def test_examples(self):
         assert fam.shifted_jacobi(1, 0, 0) == Poly((-1, 2))

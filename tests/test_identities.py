@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import golden_reports
 import pytest
@@ -89,6 +90,57 @@ def test_fault_injection_whole_registry():
     config = SuiteConfig(max_n=3, families=CorruptingFamilies("shifted_jacobi", 0))
     reports = run_all(config)
     assert any(r.status == "fail" for r in reports)
+
+
+class _RecordingFamilies:
+    """Family namespace that records the name of every attribute looked up."""
+
+    def __init__(self):
+        self.looked_up = set()
+
+    def __getattr__(self, name):
+        self.looked_up.add(name)
+        return getattr(families, name)
+
+
+@pytest.mark.parametrize("id", sorted({id for ids in FAULT_TARGETS.values() for id in ids}))
+def test_fault_targets_look_up_their_family(id):
+    # The fault sweep corrupts a family only in its listed entries, so each
+    # listed entry must really reach that family through the namespace.
+    recording = _RecordingFamilies()
+    report = run_identity(id, SuiteConfig(max_n=2, families=recording))
+    assert report.status == "pass"
+    expected = {family for family, ids in FAULT_TARGETS.items() if id in ids}
+    assert expected <= recording.looked_up
+
+
+@pytest.mark.parametrize("settings", [
+    {"max_n": -1},
+    {"max_n": 1.5},
+    {"max_n": "3"},
+    {"max_n": True},
+    {"weight_grid": ()},
+    {"weight_grid": (0, 1)},
+    {"weight_grid": (Fraction(1), Fraction(0))},
+])
+def test_suite_config_rejects_what_the_cli_rejects(settings):
+    # A negative max_n ran most entries with no case, an empty grid passed
+    # the weight-grid entries with none, and a zero weight divided by zero.
+    with pytest.raises(ValueError):
+        SuiteConfig(**settings)
+
+
+@pytest.mark.parametrize("grid", [(0.1,), (1, "2"), (Fraction(1), 2.0), (True,)])
+def test_suite_config_rejects_grid_values_that_are_not_rational(grid):
+    # A float entered as its binary expansion, 0.1 as 3602879701896397/2^55.
+    with pytest.raises(TypeError):
+        SuiteConfig(weight_grid=grid)
+
+
+def test_suite_config_accepts_ints_fractions_and_no_max_n():
+    config = SuiteConfig(max_n=0, weight_grid=(1, Fraction(-1, 2)))
+    assert (config.max_n, config.weight_grid) == (0, (1, Fraction(-1, 2)))
+    assert SuiteConfig().max_n is None
 
 
 def test_counterexample_is_lexicographically_first():
