@@ -18,6 +18,10 @@ FAULT_TARGETS = {
     "schroder_poly": ["schroder", "antideriv"],
     "narayana": ["narayana"],
     "sj_product_expansion": ["sj-expansion"],
+    "monic_legendre": ["favard-legendre"],
+    "legendre_q": ["favard-legendre"],
+    "monic_schroder": ["favard-schroder"],
+    "shifted_legendre_sum": ["dual-routes"],
 }
 
 

@@ -291,6 +291,8 @@ def test_criterion_15_fault_injection():
             "jacobi": 3, "shifted_jacobi": 3, "romanovski": 3, "legendre": 3,
             "shifted_legendre": 3, "laguerre": 3, "laguerre_gen": 3,
             "schroder_poly": 3, "narayana": 3, "sj_product_expansion": 4,
+            "monic_legendre": 3, "legendre_q": 3, "monic_schroder": 3,
+            "shifted_legendre_sum": 3,
         }[family]
         for index in range(representative + 1):
             config = SuiteConfig(max_n=4, families=CorruptingFamilies(family, index))

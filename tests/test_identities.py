@@ -114,6 +114,14 @@ def test_fault_targets_look_up_their_family(id):
     assert expected <= recording.looked_up
 
 
+def test_every_family_the_registry_looks_up_is_a_fault_target():
+    # A family that no FAULT_TARGETS key names is never corrupted by the
+    # fault sweep, so nothing pins that the registry catches it.
+    recording = _RecordingFamilies()
+    assert all(r.status == "pass" for r in run_all(SuiteConfig(families=recording)))
+    assert recording.looked_up <= set(FAULT_TARGETS)
+
+
 @pytest.mark.parametrize("settings", [
     {"max_n": -1},
     {"max_n": 1.5},
