@@ -7,6 +7,17 @@ lexicographic parameter order, so a reported counterexample is minimal),
 and optional free-form notes for observations that are recorded rather
 than asserted.
 
+Each entry's verifier is a generator.  It does the entry's setup (family
+lists, weight triples, powers, functionals, and any value that several
+cases share) and yields one case per grid point, in grid order: a case
+(params, lhs, rhs), whose two sides are zero-argument callables, or a
+claim (params, condition, text), a zero-argument condition with the text
+of what must hold.  It returns the entry's note, if any.  run_identity is
+the only loop that evaluates, counts and compares cases.  It calls a
+case's sides before it resumes the verifier, so a side may read the
+verifier's current loop variables; and iterating a verifier without
+calling any side lists the entry's grid.
+
 A check that only reduces a product to a number, a moment functional of
 f*g or its weighted integral over [0, 1], never builds the product: it
 hands the two factors to MomentFunctional.pair or inner_weighted, which
@@ -21,9 +32,10 @@ registry actually detects wrong coefficients.
 
 import math
 import time
+from collections.abc import Callable, Generator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 from . import families as _families
 from . import functionals as fn
@@ -93,36 +105,21 @@ class IdentityReport:
         return asdict(self)
 
 
-class _CaseFailed(Exception):
-    pass
+# A verifier yields one tuple per grid point, built by _case or _claim, and
+# returns its note.  The tuples are plain, the cheapest kind to build: the
+# default registry yields 10 524 of them.
+Cases = Generator[tuple, None, str | None]
 
 
-class _Recorder:
-    """Counts cases and stops a verifier at its first failing grid point."""
+def _case(lhs: Callable[[], Any], rhs: Callable[[], Any], **params) -> tuple:
+    """A grid point that holds when lhs() == rhs()."""
+    return params, lhs, rhs
 
-    def __init__(self):
-        self.cases = 0
-        self.counterexample: dict | None = None
-        self.notes: list[str] = []
 
-    def check(self, lhs, rhs, **params) -> None:
-        self.cases += 1
-        if lhs != rhs:
-            self.counterexample = {
-                "params": _labels(params),
-                "lhs": _show(lhs),
-                "rhs": _show(rhs),
-            }
-            raise _CaseFailed
-
-    def check_true(self, condition: bool, claim: str, **params) -> None:
-        self.cases += 1
-        if not condition:
-            self.counterexample = {"params": _labels(params), "claim": claim}
-            raise _CaseFailed
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
+def _claim(condition: Callable[[], bool], text: str, **params) -> tuple:
+    """A grid point that holds when condition() is true; text says what
+    must hold."""
+    return params, condition, text
 
 
 def _labels(params: dict) -> dict:
@@ -138,12 +135,24 @@ def _show(value) -> str:
     return str(value)
 
 
+def _failure(case: tuple) -> dict | None:
+    """Evaluate one case, lhs before rhs, or one claim: its counterexample,
+    or None if it holds."""
+    params, first, second = case
+    if isinstance(second, str):  # a claim: its condition and text
+        return None if first() else {"params": _labels(params), "claim": second}
+    lhs, rhs = first(), second()
+    if lhs != rhs:
+        return {"params": _labels(params), "lhs": _show(lhs), "rhs": _show(rhs)}
+    return None
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     id: str
     description: str
     grid: str  # human-readable summary of the default parameter grid
-    verifier: Callable[[SuiteConfig, _Recorder], None]
+    verifier: Callable[[SuiteConfig], Cases]
 
 
 REGISTRY: dict[str, IdentityCheck] = {}
@@ -167,27 +176,42 @@ def lookup(id: str) -> IdentityCheck:
 
 
 def run_identity(id: str, config: SuiteConfig = DEFAULT_CONFIG) -> IdentityReport:
-    """Run one registry entry and report the outcome."""
+    """Run one registry entry and report the outcome.
+
+    This is the only loop over an entry's cases.  It evaluates each case
+    before it resumes the verifier, so a side's lambda may read the
+    verifier's current loop variables.  A case counts once both sides are
+    evaluated; the run stops at the first case that does not hold, and an
+    exception, in a side or in the verifier's own setup, fails the entry
+    after the cases counted so far.  The verifier's return value is the
+    report's note, which a failed run does not reach.
+    """
     entry = lookup(id)
-    rec = _Recorder()
+    cases, counterexample, notes = 0, None, None
+    verifier = entry.verifier(config)
     start = time.perf_counter()
     try:
-        entry.verifier(config, rec)
-    except _CaseFailed:
-        pass
+        while counterexample is None:
+            try:
+                case = next(verifier)
+            except StopIteration as done:
+                notes = done.value
+                break
+            counterexample = _failure(case)
+            cases += 1
     except Exception as exc:  # a broken input should fail the entry, not the runner
-        rec.counterexample = {
-            "params": {"after_cases": rec.cases},
+        counterexample = {
+            "params": {"after_cases": cases},
             "error": f"{type(exc).__name__}: {exc}",
         }
     millis = int((time.perf_counter() - start) * 1000)
     return IdentityReport(
         id=id,
-        status="fail" if rec.counterexample is not None else "pass",
-        cases_run=rec.cases,
-        counterexample=rec.counterexample,
+        status="fail" if counterexample is not None else "pass",
+        cases_run=cases,
+        counterexample=counterexample,
         millis=millis,
-        notes="; ".join(rec.notes) if rec.notes else None,
+        notes=notes,
     )
 
 
@@ -252,23 +276,19 @@ _ENUMERATION_POINTS = [
     "the same weighted Delannoy totals",
     "m,n <= 6 on the weight grid; enumeration leg for m+n <= 8",
 )
-def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
     top = cfg.cap(6)
     points = _weight_points(cfg)
     for m in range(top + 1):
         for n in range(top + 1):
             for u, v, w, wt in points:
-                rec.check(
-                    lp.delannoy_weighted(m, n, wt),
-                    lp.delannoy_closed(m, n, wt),
-                    m=m, n=n, u=u, v=v, w=w,
-                )
+                yield _case(lambda: lp.delannoy_weighted(m, n, wt),
+                            lambda: lp.delannoy_closed(m, n, wt),
+                            m=m, n=n, u=u, v=v, w=w)
             # Polynomial weights exercise the same code path symbolically.
-            rec.check(
-                lp.delannoy_weighted(m, n, _POLY_X_WT),
-                lp.delannoy_closed(m, n, _POLY_X_WT),
-                m=m, n=n, weights="(1, x, -1)",
-            )
+            yield _case(lambda: lp.delannoy_weighted(m, n, _POLY_X_WT),
+                        lambda: lp.delannoy_closed(m, n, _POLY_X_WT),
+                        m=m, n=n, weights="(1, x, -1)")
     for m in range(top + 1):
         for n in range(top + 1):
             if m + n > 8:
@@ -277,14 +297,15 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig, rec: _Recorder) -> None:
             # u^(m-d) v^(n-d) w^d, so the paths are summed by that count.
             tally = lp.diagonal_tally(m, n)
             for u, v, w, wt in _ENUMERATION_POINTS:
-                total = sum(
-                    npaths * u ** (m - d) * v ** (n - d) * w ** d
-                    for d, npaths in enumerate(tally)
-                )
-                rec.check(
-                    Poly.constant(total), lp.delannoy_weighted(m, n, wt),
-                    m=m, n=n, u=u, v=v, w=w, route="enumeration",
-                )
+                yield _case(lambda: Poly.constant(sum(npaths * u ** (m - d) * v ** (n - d) * w ** d
+                                                      for d, npaths in enumerate(tally))),
+                            lambda: lp.delannoy_weighted(m, n, wt),
+                            m=m, n=n, u=u, v=v, w=w, route="enumeration")
+
+
+def _scaled(c: Fraction, p: Poly) -> Poly:
+    """c * p for a nonzero constant c: each coefficient scaled, no product."""
+    return Poly([c * k for k in p.coeffs])
 
 
 @_register(
@@ -293,19 +314,20 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig, rec: _Recorder) -> None:
     "(-w)^n P~_n(-uv/w)",
     "n <= 6; (u,v,w) on the weight grid; plus the v = x polynomial form",
 )
-def _wcd_legendre(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _wcd_legendre(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     points = [(u, v, w, wt, -w, -u * v / w) for u, v, w, wt in _weight_points(cfg)]
     x_points = _x_points(cfg)
     for n in range(cfg.cap(6) + 1):
         p = F.shifted_legendre(n)
         for u, v, w, wt, minus_w, at in points:
-            lhs = lp.delannoy_weighted(n, n, wt).constant_value()
-            rec.check(lhs, minus_w ** n * p(at), n=n, u=u, v=v, w=w)
+            yield _case(lambda: lp.delannoy_weighted(n, n, wt).constant_value(),
+                        lambda: minus_w ** n * p(at),
+                        n=n, u=u, v=v, w=w)
         for u, w, wt in x_points:
-            lhs = lp.delannoy_weighted(n, n, wt)
-            rhs = (-w) ** n * p.compose_affine(-u / w, 0)
-            rec.check(lhs, rhs, n=n, u=u, w=w, v="x")
+            yield _case(lambda: lp.delannoy_weighted(n, n, wt),
+                        lambda: _scaled((-w) ** n, p.compose_affine(-u / w, 0)),
+                        n=n, u=u, w=w, v="x")
 
 
 @_register(
@@ -314,19 +336,20 @@ def _wcd_legendre(cfg: SuiteConfig, rec: _Recorder) -> None:
     "w^n P~_n(uv/w + 1)",
     "n <= 6; (u,v,w) on the weight grid; plus the v = x polynomial form",
 )
-def _wcd_legendre_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _wcd_legendre_swap(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     points = [(u, v, w, wt, u * v / w + 1) for u, v, w, wt in _weight_points(cfg)]
     x_points = _x_points(cfg)
     for n in range(cfg.cap(6) + 1):
         p = F.shifted_legendre(n)
         for u, v, w, wt, at in points:
-            lhs = lp.delannoy_weighted(n, n, wt).constant_value()
-            rec.check(lhs, w ** n * p(at), n=n, u=u, v=v, w=w)
+            yield _case(lambda: lp.delannoy_weighted(n, n, wt).constant_value(),
+                        lambda: w ** n * p(at),
+                        n=n, u=u, v=v, w=w)
         for u, w, wt in x_points:
-            lhs = lp.delannoy_weighted(n, n, wt)
-            rhs = w ** n * p.compose_affine(u / w, 1)
-            rec.check(lhs, rhs, n=n, u=u, w=w, v="x")
+            yield _case(lambda: lp.delannoy_weighted(n, n, wt),
+                        lambda: _scaled(w ** n, p.compose_affine(u / w, 1)),
+                        n=n, u=u, w=w, v="x")
 
 
 @_register(
@@ -335,7 +358,7 @@ def _wcd_legendre_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
     "u^beta (-w)^n P~_n^(0,beta)(-uv/w)",
     "n <= 6, beta in [-n, 4], (u,v,w) on the weight grid",
 )
-def _wd_jacobi(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _wd_jacobi(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     top = cfg.cap(6)
     points = [
@@ -346,9 +369,9 @@ def _wd_jacobi(cfg: SuiteConfig, rec: _Recorder) -> None:
         for beta in range(-n, 5):
             p = F.shifted_jacobi(n, 0, beta)
             for u, v, w, wt, at, u_pow, w_pow in points:
-                lhs = lp.delannoy_weighted(n + beta, n, wt).constant_value()
-                rhs = u_pow[beta] * w_pow[n] * p(at)
-                rec.check(lhs, rhs, n=n, beta=beta, u=u, v=v, w=w)
+                yield _case(lambda: lp.delannoy_weighted(n + beta, n, wt).constant_value(),
+                            lambda: u_pow[beta] * w_pow[n] * p(at),
+                            n=n, beta=beta, u=u, v=v, w=w)
 
 
 @_register(
@@ -357,7 +380,7 @@ def _wd_jacobi(cfg: SuiteConfig, rec: _Recorder) -> None:
     "u^beta w^n P~_n^(beta,0)(uv/w + 1)",
     "n <= 6, beta in [-n, 4], (u,v,w) on the weight grid",
 )
-def _wd_jacobi_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _wd_jacobi_swap(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     top = cfg.cap(6)
     points = [
@@ -368,9 +391,9 @@ def _wd_jacobi_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
         for beta in range(-n, 5):
             p = F.shifted_jacobi(n, beta, 0)
             for u, v, w, wt, at, u_pow, w_pow in points:
-                lhs = lp.delannoy_weighted(n + beta, n, wt).constant_value()
-                rhs = u_pow[beta] * w_pow[n] * p(at)
-                rec.check(lhs, rhs, n=n, beta=beta, u=u, v=v, w=w)
+                yield _case(lambda: lp.delannoy_weighted(n + beta, n, wt).constant_value(),
+                            lambda: u_pow[beta] * w_pow[n] * p(at),
+                            n=n, beta=beta, u=u, v=v, w=w)
 
 
 @_register(
@@ -379,15 +402,13 @@ def _wd_jacobi_swap(cfg: SuiteConfig, rec: _Recorder) -> None:
     "d_{n+alpha,n} = P_n^(alpha,0)(3), negative alpha included",
     "n <= 8, alpha in [-n, 5]",
 )
-def _dp1(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _dp1(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for n in range(cfg.cap(8) + 1):
         for alpha in range(-n, 6):
-            rec.check(
-                lp.delannoy_weighted(n + alpha, n).constant_value(),
-                F.jacobi(n, alpha, 0)(3),
-                n=n, alpha=alpha,
-            )
+            yield _case(lambda: lp.delannoy_weighted(n + alpha, n).constant_value(),
+                        lambda: F.jacobi(n, alpha, 0)(3),
+                        n=n, alpha=alpha)
 
 
 @_register(
@@ -396,15 +417,13 @@ def _dp1(cfg: SuiteConfig, rec: _Recorder) -> None:
     "(u,v,w) = (1, x, -1), as exact polynomials",
     "n <= 6, beta in [-n, 4]",
 )
-def _llp(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _llp(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for n in range(cfg.cap(6) + 1):
         for beta in range(-n, 5):
-            rec.check(
-                F.shifted_jacobi(n, 0, beta),
-                lp.delannoy_weighted(n + beta, n, _POLY_X_WT),
-                n=n, beta=beta,
-            )
+            yield _case(lambda: F.shifted_jacobi(n, 0, beta),
+                        lambda: lp.delannoy_weighted(n + beta, n, _POLY_X_WT),
+                        n=n, beta=beta)
 
 
 @_register(
@@ -413,15 +432,13 @@ def _llp(cfg: SuiteConfig, rec: _Recorder) -> None:
     "d~_{n+beta,n} = P_n^(0,beta)(3)",
     "n <= 6, beta in [0, 4]",
 )
-def _modified_delannoy(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _modified_delannoy(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for n in range(cfg.cap(6) + 1):
         for beta in range(5):
-            rec.check(
-                Fraction(lp.modified_delannoy(n + beta, n)),
-                F.jacobi(n, 0, beta)(3),
-                n=n, beta=beta,
-            )
+            yield _case(lambda: Fraction(lp.modified_delannoy(n + beta, n)),
+                        lambda: F.jacobi(n, 0, beta)(3),
+                        n=n, beta=beta)
 
 
 # --------------------------------------------------------------------------
@@ -435,14 +452,15 @@ def _modified_delannoy(cfg: SuiteConfig, rec: _Recorder) -> None:
     "x^beta weight on [0,1]",
     "m < n <= 6, beta in [0, 4]",
 )
-def _orth_0beta(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _orth_0beta(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for beta in range(5):
         for n in range(cfg.cap(6) + 1):
             p = F.shifted_jacobi(n, 0, beta)
             for m in range(n):
-                value = fn.inner_weighted(Poly.monomial(m), p, 0, beta)
-                rec.check(value, Fraction(0), beta=beta, n=n, m=m)
+                yield _case(lambda: fn.inner_weighted(Poly.monomial(m), p, 0, beta),
+                            lambda: Fraction(0),
+                            beta=beta, n=n, m=m)
 
 
 @_register(
@@ -451,7 +469,7 @@ def _orth_0beta(cfg: SuiteConfig, rec: _Recorder) -> None:
     "(1-x)^alpha x^beta weight on [0,1] are diagonal with positive diagonal",
     "n <= 6, alpha and beta in [0, 3]",
 )
-def _orth_full(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _orth_full(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     top = cfg.cap(6)
     for alpha in range(4):
@@ -459,14 +477,15 @@ def _orth_full(cfg: SuiteConfig, rec: _Recorder) -> None:
             polys = [F.shifted_jacobi(n, alpha, beta) for n in range(top + 1)]
             for m in range(top + 1):
                 for n in range(top + 1):
-                    value = fn.inner_weighted(polys[m], polys[n], alpha, beta)
                     if m != n:
-                        rec.check(value, Fraction(0), alpha=alpha, beta=beta, m=m, n=n)
+                        yield _case(lambda: fn.inner_weighted(polys[m], polys[n], alpha, beta),
+                                    lambda: Fraction(0),
+                                    alpha=alpha, beta=beta, m=m, n=n)
                     else:
-                        rec.check_true(
-                            value > 0, "diagonal Gram entry must be positive",
-                            alpha=alpha, beta=beta, n=n,
-                        )
+                        yield _claim(
+                            lambda: fn.inner_weighted(polys[n], polys[n], alpha, beta) > 0,
+                            "diagonal Gram entry must be positive",
+                            alpha=alpha, beta=beta, n=n)
 
 
 @_register(
@@ -476,15 +495,12 @@ def _orth_full(cfg: SuiteConfig, rec: _Recorder) -> None:
     "pair enumeration where the cap allows",
     "n, m, beta <= 5; pair oracle up to 8 elements",
 )
-def _epl(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _epl(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     top = cfg.cap(5)
     for n in range(top + 1):
         for m in range(top + 1):
             for beta in range(top + 1):
-                lhs = math.factorial(n + m + beta + 1) * fn.inner_weighted(
-                    Poly.monomial(m), F.shifted_jacobi(n, 0, beta), 0, beta
-                )
                 rhs = sum(
                     (-1) ** k
                     * binom(n + beta, k)
@@ -493,16 +509,18 @@ def _epl(cfg: SuiteConfig, rec: _Recorder) -> None:
                     * math.factorial(n + m + beta - k)
                     for k in range(n + 1)
                 )
-                rec.check(lhs, Fraction(rhs), n=n, m=m, beta=beta)
+                yield _case(lambda: math.factorial(n + m + beta + 1) * fn.inner_weighted(
+                                Poly.monomial(m), F.shifted_jacobi(n, 0, beta), 0, beta),
+                            lambda: Fraction(rhs),
+                            n=n, m=m, beta=beta)
                 if m < n:
-                    rec.check(Fraction(rhs), Fraction(0), n=n, m=m, beta=beta,
-                              claim="vanishes below the diagonal")
+                    yield _case(lambda: Fraction(rhs),
+                                lambda: Fraction(0),
+                                n=n, m=m, beta=beta, claim="vanishes below the diagonal")
                 if n + m + beta + 1 <= 8:
-                    rec.check(
-                        Fraction(lp.valid_pair_signed_sum(n, m, beta)),
-                        Fraction(rhs),
-                        n=n, m=m, beta=beta, route="pair enumeration",
-                    )
+                    yield _case(lambda: Fraction(lp.valid_pair_signed_sum(n, m, beta)),
+                                lambda: Fraction(rhs),
+                                n=n, m=m, beta=beta, route="pair enumeration")
 
 
 @_register(
@@ -511,7 +529,7 @@ def _epl(cfg: SuiteConfig, rec: _Recorder) -> None:
     "x^(alpha-i) P~_n^(0,alpha+beta-i)",
     "n <= 6, alpha in [0, 4], beta in [0, 3]",
 )
-def _abdec(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _abdec(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for alpha in range(5):
         shift = (X - 1) ** alpha
@@ -519,15 +537,10 @@ def _abdec(cfg: SuiteConfig, rec: _Recorder) -> None:
         scaled = [Poly.monomial(alpha - i, binom(alpha, i) * (-1) ** i) for i in range(alpha + 1)]
         for beta in range(4):
             for n in range(cfg.cap(6) + 1):
-                lhs = shift * F.shifted_jacobi(n, alpha, beta)
-                rhs = sum(
-                    (
-                        monomial * F.shifted_jacobi(n, 0, alpha + beta - i)
-                        for i, monomial in enumerate(scaled)
-                    ),
-                    Poly(),
-                )
-                rec.check(lhs, rhs, alpha=alpha, beta=beta, n=n)
+                yield _case(lambda: shift * F.shifted_jacobi(n, alpha, beta),
+                            lambda: sum((monomial * F.shifted_jacobi(n, 0, alpha + beta - i)
+                                         for i, monomial in enumerate(scaled)), Poly()),
+                            alpha=alpha, beta=beta, n=n)
 
 
 @_register(
@@ -537,45 +550,40 @@ def _abdec(cfg: SuiteConfig, rec: _Recorder) -> None:
     "monomial bridge agree; diagonal values are recorded, not asserted",
     "m, n <= 6 off-diagonal; bridge for n, m, beta <= 5",
 )
-def _laguerre_orth(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _laguerre_orth(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     top = cfg.cap(6)
     functional = fn.factorial_functional(2 * top + 6)
     for m in range(top + 1):
         for n in range(top + 1):
             if m != n:
-                rec.check(
-                    functional.pair(F.laguerre(m), F.laguerre(n)), Fraction(0), m=m, n=n
-                )
+                yield _case(lambda: functional.pair(F.laguerre(m), F.laguerre(n)),
+                            lambda: Fraction(0),
+                            m=m, n=n)
     for beta in range(5):
         for m in range(top + 1):
             weighted = Poly.monomial(beta) * F.laguerre_gen(m, beta)
             for n in range(top + 1):
                 if m != n:
-                    rec.check(
-                        functional.pair(weighted, F.laguerre_gen(n, beta)),
-                        Fraction(0),
-                        beta=beta, m=m, n=n,
-                    )
+                    yield _case(lambda: functional.pair(weighted, F.laguerre_gen(n, beta)),
+                                lambda: Fraction(0),
+                                beta=beta, m=m, n=n)
     bridge_top = cfg.cap(5)
     for n in range(bridge_top + 1):
         for m in range(bridge_top + 1):
             monomial = Poly.monomial(m)
-            lhs = math.factorial(n + m + 1) * fn.inner_weighted(monomial, F.shifted_legendre(n))
-            rec.check(
-                lhs, functional.pair(monomial, F.laguerre(n)), n=n, m=m, form="plain"
-            )
+            yield _case(lambda: math.factorial(n + m + 1) * fn.inner_weighted(
+                            monomial, F.shifted_legendre(n)),
+                        lambda: functional.pair(monomial, F.laguerre(n)),
+                        n=n, m=m, form="plain")
             for beta in range(bridge_top + 1):
-                lhs = math.factorial(n + m + beta + 1) * fn.inner_weighted(
-                    monomial, F.shifted_jacobi(n, 0, beta), 0, beta
-                )
-                rec.check(
-                    lhs,
-                    functional.pair(Poly.monomial(m + beta), F.laguerre_gen(n, beta)),
-                    n=n, m=m, beta=beta, form="weighted",
-                )
+                yield _case(lambda: math.factorial(n + m + beta + 1) * fn.inner_weighted(
+                                monomial, F.shifted_jacobi(n, 0, beta), 0, beta),
+                            lambda: functional.pair(Poly.monomial(m + beta),
+                                                    F.laguerre_gen(n, beta)),
+                            n=n, m=m, beta=beta, form="weighted")
     diag = [str(functional.pair(F.laguerre(n), F.laguerre(n))) for n in range(top + 1)]
-    rec.note(
+    return (
         "diagonal values L(l_n^2) for n = 0.. are "
         + ", ".join(diag)
         + " = (n!)^2; the often-quoted normalization delta_{m,n} n! does not "
@@ -594,16 +602,14 @@ def _laguerre_orth(cfg: SuiteConfig, rec: _Recorder) -> None:
     "multiples: P~_n^(0,-beta) = x^beta P~_{n-beta}^(0,beta)",
     "beta <= 6, beta <= n <= 10",
 )
-def _bneg(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _bneg(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for beta in range(7):
         for n in range(beta, cfg.cap(10) + 1):
-            rec.check(
-                F.shifted_jacobi(n, 0, -beta),
-                Poly.monomial(beta) * F.shifted_jacobi(n - beta, 0, beta),
-                beta=beta, n=n,
-            )
-    rec.note(
+            yield _case(lambda: F.shifted_jacobi(n, 0, -beta),
+                        lambda: Poly.monomial(beta) * F.shifted_jacobi(n - beta, 0, beta),
+                        beta=beta, n=n)
+    return (
         "right-hand side carries the (0, beta) parameter pair; the plain "
         "shifted Legendre variant fails already at n=2, beta=1"
     )
@@ -616,20 +622,16 @@ def _bneg(cfg: SuiteConfig, rec: _Recorder) -> None:
     "transformed forms",
     "beta <= 12, 0 <= n <= beta-1",
 )
-def _bneg_symmetry(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _bneg_symmetry(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for beta in range(1, 13):
         for n in range(beta):
-            rec.check(
-                F.romanovski(n, 0, -beta),
-                F.romanovski(beta - 1 - n, 0, -beta),
-                beta=beta, n=n, form="2x+1",
-            )
-            rec.check(
-                F.shifted_jacobi(n, 0, -beta),
-                F.shifted_jacobi(beta - 1 - n, 0, -beta),
-                beta=beta, n=n, form="2x-1",
-            )
+            yield _case(lambda: F.romanovski(n, 0, -beta),
+                        lambda: F.romanovski(beta - 1 - n, 0, -beta),
+                        beta=beta, n=n, form="2x+1")
+            yield _case(lambda: F.shifted_jacobi(n, 0, -beta),
+                        lambda: F.shifted_jacobi(beta - 1 - n, 0, -beta),
+                        beta=beta, n=n, form="2x-1")
 
 
 _TABLE_BETA6 = (
@@ -649,10 +651,10 @@ _TABLE_BETA6 = (
     "match the reference table exactly",
     "n = 0..6 at beta = -6",
 )
-def _bneg_table1(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _bneg_table1(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for n, expected in enumerate(_TABLE_BETA6):
-        rec.check(F.shifted_jacobi(n, 0, -6), expected, n=n)
+        yield _case(lambda: F.shifted_jacobi(n, 0, -6), lambda: expected, n=n)
 
 
 @_register(
@@ -662,7 +664,7 @@ def _bneg_table1(cfg: SuiteConfig, rec: _Recorder) -> None:
     "sequence and the extended Hankel matrix is positive definite",
     "beta = 4..12 even part; odd beta = 3..11 extension with top moment t*+1",
 )
-def _romanovski_orth(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _romanovski_orth(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for beta in range(4, 13):
         functional = fn.lbeta_functional(beta)
@@ -670,35 +672,32 @@ def _romanovski_orth(cfg: SuiteConfig, rec: _Recorder) -> None:
         polys = [F.romanovski(n, 0, -beta) for n in range(top + 1)]
         for m in range(top + 1):
             for n in range(top + 1):
-                value = functional.pair(polys[m], polys[n])
                 if m != n:
-                    rec.check(value, Fraction(0), beta=beta, m=m, n=n)
+                    yield _case(lambda: functional.pair(polys[m], polys[n]),
+                                lambda: Fraction(0),
+                                beta=beta, m=m, n=n)
                 else:
-                    rec.check_true(
-                        value > 0, "diagonal entry must be positive",
-                        beta=beta, n=n,
-                    )
+                    yield _claim(lambda: functional.pair(polys[n], polys[n]) > 0,
+                                 "diagonal entry must be positive",
+                                 beta=beta, n=n)
     for beta in range(3, 12, 2):
         functional = fn.lbeta_functional(beta)
         boundary = (beta - 1) // 2
         extra = F.romanovski(boundary, 0, -beta)
         for m in range(boundary):
-            rec.check(
-                functional.pair(F.romanovski(m, 0, -beta), extra),
-                Fraction(0),
-                beta=beta, m=m, n=boundary, claim="extension orthogonality",
-            )
+            yield _case(lambda: functional.pair(F.romanovski(m, 0, -beta), extra),
+                        lambda: Fraction(0),
+                        beta=beta, m=m, n=boundary, claim="extension orthogonality")
         threshold = fn.lbeta_extension_threshold(beta)
         if beta == 3:
-            rec.check(threshold, Fraction(1, 2), beta=3, claim="threshold value")
+            yield _case(lambda: threshold, lambda: Fraction(1, 2), beta=3, claim="threshold value")
         matrix = fn.hankel_mbeta(beta, threshold + 1)
         for k, minor in enumerate(fn.leading_principal_minors(matrix), start=1):
-            rec.check_true(
-                minor > 0, "leading principal minor must be positive",
-                beta=beta, order=k,
-            )
-        rec.check(fn.det_exact(fn.hankel_mbeta(beta, threshold)), Fraction(0),
-                  beta=beta, claim="determinant vanishes at the threshold")
+            yield _claim(lambda: minor > 0, "leading principal minor must be positive",
+                         beta=beta, order=k)
+        yield _case(lambda: fn.det_exact(fn.hankel_mbeta(beta, threshold)),
+                    lambda: Fraction(0),
+                    beta=beta, claim="determinant vanishes at the threshold")
 
 
 @_register(
@@ -707,18 +706,15 @@ def _romanovski_orth(cfg: SuiteConfig, rec: _Recorder) -> None:
     "(the multiset-cancellation identity)",
     "beta <= 14, m < n <= (beta-2)/2",
 )
-def _borth2(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _borth2(cfg: SuiteConfig) -> Cases:
     for beta in range(4, 15):
         for n in range(1, (beta - 2) // 2 + 1):
             for m in range(n):
-                total = sum(
-                    (-1) ** j
-                    * binom(n, j)
-                    * binom(m + j, m)
-                    * binom(beta - 2 - m - j, n - m - 1)
-                    for j in range(n + 1)
-                )
-                rec.check(total, 0, beta=beta, n=n, m=m)
+                yield _case(lambda: sum((-1) ** j * binom(n, j) * binom(m + j, m)
+                                        * binom(beta - 2 - m - j, n - m - 1)
+                                        for j in range(n + 1)),
+                            lambda: 0,
+                            beta=beta, n=n, m=m)
 
 
 # --------------------------------------------------------------------------
@@ -733,31 +729,32 @@ def _borth2(cfg: SuiteConfig, rec: _Recorder) -> None:
     "specializations, and the value 2/(n+1) P_n^(-1,1)(3)",
     "n <= 8 polynomial forms; n <= 6 weight grid; n <= 10 value form",
 )
-def _schroder(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _schroder(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for n, expected in enumerate((1, 2, 6, 22, 90)):
-        count = sum(1 for _ in lp.schroder_enumerate(n))
-        rec.check(count, expected, n=n, route="enumeration")
-        rec.check(
-            lp.schroder_weighted(n).constant_value(), Fraction(expected),
-            n=n, route="dp",
-        )
+        yield _case(lambda: sum(1 for _ in lp.schroder_enumerate(n)),
+                    lambda: expected,
+                    n=n, route="enumeration")
+        yield _case(lambda: lp.schroder_weighted(n).constant_value(),
+                    lambda: Fraction(expected),
+                    n=n, route="dp")
     for n in range(cfg.cap(8) + 1):
         sn = F.schroder_poly(n)
-        rec.check(lp.schroder_weighted(n, _POLY_X_WT), sn, n=n, route="dp vs closed")
+        yield _case(lambda: lp.schroder_weighted(n, _POLY_X_WT),
+                    lambda: sn,
+                    n=n, route="dp vs closed")
         if n >= 1:
             cleared = (X - 1) * F.shifted_jacobi(n, 1, -1)
-            rec.check(cleared.coefficient(0), Fraction(0), n=n,
-                      claim="constant term vanishes before division")
-            rec.check(
-                sn, Fraction(1, n + 1) * cleared.div_x(), n=n, route="division form",
-            )
+            yield _case(lambda: cleared.coefficient(0),
+                        lambda: Fraction(0),
+                        n=n, claim="constant term vanishes before division")
+            yield _case(lambda: sn,
+                        lambda: Fraction(1, n + 1) * cleared.div_x(),
+                        n=n, route="division form")
     for n in range(1, cfg.cap(10) + 1):
-        rec.check(
-            lp.schroder_weighted(n).constant_value(),
-            Fraction(2, n + 1) * F.jacobi(n, -1, 1)(3),
-            n=n, route="value at 3",
-        )
+        yield _case(lambda: lp.schroder_weighted(n).constant_value(),
+                    lambda: Fraction(2, n + 1) * F.jacobi(n, -1, 1)(3),
+                    n=n, route="value at 3")
     # Each point with -w, its two evaluation points -uv/w and uv/w + 1, and
     # the factor 1 + w/(uv) of the (1,-1) and (-1,1) forms.
     points = [
@@ -771,21 +768,17 @@ def _schroder(cfg: SuiteConfig, rec: _Recorder) -> None:
         for u, v, w, wt, minus_w, at, swapped_at, factor in points:
             sn = lp.schroder_weighted(n, wt).constant_value()
             scale = minus_w ** n
-            rec.check(
-                sn, scale * sn_poly(at), n=n, u=u, v=v, w=w, route="scaled value",
-            )
+            yield _case(lambda: sn,
+                        lambda: scale * sn_poly(at),
+                        n=n, u=u, v=v, w=w, route="scaled value")
             if n >= 2:
-                rec.check(
-                    sn,
-                    scale / (n + 1) * factor * up_down(at),
-                    n=n, u=u, v=v, w=w, route="(1,-1) form",
-                )
+                yield _case(lambda: sn,
+                            lambda: scale / (n + 1) * factor * up_down(at),
+                            n=n, u=u, v=v, w=w, route="(1,-1) form")
             if n >= 1:
-                rec.check(
-                    sn,
-                    w ** n / (n + 1) * factor * down_up(swapped_at),
-                    n=n, u=u, v=v, w=w, route="(-1,1) form",
-                )
+                yield _case(lambda: sn,
+                            lambda: w ** n / (n + 1) * factor * down_up(swapped_at),
+                            n=n, u=u, v=v, w=w, route="(-1,1) form")
 
 
 @_register(
@@ -794,48 +787,41 @@ def _schroder(cfg: SuiteConfig, rec: _Recorder) -> None:
     "Schroeder totals, and its exact polynomial consequences hold",
     "n <= 8 on the weight grid; polynomial forms for n <= 8",
 )
-def _cdrec(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _cdrec(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     top = cfg.cap(8)
     points = [(u, v, w, wt, 2 * u * v) for u, v, w, wt in _weight_points(cfg)]
     for n in range(1, top + 1):
         for u, v, w, wt, two_uv in points:
-            lhs = lp.delannoy_weighted(n, n, wt).constant_value()
-            rhs = two_uv * sum(
-                lp.delannoy_weighted(k, k, wt).constant_value()
-                * lp.schroder_weighted(n - k - 1, wt).constant_value()
-                for k in range(n)
-            ) + w * lp.delannoy_weighted(n - 1, n - 1, wt).constant_value()
-            rec.check(lhs, rhs, n=n, u=u, v=v, w=w)
+            yield _case(lambda: lp.delannoy_weighted(n, n, wt).constant_value(),
+                        lambda: two_uv * sum(
+                            lp.delannoy_weighted(k, k, wt).constant_value()
+                            * lp.schroder_weighted(n - k - 1, wt).constant_value()
+                            for k in range(n)
+                        ) + w * lp.delannoy_weighted(n - 1, n - 1, wt).constant_value(),
+                        n=n, u=u, v=v, w=w)
     for n in range(1, top + 1):
         lhs = F.shifted_legendre(n)
-        rhs = 2 * X * sum(
-            (F.shifted_legendre(k) * F.schroder_poly(n - k - 1) for k in range(n)),
-            Poly(),
-        ) - F.shifted_legendre(n - 1)
-        rec.check(lhs, rhs, n=n, form="shifted, Schroeder factors")
-        rhs = 2 * sum(
-            (
-                F.shifted_legendre(k)
-                * (X - 1)
-                * Fraction(1, n - k)
-                * F.shifted_jacobi(n - k - 1, 1, -1)
-                for k in range(n - 1)
-            ),
-            Poly(),
-        ) + Poly((-1, 2)) * F.shifted_legendre(n - 1)
-        rec.check(lhs, rhs, n=n, form="shifted, (1,-1) factors")
-        rhs = sum(
-            (
-                F.legendre(k)
-                * (X - 1)
-                * Fraction(1, n - k)
-                * F.jacobi(n - k - 1, 1, -1)
-                for k in range(n - 1)
-            ),
-            Poly(),
-        ) + X * F.legendre(n - 1)
-        rec.check(F.legendre(n), rhs, n=n, form="plain, (1,-1) factors")
+        yield _case(lambda: lhs,
+                    lambda: 2 * X * sum(
+                        (F.shifted_legendre(k) * F.schroder_poly(n - k - 1) for k in range(n)),
+                        Poly(),
+                    ) - F.shifted_legendre(n - 1),
+                    n=n, form="shifted, Schroeder factors")
+        yield _case(lambda: lhs,
+                    lambda: 2 * sum(
+                        (F.shifted_legendre(k) * (X - 1) * Fraction(1, n - k)
+                         * F.shifted_jacobi(n - k - 1, 1, -1) for k in range(n - 1)),
+                        Poly(),
+                    ) + Poly((-1, 2)) * F.shifted_legendre(n - 1),
+                    n=n, form="shifted, (1,-1) factors")
+        yield _case(lambda: F.legendre(n),
+                    lambda: sum(
+                        (F.legendre(k) * (X - 1) * Fraction(1, n - k)
+                         * F.jacobi(n - k - 1, 1, -1) for k in range(n - 1)),
+                        Poly(),
+                    ) + X * F.legendre(n - 1),
+                    n=n, form="plain, (1,-1) factors")
 
 
 @_register(
@@ -845,14 +831,12 @@ def _cdrec(cfg: SuiteConfig, rec: _Recorder) -> None:
     "alpha <= n, with the out-of-range pairs verified to fail",
     "n <= 10 for the bridge; n <= 8, 1 <= alpha <= 4 for the iterated form",
 )
-def _antideriv(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _antideriv(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for n in range(1, cfg.cap(10) + 1):
-        rec.check(
-            X * F.schroder_poly(n),
-            F.shifted_legendre(n).antiderivative(),
-            n=n, form="bridge",
-        )
+        yield _case(lambda: X * F.schroder_poly(n),
+                    lambda: F.shifted_legendre(n).antiderivative(),
+                    n=n, form="bridge")
     shifts = [(X - 1) ** alpha for alpha in range(5)]
     for n in range(1, cfg.cap(8) + 1):
         for alpha in range(1, 5):
@@ -865,24 +849,20 @@ def _antideriv(cfg: SuiteConfig, rec: _Recorder) -> None:
                 * Fraction(1, pochhammer(n + 1, alpha))
             )
             if alpha <= n:
-                rec.check(iterated, closed, n=n, alpha=alpha, form="iterated")
-                expansion = sum(
-                    (
-                        Fraction((-1) ** (n - j) * binom(n, j) * binom(n + j, n))
-                        / pochhammer(j + 1, alpha)
-                        * Poly.monomial(j + alpha)
-                        for j in range(n + 1)
-                    ),
-                    Poly(),
-                )
-                rec.check(iterated, expansion, n=n, alpha=alpha, form="expansion")
+                yield _case(lambda: iterated, lambda: closed, n=n, alpha=alpha, form="iterated")
+                yield _case(lambda: iterated,
+                            lambda: sum(
+                                (Fraction((-1) ** (n - j) * binom(n, j) * binom(n + j, n))
+                                 / pochhammer(j + 1, alpha) * Poly.monomial(j + alpha)
+                                 for j in range(n + 1)),
+                                Poly(),
+                            ),
+                            n=n, alpha=alpha, form="expansion")
             else:
-                rec.check_true(
-                    iterated != closed,
-                    "identity must fail when the antiderivative order exceeds n",
-                    n=n, alpha=alpha,
-                )
-    rec.note(
+                yield _claim(lambda: iterated != closed,
+                             "identity must fail when the antiderivative order exceeds n",
+                             n=n, alpha=alpha)
+    return (
         "the iterated-antiderivative identity requires order <= n: the "
         "intermediate polynomials (x-1)^a P~_n^(a,-a) have nonzero value at "
         "0 once a > n (first residual: constant 1/6 at n=1, a=2); the "
@@ -896,19 +876,15 @@ def _antideriv(cfg: SuiteConfig, rec: _Recorder) -> None:
     "substitution, and from the antiderivative of P~_n the same way",
     "n = 1..10",
 )
-def _narayana(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _narayana(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for n in range(1, cfg.cap(10) + 1):
-        rec.check(
-            (n + 1) * F.narayana(n),
-            F.shifted_jacobi(n, 1, -1).cayley(n),
-            n=n, form="cleared substitution",
-        )
-        rec.check(
-            F.narayana(n),
-            F.shifted_legendre(n).antiderivative().cayley(n + 1),
-            n=n, form="antiderivative route",
-        )
+        yield _case(lambda: (n + 1) * F.narayana(n),
+                    lambda: F.shifted_jacobi(n, 1, -1).cayley(n),
+                    n=n, form="cleared substitution")
+        yield _case(lambda: F.narayana(n),
+                    lambda: F.shifted_legendre(n).antiderivative().cayley(n + 1),
+                    n=n, form="antiderivative route")
 
 
 # --------------------------------------------------------------------------
@@ -922,17 +898,15 @@ def _narayana(cfg: SuiteConfig, rec: _Recorder) -> None:
     "composed shifted Jacobi polynomial, and with the direct alpha = 0 sum",
     "n <= 8, alpha in [0, 4], beta in [-4, 4]",
 )
-def _sj_expansion(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _sj_expansion(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     shifts = [(X - 1) ** alpha for alpha in range(5)]
     for n in range(cfg.cap(8) + 1):
         for alpha in range(5):
             for beta in range(-4, 5):
-                rec.check(
-                    F.sj_product_expansion(n, alpha, beta),
-                    shifts[alpha] * F.shifted_jacobi(n, alpha, beta),
-                    n=n, alpha=alpha, beta=beta,
-                )
+                yield _case(lambda: F.sj_product_expansion(n, alpha, beta),
+                            lambda: shifts[alpha] * F.shifted_jacobi(n, alpha, beta),
+                            n=n, alpha=alpha, beta=beta)
 
 
 def _reflected(p: Poly, n: int) -> Poly:
@@ -947,26 +921,20 @@ def _reflected(p: Poly, n: int) -> Poly:
     "(alpha, beta), for the plain, shifted, and Legendre forms",
     "n <= 8, alpha and beta in [-3, 3]",
 )
-def _swap_rules(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _swap_rules(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for n in range(cfg.cap(8) + 1):
-        rec.check(
-            _reflected(F.shifted_legendre(n), n),
-            F.shifted_legendre(n).compose_affine(1, 1),
-            n=n, rule="legendre shift",
-        )
+        yield _case(lambda: _reflected(F.shifted_legendre(n), n),
+                    lambda: F.shifted_legendre(n).compose_affine(1, 1),
+                    n=n, rule="legendre shift")
         for alpha in range(-3, 4):
             for beta in range(-3, 4):
-                rec.check(
-                    _reflected(F.jacobi(n, alpha, beta), n),
-                    F.jacobi(n, beta, alpha),
-                    n=n, alpha=alpha, beta=beta, rule="plain",
-                )
-                rec.check(
-                    _reflected(F.shifted_jacobi(n, alpha, beta), n),
-                    F.shifted_jacobi(n, beta, alpha).compose_affine(1, 1),
-                    n=n, alpha=alpha, beta=beta, rule="shifted",
-                )
+                yield _case(lambda: _reflected(F.jacobi(n, alpha, beta), n),
+                            lambda: F.jacobi(n, beta, alpha),
+                            n=n, alpha=alpha, beta=beta, rule="plain")
+                yield _case(lambda: _reflected(F.shifted_jacobi(n, alpha, beta), n),
+                            lambda: F.shifted_jacobi(n, beta, alpha).compose_affine(1, 1),
+                            n=n, alpha=alpha, beta=beta, rule="shifted")
 
 
 @_register(
@@ -975,19 +943,17 @@ def _swap_rules(cfg: SuiteConfig, rec: _Recorder) -> None:
     "shifted Legendre and 2x+1-transformed families",
     "n <= 12; transformed parameters in [-3, 3]",
 )
-def _dual_routes(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _dual_routes(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for n in range(cfg.cap(12) + 1):
-        rec.check(
-            F.shifted_legendre(n), F.shifted_legendre_sum(n), n=n, family="legendre"
-        )
+        yield _case(lambda: F.shifted_legendre(n),
+                    lambda: F.shifted_legendre_sum(n),
+                    n=n, family="legendre")
         for alpha in range(-3, 4):
             for beta in range(-3, 4):
-                rec.check(
-                    F.romanovski(n, alpha, beta),
-                    F.jacobi(n, alpha, beta).compose_affine(2, 1),
-                    n=n, alpha=alpha, beta=beta, family="2x+1 transform",
-                )
+                yield _case(lambda: F.romanovski(n, alpha, beta),
+                            lambda: F.jacobi(n, alpha, beta).compose_affine(2, 1),
+                            n=n, alpha=alpha, beta=beta, family="2x+1 transform")
 
 
 @_register(
@@ -997,30 +963,26 @@ def _dual_routes(cfg: SuiteConfig, rec: _Recorder) -> None:
     "satisfies its all-integer recurrence",
     "n <= 12",
 )
-def _favard_legendre(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _favard_legendre(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     top = cfg.cap(12)
     family = [F.monic_legendre(n) for n in range(top + 1)]
     fitted = fn.favard_fit(family)
     for n, (c, lam) in enumerate(fitted, start=1):
-        rec.check(c, Fraction(0), n=n, coefficient="c")
-        expected = Fraction(0) if n == 1 else Fraction(
-            (n - 1) ** 2, (2 * n - 1) * (2 * n - 3)
-        )
-        rec.check(lam, expected, n=n, coefficient="lambda")
+        yield _case(lambda: c, lambda: Fraction(0), n=n, coefficient="c")
+        yield _case(lambda: lam,
+                    lambda: Fraction(0) if n == 1 else Fraction(
+                        (n - 1) ** 2, (2 * n - 1) * (2 * n - 3)),
+                    n=n, coefficient="lambda")
     qs = [F.legendre_q(n) for n in range(top + 1)]
     for n, q in enumerate(qs):
-        rec.check_true(
-            all(c.denominator == 1 for c in q.coeffs),
-            "coefficients must be integers",
-            n=n,
-        )
+        yield _claim(lambda: all(c.denominator == 1 for c in q.coeffs),
+                     "coefficients must be integers",
+                     n=n)
     for n in range(2, top + 1):
-        rec.check(
-            qs[n],
-            (2 * n - 1) * X * qs[n - 1] - (n - 1) ** 2 * qs[n - 2],
-            n=n, form="integer recurrence",
-        )
+        yield _case(lambda: qs[n],
+                    lambda: (2 * n - 1) * X * qs[n - 1] - (n - 1) ** 2 * qs[n - 2],
+                    n=n, form="integer recurrence")
 
 
 @_register(
@@ -1030,20 +992,18 @@ def _favard_legendre(cfg: SuiteConfig, rec: _Recorder) -> None:
     "induced moment functional is not quasi-definite",
     "2 <= n <= 10",
 )
-def _favard_schroder(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _favard_schroder(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     top = max(cfg.cap(10), 2)
     family = [F.monic_schroder(n) for n in range(top + 1)]
     fitted = fn.favard_fit(family)
     for n in range(2, top + 1):
         c, lam = fitted[n - 1]
-        rec.check(c, Fraction(1, 2), n=n, coefficient="c")
-        rec.check(
-            lam,
-            Fraction(n * (n - 2), 4 * (2 * n - 1) * (2 * n - 3)),
-            n=n, coefficient="lambda",
-        )
-    rec.note(
+        yield _case(lambda: c, lambda: Fraction(1, 2), n=n, coefficient="c")
+        yield _case(lambda: lam,
+                    lambda: Fraction(n * (n - 2), 4 * (2 * n - 1) * (2 * n - 3)),
+                    n=n, coefficient="lambda")
+    return (
         "recurrence verified numerically on the grid; lambda_2 = 0 exactly, "
         "so no quasi-definite moment functional exists for this family"
     )
@@ -1055,11 +1015,12 @@ def _favard_schroder(cfg: SuiteConfig, rec: _Recorder) -> None:
     "0 for odd length, 1/(n+1) for even length",
     "n <= 12",
 )
-def _motzkin_moments(cfg: SuiteConfig, rec: _Recorder) -> None:
+def _motzkin_moments(cfg: SuiteConfig) -> Cases:
     for n in range(cfg.cap(12) + 1):
-        expected = Fraction(0) if n % 2 else Fraction(1, n + 1)
-        rec.check(lp.motzkin_legendre_moment(n), expected, n=n)
-    rec.note(
+        yield _case(lambda: lp.motzkin_legendre_moment(n),
+                    lambda: Fraction(0) if n % 2 else Fraction(1, n + 1),
+                    n=n)
+    return (
         "extends a reported numerical experiment; the even-length value "
         "1/(n+1) is verified on this grid, not proved"
     )

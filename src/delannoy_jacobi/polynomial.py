@@ -262,9 +262,6 @@ class Poly:
         denominator = d * e ** self.degree
         return Poly(Fraction(n, denominator) for n in acc)
 
-    def derivative(self) -> "Poly":
-        return Poly(k * c for k, c in enumerate(self._coeffs) if k >= 1)
-
     def antiderivative(self) -> "Poly":
         """The antiderivative vanishing at 0, i.e. x |-> integral from 0 to x."""
         return Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self._coeffs)])

@@ -1,5 +1,6 @@
 """Tests for the identity registry runner, reports, and fault detection."""
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -238,10 +239,13 @@ def _products_from_cold_caches(monkeypatch, id):
     return products
 
 
-@pytest.mark.parametrize("id", ["swap-rules", "epl", "orth-0beta", "romanovski-orth"])
+@pytest.mark.parametrize("id", [
+    "swap-rules", "epl", "orth-0beta", "romanovski-orth", "wcd-legendre", "wcd-legendre-swap",
+])
 def test_checks_that_reduce_products_to_numbers_build_none(monkeypatch, id):
-    # Functionals and [0, 1] integrals take both factors, and (-1)^n is a
-    # negation, so none of these entries multiplies two polynomials.
+    # Functionals and [0, 1] integrals take both factors, (-1)^n is a
+    # negation, and the constant (-w)^n or w^n of the v = x legs scales each
+    # coefficient, so none of these entries multiplies two polynomials.
     assert _products_from_cold_caches(monkeypatch, id) == []
 
 
@@ -254,6 +258,49 @@ def test_laguerre_orth_builds_only_the_weighted_laguerre_factors(monkeypatch):
         for m in range(7)
     ]
     assert _products_from_cold_caches(monkeypatch, "laguerre-orth") == expected
+
+
+def _counting_sides(verifier, calls):
+    """The verifier, with every side of every case it yields (a claim's
+    condition too) counting its calls: calls gets one list of call counts
+    per case."""
+
+    def counted(counts, side):
+        counts.append(0)
+        i = len(counts) - 1
+
+        def call():
+            counts[i] += 1
+            return side()
+
+        return call
+
+    def wrapped(config):
+        for params, *sides in verifier(config):
+            counts = []
+            calls.append(counts)
+            yield params, *(counted(counts, s) if callable(s) else s for s in sides)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("max_n", [None, 0, 1, 2, 3, 4, 5])
+def test_the_grid_is_data(monkeypatch, max_n):
+    # Listing an entry's cases calls no side and gives as many cases as a
+    # full run, and the runner calls every side of every case exactly once.
+    config = SuiteConfig(max_n=max_n)
+    for id, entry in REGISTRY.items():
+        listed, ran = [], []
+        for _ in _counting_sides(entry.verifier, listed)(config):
+            pass
+        monkeypatch.setitem(
+            REGISTRY, id, dataclasses.replace(entry, verifier=_counting_sides(entry.verifier, ran))
+        )
+        report = run_identity(id, config)
+        assert report.status == "pass", id
+        assert len(listed) == report.cases_run == len(ran), id
+        assert all(set(counts) == {0} for counts in listed), id
+        assert all(set(counts) == {1} for counts in ran), id
 
 
 GOLDEN = json.loads(golden_reports.GOLDEN.read_text())

@@ -286,15 +286,20 @@ def integrate_by_antiderivative(p, lo, hi):
     return anti(hi) - anti(lo)
 
 
+def derivative(p):
+    """p', coefficient by coefficient: the package has no derivative, so
+    this oracle checks antiderivative by inverting it."""
+    return Poly(k * c for k, c in enumerate(p.coeffs) if k >= 1)
+
+
 class TestCalculus:
     def test_examples(self):
         assert Poly((-1, 2)).antiderivative() == Poly((0, -1, 1))
-        assert Poly((0, -1, 1)).derivative() == Poly((-1, 2))
         assert ZERO.antiderivative() == ZERO
 
     @given(polys)
     def test_derivative_inverts_antiderivative(self, p):
-        assert p.antiderivative().derivative() == p
+        assert derivative(p.antiderivative()) == p
 
     @given(polys)
     def test_antiderivative_vanishes_at_zero(self, p):
