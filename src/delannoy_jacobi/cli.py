@@ -260,13 +260,13 @@ def _attach_negative_weights(argv: list[str]) -> list[str]:
 
 def _run_compute(args) -> int:
     if args.what in ("delannoy", "schroder"):
-        wt = lp.WeightTriple.of(args.u, args.v, args.w)
         if args.what == "delannoy":
-            index, total = {"m": args.m, "n": args.n}, lp.delannoy_weighted(args.m, args.n, wt)
+            index = {"m": args.m, "n": args.n}
+            total = lp.delannoy_sum(args.m, args.n, args.u, args.v, args.w)
         else:
-            index, total = {"n": args.n}, lp.schroder_weighted(args.n, wt)
+            index, total = {"n": args.n}, lp.schroder_sum(args.n, args.u, args.v, args.w)
         record = {**index, "u": str(args.u), "v": str(args.v), "w": str(args.w),
-                  "value": str(total.constant_value())}
+                  "value": str(total)}
         _emit(args.format, lambda: record["value"], lambda: record,
               tuple(record), lambda: [record.values()])
     elif args.what == "poly":

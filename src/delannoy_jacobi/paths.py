@@ -7,8 +7,15 @@ Delannoy paths to (n,n) that never rise above the diagonal y = x.
 
 Each quantity is computed two ways wherever feasible: explicit enumeration
 (the ground-truth oracle) and dynamic programming or a closed binomial sum.
-The DPs are the production routes; enumeration (the `*_enumerate` functions
-and diagonal_tally) and the closed sum are their oracles.  Enumeration runs
+There are two production routes for the weighted totals.  The DPs
+(delannoy_weighted, schroder_weighted) take polynomial weights too, and are
+the lattice-path side of the identity registry; enumeration (the
+`*_enumerate` functions and diagonal_tally) and the multinomial closed sum
+(delannoy_closed) are their oracles.  For constant weights, as the CLI's
+`compute delannoy` and `compute schroder` take them, delannoy_sum and
+schroder_sum add up the min(m,n)+1 terms of the paper's shifted Jacobi and
+Schroeder sums, each term from the previous one by its integer ratio; the
+DPs and delannoy_closed are their oracles in the tests.  Enumeration runs
 up to fixed bounds, ENUMERATION_CAP = 16 steps per path and PAIR_CAP = 9
 elements per path/bijection pair, and raises CapExceeded beyond them; the
 polynomial-time DPs and closed sums have no bound.  Enumeration is a
@@ -250,6 +257,67 @@ def schroder_weighted(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
         raise ValueError("n must be nonnegative")
     q, k, u, v, w = _packed_weights(wt, 2 * n)
     return _unpacked(_last(_schroder_rows(n, u, v, w))[n], q, k, 2 * n)
+
+
+def delannoy_sum(m: int, n: int, u: Fraction = Fraction(1), v: Fraction = Fraction(1),
+                 w: Fraction = Fraction(1)) -> Fraction:
+    """Weighted Delannoy total for constant weights, by the shifted Jacobi
+    sum.
+
+    sum_k C(m,k) C(n,k) u^(m-k) v^(n-k) (uv+w)^k for k up to K = min(m,n),
+    the expansion of u^beta (-w)^n P~_n^(0,beta)(-uv/w).  For uv != 0 it is
+    u^m v^n sum_k C(m,k) C(n,k) t^k with t = (uv+w)/(uv) = r/s in lowest
+    terms.  With u = a/b, v = c/d, w = e/f, t = (acf + bde)/(acf), and
+    sum_k C(m,k) C(n,k) r^k s^(K-k) runs on ints: each term is the previous
+    one times its ratio (m-k)(n-k) r / ((k+1)^2 s), an exact integer
+    division, and one Fraction is made at the end.  For uv = 0 only the
+    term k = K can be nonzero.
+    """
+    _require_quadrant(m, n)
+    top = min(m, n)
+    (a, b), (c, d), (e, f) = (x.as_integer_ratio() for x in (u, v, w))
+    low = a * c * f
+    if low == 0:
+        coeff = math.comb(m, top) * math.comb(n, top)
+        return Fraction(coeff * a ** (m - top) * c ** (n - top) * e ** top,
+                        b ** (m - top) * d ** (n - top) * f ** top)
+    r, s = _lowest_terms(low + b * d * e, low)
+    term = total = s ** top
+    for k in range(top):
+        term = term * ((m - k) * (n - k) * r) // ((k + 1) ** 2 * s)
+        total += term
+    return Fraction(a ** m * c ** n * total, b ** m * d ** n * s ** top)
+
+
+def schroder_sum(n: int, u: Fraction = Fraction(1), v: Fraction = Fraction(1),
+                 w: Fraction = Fraction(1)) -> Fraction:
+    """Weighted Schroeder total for constant weights, by the binomial sum.
+
+    sum_k C(2n-k,k) Cat(n-k) (uv)^(n-k) w^k, which is (-w)^n S_n(-uv/w).
+    For uv != 0 it is (uv)^n sum_k C(2n-k,k) Cat(n-k) t^k with
+    t = w/(uv) = r/s in lowest terms (bde/(acf) for u = a/b, v = c/d,
+    w = e/f).  On ints, each term of sum_k C(2n-k,k) Cat(n-k) r^k s^(n-k)
+    is the previous one times (n-k)(n-k+1) r / ((2n-k)(k+1) s), from
+    Cat(n) s^n, and one Fraction is made at the end.  For uv = 0 only the
+    term w^n can be nonzero.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    (a, b), (c, d), (e, f) = (x.as_integer_ratio() for x in (u, v, w))
+    low = a * c * f
+    if low == 0:
+        return Fraction(e ** n, f ** n)
+    r, s = _lowest_terms(b * d * e, low)
+    term = total = math.comb(2 * n, n) // (n + 1) * s ** n
+    for k in range(n):
+        term = term * ((n - k) * (n - k + 1) * r) // ((2 * n - k) * (k + 1) * s)
+        total += term
+    return Fraction((a * c) ** n * total, (b * d * s) ** n)
+
+
+def _lowest_terms(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def central_delannoy(count: int) -> list[int]:

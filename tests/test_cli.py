@@ -18,7 +18,7 @@ from faults import CorruptingFamilies
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from delannoy_jacobi import cli, identities
+from delannoy_jacobi import cli, identities, paths
 from delannoy_jacobi.cli import main
 from delannoy_jacobi.polynomial import Poly
 from delannoy_jacobi.render import parse_poly
@@ -259,6 +259,26 @@ class TestComputeCounts:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["m", "n", "u", "v", "w", "value"]
         assert rows[1] == ["1", "1", "1", "1", "1", "3"]
+
+    @pytest.mark.parametrize("what, index, weights", [
+        ("delannoy", {"m": 7, "n": 4}, (Fraction(1, 2), Fraction(-1, 3), 7)),
+        ("delannoy", {"m": 3, "n": 9}, (0, 1, Fraction(-5, 2))),
+        ("schroder", {"n": 6}, (Fraction(-2, 5), 3, Fraction(-7, 4))),
+        ("schroder", {"n": 5}, (1, 2, 0)),
+    ])
+    def test_scalar_totals_do_not_run_the_dps(self, capsys, monkeypatch, what, index, weights):
+        # compute delannoy and compute schroder add up the binomial sums; the
+        # DPs, called here before they are disabled, only check the value.
+        dp = paths.delannoy_weighted if what == "delannoy" else paths.schroder_weighted
+        expected = f"{dp(*index.values(), paths.WeightTriple.of(*weights)).constant_value()}\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CLI ran a path DP")
+
+        monkeypatch.setattr(paths, "delannoy_weighted", refuse)
+        monkeypatch.setattr(paths, "schroder_weighted", refuse)
+        flags = [f"--{k}={v}" for k, v in (*index.items(), *zip("uvw", weights))]
+        assert run_cli(capsys, "compute", what, *flags) == (0, expected, "")
 
 
 def _weight_flags(draw) -> list[str]:

@@ -24,12 +24,14 @@ from delannoy_jacobi.paths import (
     delannoy_closed,
     delannoy_enumerate,
     delannoy_row,
+    delannoy_sum,
     delannoy_weighted,
     diagonal_tally,
     modified_delannoy,
     motzkin_legendre_moment,
     schroder_enumerate,
     schroder_numbers,
+    schroder_sum,
     schroder_weighted,
     valid_pair_signed_sum,
     _count_leader_orders,
@@ -501,6 +503,102 @@ class TestClosedSum:
         finally:
             delannoy_closed.cache_clear()
             diagonal_tally.cache_clear()
+
+
+def _schroder_by_family(n, wt):
+    """(-w)^n S_n(-uv/w), the paper's form of the weighted Schroeder total;
+    at w = 0 only the term Cat(n) (uv)^n is left."""
+    u, v, w = wt.values()
+    if w == 0:
+        return F(binom(2 * n, n), n + 1) * (u * v) ** n
+    return (-w) ** n * families.schroder_poly(n)(-u * v / w)
+
+
+# Zero weights, u = 0, v = 0, w = 0, uv + w = 0 and negative p/q weights.
+SUM_CORNERS = [
+    (0, 0, 0), (0, F(2, 3), -1), (F(-1, 2), 0, 3), (F(1, 2), F(-1, 3), 0),
+    (F(1, 2), F(-1, 3), F(1, 6)), (2, 3, -6), (-1, -1, -1), (F(-5, 4), F(3, 7), F(-9, 2)),
+]
+
+
+class TestBinomialSums:
+    """delannoy_sum and schroder_sum, the CLI's constant-weight routes,
+    against the DPs, the multinomial closed sum and the Schroeder family."""
+
+    @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12),
+           wide_triples)
+    @settings(max_examples=150, deadline=None)
+    def test_delannoy_sum_matches_dp_and_closed(self, m, n, uvw):
+        wt = WeightTriple.of(*uvw)
+        total = delannoy_sum(m, n, *uvw)
+        assert type(total) is F
+        assert total == delannoy_weighted(m, n, wt).constant_value()
+        assert total == delannoy_closed(m, n, wt).constant_value()
+
+    @given(st.integers(min_value=0, max_value=12), wide_triples)
+    @settings(max_examples=150, deadline=None)
+    def test_schroder_sum_matches_dp_and_family(self, n, uvw):
+        wt = WeightTriple.of(*uvw)
+        total = schroder_sum(n, *uvw)
+        assert type(total) is F
+        assert total == schroder_weighted(n, wt).constant_value()
+        assert total == _schroder_by_family(n, wt)
+
+    @pytest.mark.parametrize("uvw", SUM_CORNERS)
+    def test_zero_negative_and_rational_corners(self, uvw):
+        wt = WeightTriple.of(*uvw)
+        for m in range(13):
+            for n in range(13):
+                expected = delannoy_closed(m, n, wt).constant_value()
+                assert delannoy_sum(m, n, *uvw) == expected, (m, n)
+                assert expected == delannoy_weighted(m, n, wt).constant_value(), (m, n)
+            assert schroder_sum(m, *uvw) == schroder_weighted(m, wt).constant_value(), m
+            assert schroder_sum(m, *uvw) == _schroder_by_family(m, wt), m
+
+    def test_empty_path_and_zero_weights(self):
+        assert delannoy_sum(0, 0, 0, 0, 0) == schroder_sum(0, 0, 0, 0) == 1
+        for k in range(1, 6):
+            assert delannoy_sum(k, 0, 0, 0, 0) == delannoy_sum(0, k, 0, 0, 0) == 0
+            assert delannoy_sum(k, k, 0, 0, 0) == schroder_sum(k, 0, 0, 0) == 0
+        powers = [1, F(-2, 3), F(4, 9), F(-8, 27)]
+        assert [delannoy_sum(k, 0, F(-2, 3), 5) for k in range(4)] == powers
+        assert [delannoy_sum(0, k) for k in range(4)] == [1, 1, 1, 1]
+        assert [schroder_sum(k) for k in range(6)] == [1, 2, 6, 22, 90, 394]
+
+    def test_large_delannoy_against_closed(self):
+        uvw = (F(-5, 7), F(11, 9), F(-13, 8))
+        expected = delannoy_closed(2000, 2000, WeightTriple.of(*uvw)).constant_value()
+        assert delannoy_sum(2000, 2000, *uvw) == expected
+
+    def test_large_schroder_against_family(self):
+        uvw = (F(-5, 7), F(11, 9), F(-13, 8))
+        assert schroder_sum(400, *uvw) == _schroder_by_family(400, WeightTriple.of(*uvw))
+
+    def test_invalid_index(self):
+        with pytest.raises(ValueError):
+            delannoy_sum(-1, 2)
+        with pytest.raises(ValueError):
+            delannoy_sum(2, -1)
+        with pytest.raises(ValueError):
+            schroder_sum(-1)
+
+    def test_independent_of_the_closed_sum_and_the_dps(self, monkeypatch):
+        # The sums read only their weights' integer ratios and call no other
+        # route, so the DPs and delannoy_closed stay their oracles here, and
+        # delannoy_closed the gate of the CLI's outputs in the benchmark.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a binomial sum ran another route")
+
+        uvw = (F(1, 2), F(-1, 3), 7)
+        wt = WeightTriple.of(*uvw)
+        expected = [delannoy_closed(6, 4, wt), schroder_weighted(5, wt)]
+        for name in ("delannoy_closed", "_closed_sum", "delannoy_weighted", "schroder_weighted",
+                     "_packed_weights", "_delannoy_rows", "_schroder_rows"):
+            monkeypatch.setattr(paths, name, refuse)
+        monkeypatch.setattr(WeightTriple, "cleared", property(refuse))
+        assert [delannoy_sum(6, 4, *uvw), schroder_sum(5, *uvw)] == [
+            total.constant_value() for total in expected
+        ]
 
 
 class TestClearedWeights:
