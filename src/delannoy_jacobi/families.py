@@ -98,7 +98,7 @@ def laguerre_gen(n: int, beta: int = 0) -> Poly:
     the rook polynomial of the (n+beta) x n rectangular board."""
     if n < 0 or beta < 0:
         raise InvalidIndex("n and beta must be nonnegative")
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     fact = 1
     for k in range(n + 1):
         coeffs[n - k] = (-1) ** k * binom(n + beta, k) * binom(n, k) * fact
@@ -146,9 +146,9 @@ def narayana(n: int) -> Poly:
     """
     if n < 1:
         raise InvalidIndex("Narayana polynomials are indexed from n = 1")
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for k in range(1, n + 1):
-        coeffs[k] = Fraction(binom(n, k - 1) * binom(n, k), n)
+        coeffs[k] = binom(n, k - 1) * binom(n, k) // n
     return Poly(coeffs)
 
 

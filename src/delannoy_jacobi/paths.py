@@ -37,7 +37,8 @@ or polynomials in a single variable, so substituting v = x turns the same
 DP into a polynomial-family constructor.  The DPs clear the
 weights' denominators once per weight triple and evaluate them at a power
 of two large enough to hold every coefficient (Kronecker substitution), so
-constant and polynomial weights alike run on plain ints; the sequence
+constant and polynomial weights alike run on plain ints, and a total
+becomes a Poly in integer form with no Fraction built; the sequence
 helpers read a whole sequence off one DP table.
 """
 
@@ -369,7 +370,7 @@ def _at_power_of_two(coeffs: tuple[int, ...], k: int) -> int:
 
 def _unpacked(value: int, q: int, k: int, steps: int) -> Poly:
     """The Poly whose coefficients are the balanced base-2^K digits of
-    value, each divided by q^steps."""
+    value, each divided by q^steps, built in integer form."""
     digits = []
     half, mask = 1 << (k - 1), (1 << k) - 1
     while value:
@@ -378,10 +379,7 @@ def _unpacked(value: int, q: int, k: int, steps: int) -> Poly:
             digit -= mask + 1
         digits.append(digit)
         value = (value - digit) >> k
-    if q == 1:
-        return Poly(digits)
-    scale = q ** steps
-    return Poly(Fraction(digit, scale) for digit in digits)
+    return Poly._from_numerators(digits, q ** steps)
 
 
 def _delannoy_rows(m: int, n: int, u, v, w) -> Iterator[list]:

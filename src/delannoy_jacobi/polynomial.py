@@ -1,21 +1,32 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-A polynomial is a dense tuple of Fraction coefficients, index k holding the
-coefficient of x**k.  The zero polynomial is the empty tuple and has degree
--1.  Trailing zero coefficients are stripped on construction, so equality is
-plain coefficient comparison and instances are safely hashable.
+A polynomial p = sum c_k x^k is held in one or both of two forms:
+
+* its coefficients, a dense tuple of Fractions with index k holding c_k
+  (Poly.coeffs);
+* its integer form (Poly._numerators): integer numerators N_k and one
+  denominator D > 0 with c_k = N_k / D, where D is the lcm of the
+  denominators of the c_k.  Then gcd(N_0, ..., N_d, D) = 1, and that
+  condition fixes N and D, so this form is canonical.
+
+The zero polynomial has no coefficients, D = 1 and degree -1.  Trailing
+zero coefficients are stripped on construction, so equality is plain
+comparison of either form and instances are safely hashable.
+
+A Poly is born in the form its maker computes: from ints, from affine
+composition and from the path DPs in integer form, from Fractions (ring
+products and sums, calculus) as coefficients.  Since a Poly never changes,
+the other form is built on first read and kept, like the hash.
+Evaluation, affine composition, integration and the functionals run on the
+integer form, so a polynomial whose integer form was computed never builds
+a Fraction per coefficient unless its coefficients are read, and a cached
+family polynomial clears its denominators at most once, however often it
+is evaluated.  Neither form's memo takes part in equality or hashing.
 
 Everything is immutable and exact: no floats, no rounding, ever.  The
 transforms every other module leans on live here: affine composition,
-derivative and zero-based antiderivative, definite integration, division by
-x, and the denominator-clearing substitution x -> x/(x-1).
-
-Since a Poly never changes, two derived values are kept on it once computed:
-its hash and its integer form (integer numerators over one denominator,
-see Poly._numerators), which evaluation, affine composition, integration
-and the functionals run on.  A cached family polynomial therefore clears
-its denominators once, however often it is evaluated.  Neither memo takes
-part in equality or hashing.
+zero-based antiderivative, definite integration, division by x, and the
+denominator-clearing substitution x -> x/(x-1).
 """
 
 import math
@@ -65,16 +76,45 @@ def pochhammer(a: Scalar, n: int) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Dense univariate polynomial with exact rational coefficients.
+
+    Built from ints it starts in integer form, from anything else as
+    Fraction coefficients; either way `coeffs` reads Fractions.
+    """
 
     __slots__ = ("_coeffs", "_hash", "_nums")
 
     def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        if all(type(c) is int for c in cs):
+            # Integers over D = 1, which is canonical as it stands.
+            while cs and not cs[-1]:
+                cs.pop()
+            self._coeffs = None
+            self._nums = tuple(cs), 1
+            return
         # A Fraction is already normalised, so it is kept rather than re-wrapped.
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
+        self._nums = None
+
+    @classmethod
+    def _from_numerators(cls, nums: list[int], d: int) -> "Poly":
+        """The Poly sum nums[k] x^k / d, for d > 0, in canonical integer
+        form: trailing zeros stripped and one gcd of the content with d
+        divided out of both.  No Fraction is built."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(d, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            d //= g
+        p = object.__new__(cls)
+        p._coeffs = None
+        p._nums = tuple(nums), d
+        return p
 
     @classmethod
     def constant(cls, value: Scalar) -> "Poly":
@@ -89,60 +129,87 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        """The coefficients as Fractions, built from the integer form on
+        first read and kept."""
+        cs = self._coeffs
+        if cs is None:
+            nums, d = self._nums
+            cs = self._coeffs = tuple(Fraction(n, d) for n in nums)
+        return cs
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        cs = self._coeffs
+        return len(self._nums[0] if cs is None else cs) - 1
 
     @property
     def leading(self) -> Fraction:
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return self.coeffs[-1] if self else Fraction(0)
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of x**k (0 beyond the stored degree)."""
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        cs = self.coeffs
+        if 0 <= k < len(cs):
+            return cs[k]
         return Fraction(0)
 
     def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
+        cs = self._coeffs
+        return len(self._nums[0] if cs is None else cs) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self!r}")
-        return self._coeffs[0] if self._coeffs else Fraction(0)
+        # Through coeffs, so that the Fraction is built once and kept: a
+        # cached DP total is read many times.
+        cs = self.coeffs
+        return cs[0] if cs else Fraction(0)
 
     # -- ring structure ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return self.degree >= 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
+            mine, theirs = self._coeffs, other._coeffs
+            if mine is not None and theirs is not None:
+                return mine == theirs
+            # Integer numerators over 1 are the coefficients themselves, and
+            # an int equals a Fraction exactly when their values agree.
+            if mine is not None and other._nums[1] == 1:
+                return mine == other._nums[0]
+            if theirs is not None and self._nums[1] == 1:
+                return self._nums[0] == theirs
+            # Both integer forms are canonical, so they are equal exactly
+            # when the polynomials are.
+            return self._numerators() == other._numerators()
         if isinstance(other, (int, Fraction)):
-            return self._coeffs == Poly.constant(other)._coeffs
+            return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
     def __hash__(self):
         # Hashing a Fraction is costly and the DP caches hash their weight
         # polynomials on every lookup, so the hash is kept once computed.
+        # A constant hashes like its value, which it compares equal to.
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(self._coeffs)
+            self._hash = hash(self.constant_value() if self.is_constant() else self.coeffs)
             return self._hash
 
     def __neg__(self) -> "Poly":
+        if self._coeffs is None:
+            nums, d = self._nums
+            return Poly._from_numerators([-n for n in nums], d)
         return Poly(-c for c in self._coeffs)
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -168,7 +235,7 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
         out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -204,17 +271,18 @@ class Poly:
     # -- evaluation and transforms ------------------------------------------
 
     def _numerators(self) -> tuple[tuple[int, ...], int]:
-        """Integer numerators N_k and one denominator D with p = sum N_k x^k / D.
+        """The integer form: numerators N_k and the denominator D with
+        p = sum N_k x^k / D, D the lcm of the coefficients' denominators.
 
-        Kept once computed, like the hash, as an immutable tuple that every
-        caller shares.
+        Built from the coefficients on first read and kept, like the hash,
+        as an immutable tuple that every caller shares.
         """
-        try:
-            return self._nums
-        except AttributeError:
-            d = math.lcm(*(c.denominator for c in self._coeffs))
-            self._nums = tuple(c.numerator * (d // c.denominator) for c in self._coeffs), d
-            return self._nums
+        nums = self._nums
+        if nums is None:
+            cs = self._coeffs
+            d = math.lcm(*(c.denominator for c in cs))
+            nums = self._nums = tuple(c.numerator * (d // c.denominator) for c in cs), d
+        return nums
 
     def __call__(self, x: Scalar) -> Fraction:
         """Exact Horner evaluation at a rational point, on integers.
@@ -224,28 +292,27 @@ class Poly:
         the integer numerators and one Fraction is built at the end, so a
         single gcd is taken per evaluation.
         """
-        if not self._coeffs:
-            return Fraction(0)
-        x = Fraction(x)
         nums, d = self._numerators()
-        a, b = x.numerator, x.denominator
-        return Fraction(_horner(nums, a, b), d * b ** self.degree)
+        if not nums:
+            return Fraction(0)
+        a, b = x.as_integer_ratio()
+        return Fraction(_horner(nums, a, b), d * b ** (len(nums) - 1))
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Poly":
         """Expand p(a*x + b) exactly, by a Taylor shift on integers.
 
         With p = sum N_k x^k / D and a = A/E, b = B/E over common
         denominators, p(a*x + b) = sum N_k E^(d-k) (A x + B)^k / (D E^d),
-        d = deg(p).  Horner runs on the integer numerators and the result
-        is divided by D E^d once per coefficient, so no gcd is taken inside
-        the loop.
+        d = deg(p).  Horner runs on the integer numerators, and the result
+        keeps them over D E^d in integer form, reduced by one gcd: no
+        Fraction is built.
         """
-        if not self._coeffs:
-            return ZERO
-        a, b = Fraction(a), Fraction(b)
-        e = math.lcm(a.denominator, b.denominator)
-        big_a, big_b = a.numerator * (e // a.denominator), b.numerator * (e // b.denominator)
         nums, d = self._numerators()
+        if not nums:
+            return ZERO
+        (a_num, a_den), (b_num, b_den) = a.as_integer_ratio(), b.as_integer_ratio()
+        e = math.lcm(a_den, b_den)
+        big_a, big_b = a_num * (e // a_den), b_num * (e // b_den)
         acc: list[int] = []
         e_pow = 1
         for n in reversed(nums):
@@ -259,12 +326,11 @@ class Poly:
             else:
                 acc = [term]
             e_pow *= e
-        denominator = d * e ** self.degree
-        return Poly(Fraction(n, denominator) for n in acc)
+        return Poly._from_numerators(acc, d * e ** (len(nums) - 1))
 
     def antiderivative(self) -> "Poly":
         """The antiderivative vanishing at 0, i.e. x |-> integral from 0 to x."""
-        return Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self._coeffs)])
+        return Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
     def integrate(self, lo: Scalar, hi: Scalar) -> Fraction:
         """Exact value of the definite integral over [lo, hi], on integers.
@@ -275,10 +341,10 @@ class Poly:
         hi = c/e, and one Fraction is built from the difference over
         L D (b e)^(d+1).
         """
-        if not self._coeffs:
+        nums, d = self._numerators()
+        if not nums:
             return Fraction(0)
         lo, hi = Fraction(lo), Fraction(hi)
-        nums, d = self._numerators()
         top = len(nums)
         big_l = math.lcm(*range(1, top + 1))
         anti = [0] + [n * (big_l // k) for k, n in enumerate(nums, start=1)]
@@ -290,9 +356,10 @@ class Poly:
 
     def div_x(self) -> "Poly":
         """Return q with x*q = p; p must have zero constant term."""
-        if self._coeffs and self._coeffs[0] != 0:
-            raise NonzeroConstantTerm(f"constant term is {self._coeffs[0]}, not 0")
-        return Poly(self._coeffs[1:])
+        cs = self.coeffs
+        if cs and cs[0] != 0:
+            raise NonzeroConstantTerm(f"constant term is {cs[0]}, not 0")
+        return Poly(cs[1:])
 
     def cayley(self, n: int) -> "Poly":
         """Clear denominators in p(x/(x-1)): return (x-1)**n * p(x/(x-1)).
@@ -307,13 +374,13 @@ class Poly:
         for _ in range(n):
             pows.append(pows[-1] * shift)
         total = ZERO
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self.coeffs):
             if c != 0:
                 total = total + c * X ** k * pows[n - k]
         return total
 
     def __repr__(self) -> str:
-        return f"Poly({[str(c) for c in self._coeffs]})"
+        return f"Poly({[str(c) for c in self.coeffs]})"
 
 
 def _horner(nums: Sequence[int], a: int, b: int) -> int:

@@ -1,4 +1,5 @@
-"""Shared test helper: a family namespace that corrupts one constructor."""
+"""Shared test helpers: a family namespace that corrupts one constructor,
+and the emptying of module caches before and after a fault."""
 
 from fractions import Fraction
 
@@ -46,3 +47,11 @@ class CorruptingFamilies:
             return Poly(coeffs)
 
         return corrupted
+
+
+def clear_caches(*modules):
+    """Empty every lru_cache defined at the top level of the modules."""
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()

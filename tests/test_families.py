@@ -1,5 +1,6 @@
 """Tests for the polynomial family constructors and their cross-relations."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -221,6 +222,15 @@ class TestLaguerre:
             p = fam.laguerre(n)
             assert p.degree == n and p.leading == 1
 
+    def test_matches_the_fraction_formula(self):
+        # Built on ints, checked against the sum taken on Fractions.
+        for beta in (0, 1, 3):
+            for n in range(41):
+                coeffs = [F(0)] * (n + 1)
+                for k in range(n + 1):
+                    coeffs[n - k] = F((-1) ** k * binom(n + beta, k) * binom(n, k)) * math.factorial(k)
+                assert fam.laguerre_gen(n, beta) == Poly(coeffs), (n, beta)
+
 
 class TestSjProductExpansion:
     def test_examples(self):
@@ -264,6 +274,24 @@ class TestNarayana:
     def test_integer_coefficients(self):
         for n in range(1, 11):
             assert all(c.denominator == 1 for c in fam.narayana(n).coeffs)
+
+    def test_matches_the_fraction_formula(self):
+        # Exact division by n, checked against (1/n) C(n,k-1) C(n,k) taken
+        # as a Fraction.
+        for n in range(1, 41):
+            coeffs = [F(0)] + [F(binom(n, k - 1) * binom(n, k), n) for k in range(1, n + 1)]
+            assert fam.narayana(n) == Poly(coeffs), n
+
+
+@pytest.mark.parametrize("constructor, args", [(fam.narayana, (12,)), (fam.laguerre_gen, (9, 2))])
+def test_integer_families_are_born_in_integer_form(constructor, args):
+    # Their coefficients are integers, so no Fraction is built until the
+    # coefficients are read.
+    fam.narayana.cache_clear()
+    fam.laguerre_gen.cache_clear()
+    p = constructor(*args)
+    assert p._coeffs is None and p._numerators()[1] == 1
+    assert all(type(c) is F and c.denominator == 1 for c in p.coeffs)
 
 
 class TestSwapRules:

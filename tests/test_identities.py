@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import golden_reports
 import pytest
-from faults import FAULT_TARGETS, CorruptingFamilies
+from faults import FAULT_TARGETS, CorruptingFamilies, clear_caches
 
 from delannoy_jacobi import families, paths
 from delannoy_jacobi.identities import (
@@ -178,13 +178,6 @@ def test_corruption_error_paths_are_reported_not_raised():
     assert report.counterexample is not None
 
 
-def _clear_caches(*modules):
-    for module in modules:
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 @pytest.mark.parametrize("off_axes, wd_at, epl_at", [
     (False, {"m": 0, "n": 0}, {"n": 0, "m": 0, "beta": 0}),
     (True, {"m": 1, "n": 1}, {"n": 1, "m": 0, "beta": 0}),
@@ -201,7 +194,7 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
         found = count_paths(m, n)
         return found if off_axes and not (m and n) else itertools.islice(found, 1, None)
 
-    _clear_caches(paths)
+    clear_caches(paths)
     monkeypatch.setattr(paths, "_diagonal_counts", one_path_short)
     try:
         report = run_identity("wd-closed-vs-dp-vs-enum")
@@ -214,7 +207,7 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
         assert report.counterexample["params"] == {**epl_at, "route": "pair enumeration"}
     finally:
         monkeypatch.undo()
-        _clear_caches(paths)
+        clear_caches(paths)
     assert run_identity("wd-closed-vs-dp-vs-enum").status == "pass"
     assert run_identity("epl").status == "pass"
 
@@ -230,7 +223,7 @@ def _products_from_cold_caches(monkeypatch, id):
         products.append((self, other))
         return multiply(self, other)
 
-    _clear_caches(paths, families)
+    clear_caches(paths, families)
     monkeypatch.setattr(Poly, "__mul__", counted)
     monkeypatch.setattr(Poly, "__rmul__", counted)
     report = run_identity(id)

@@ -4,10 +4,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from faults import clear_caches
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delannoy_jacobi.functionals import factorial_functional, inner_weighted
+from delannoy_jacobi import families, identities, paths, polynomial
+from delannoy_jacobi.functionals import factorial_functional, inner_weighted, lbeta_functional
 from delannoy_jacobi.polynomial import (
     ONE,
     DegreeTooLarge,
@@ -18,6 +20,7 @@ from delannoy_jacobi.polynomial import (
     binom,
     pochhammer,
 )
+from delannoy_jacobi.render import format_poly
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys = st.builds(Poly, st.lists(rationals, max_size=8))
@@ -52,6 +55,14 @@ class TestPochhammer:
     @given(rationals, st.integers(min_value=0, max_value=8))
     def test_recursion(self, a, n):
         assert pochhammer(a, n + 1) == pochhammer(a, n) * (a + n)
+
+
+def expected_hash(coeffs):
+    """The hash of a Poly with these coefficients: that of its value for a
+    constant, which compares equal to it, and that of the tuple otherwise."""
+    if len(coeffs) <= 1:
+        return hash(coeffs[0] if coeffs else 0)
+    return hash(coeffs)
 
 
 class TestConstruction:
@@ -94,7 +105,7 @@ class TestConstruction:
         by_fraction = Poly(F(c) for c in ints)
         by_bool = Poly(bool(c) for c in ints)
         assert by_int == by_fraction
-        assert hash(by_int) == hash(by_fraction) == hash(tuple(F(c) for c in by_int.coeffs))
+        assert hash(by_int) == hash(by_fraction) == expected_hash(tuple(F(c) for c in by_int.coeffs))
         assert by_bool == Poly(1 if c else 0 for c in ints)
         assert hash(by_bool) == hash(Poly(F(1 if c else 0) for c in ints))
 
@@ -104,9 +115,23 @@ class TestConstruction:
         for p, q in [(Poly(ints), Poly(F(c) for c in ints)),
                      (Poly(fractions), Poly(F(c.numerator, c.denominator) for c in fractions))]:
             for _ in range(2):  # computed once, then read back from the slot
-                assert hash(p) == hash(p.coeffs) == hash(q) == hash(q.coeffs)
+                assert hash(p) == expected_hash(p.coeffs) == hash(q) == expected_hash(q.coeffs)
         # A key hashed from one input type is found from the other.
         assert {Poly(ints): 1}.get(Poly(F(c) for c in ints)) == 1
+
+    @given(st.one_of(st.integers(min_value=-50, max_value=50), rationals))
+    def test_a_constant_hashes_like_its_value(self, value):
+        # Poly.constant(c) == c, so the two must hash alike and find each
+        # other as dict keys, whether c is an int or a Fraction.
+        for c in (value, F(value)):
+            p = Poly.constant(c)
+            assert p == c and c == p
+            assert hash(p) == hash(c)
+            assert {c: "a"}.get(p) == "a"
+            assert {p: "a"}.get(c) == "a"
+        assert hash(ZERO) == hash(Poly(())) == hash(0)
+        assert {0: "zero"}.get(ZERO) == "zero"
+        assert {3: "a"}.get(Poly.constant(3)) == "a"
 
 
 class TestIntegerForm:
@@ -147,6 +172,164 @@ class TestIntegerForm:
         assert Poly((F(1, 2), F(-2, 3), 3))._numerators() == ((3, -4, 18), 6)
         assert Poly()._numerators() == ((), 1)
         assert X._numerators() == ((0, 1), 1)
+
+
+int_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
+# Poly(ints) alone (a is None), or composed with a*x + b: the two makers
+# that build a Poly in integer form.
+integer_form_args = st.tuples(int_lists, st.none() | rationals, rationals)
+
+
+def integer_form(ints, a, b):
+    p = Poly(ints)
+    return p if a is None else p.compose_affine(a, b)
+
+
+def two_forms(args):
+    """A fresh Poly in integer form only, and its twin built from the
+    Fraction coefficients, which has the Fraction form only (a zero
+    Fraction makes the zero twin)."""
+    p = integer_form(*args)
+    twin = Poly(integer_form(*args).coeffs or (F(0),))
+    assert (p._coeffs is None or p is ZERO) and twin._nums is None
+    return p, twin
+
+
+def assert_equality_agrees(args, other_args, k):
+    """== and != across the two forms, against each other, against another
+    polynomial in either form, against the same numerators over k times
+    the denominator, and against int and Fraction constants."""
+    for p, q in [two_forms(args), two_forms(args)[::-1]]:
+        assert p == q and q == p and not p != q and not q != p
+    p, twin = two_forms(args)
+    q, q_twin = two_forms(other_args)
+    same = twin == q_twin  # both sides Fraction tuples
+    for left, right in [(p, q), (p, q_twin), (twin, q), (q, p), (q_twin, p), (q, twin)]:
+        assert (left == right) is same and (left != right) is not same
+    # The same numerators over another denominator: a different
+    # polynomial unless zero.
+    scaled = Poly(c / k for c in twin.coeffs)
+    for left, right in [(p, scaled), (scaled, p)]:
+        assert (left == right) is (not p) and (left != right) is bool(p)
+    for c in (0, 1, -3, F(1, 2), *args[0][:1], *twin.coeffs[:1]):
+        expected = twin == c
+        for form in two_forms(args):
+            assert (form == c) is expected and (c == form) is expected
+            assert (form != c) is not expected and (c != form) is not expected
+
+
+# x against x/2: equal numerators over different denominators.
+X_AGAINST_HALF_X = ([0, 1], None, F(0)), ([0, 1], F(1, 2), F(0)), 2
+
+
+class TestCrossForm:
+    """A Poly born in integer form and its Fraction-form twin agree on
+    every method and operator, in both operand orders.  Each check takes a
+    fresh integer-form Poly, since reading the coefficients keeps them."""
+
+    @given(integer_form_args, integer_form_args, st.integers(min_value=2, max_value=9))
+    @example(*X_AGAINST_HALF_X)
+    def test_equality(self, args, other_args, k):
+        assert_equality_agrees(args, other_args, k)
+
+    @given(integer_form_args)
+    def test_hash_and_dict_lookup(self, args):
+        p, twin = two_forms(args)
+        assert hash(p) == hash(twin)
+        assert {p: 1}.get(twin) == 1
+        p, twin = two_forms(args)
+        assert {twin: 1}.get(p) == 1
+        if twin.is_constant():
+            value = twin.constant_value()
+            assert {value: 1}.get(two_forms(args)[0]) == 1
+            assert {two_forms(args)[0]: 1}.get(value) == 1
+
+    @given(integer_form_args)
+    def test_reads(self, args):
+        def agree(read):
+            p, twin = two_forms(args)
+            assert read(p) == read(twin)
+
+        p, twin = two_forms(args)
+        assert all(type(c) is F for c in p.coeffs)
+        assert p.coeffs == twin.coeffs
+        for read in (
+            lambda p: p.degree, lambda p: p.leading, bool, lambda p: p.is_constant(),
+            repr, format_poly,
+        ):
+            agree(read)
+        for k in range(-1, twin.degree + 3):
+            agree(lambda p: p.coefficient(k))
+        if twin.is_constant():
+            agree(lambda p: p.constant_value())
+        else:
+            for p in two_forms(args):
+                with pytest.raises(ValueError):
+                    p.constant_value()
+
+    @settings(deadline=None)
+    @given(integer_form_args, integer_form_args, rationals, rationals, rationals)
+    def test_transforms(self, args, other_args, x, a, b):
+        def agree(apply):
+            p, twin = two_forms(args)
+            assert apply(p) == apply(twin)
+
+        agree(lambda p: p(x))
+        agree(lambda p: p.compose_affine(a, b))
+        agree(lambda p: p.integrate(x, a))
+        agree(lambda p: p.antiderivative())
+        agree(lambda p: -p)
+        f_twin, g_twin = two_forms(args)[1], two_forms(other_args)[1]
+        if f_twin.coefficient(0) == 0:
+            agree(lambda p: p.div_x())
+        else:
+            for p in two_forms(args):
+                with pytest.raises(NonzeroConstantTerm):
+                    p.div_x()
+
+        # The functionals read the integer form only, so f and g stay
+        # without coefficients throughout.
+        functional, moments = factorial_functional(16), lbeta_functional(20)
+        product = f_twin * g_twin
+        for f in two_forms(args):
+            assert functional(f) == functional(f_twin)
+            for g in two_forms(other_args):
+                for left, right in [(f, g), (g, f)]:
+                    assert inner_weighted(left, right, 2, 1) == inner_weighted(f_twin, g_twin, 2, 1)
+                    assert functional.pair(left, right) == functional(product)
+                    assert moments.pair(left, right) == moments.pair(f_twin, g_twin)
+
+        # The ring operations read the coefficients, so each gets fresh
+        # operands, in every mix of forms.
+        def operands():
+            f, g = integer_form(*args), integer_form(*other_args)
+            return [(f, g), (integer_form(*args), g_twin), (f_twin, integer_form(*other_args))]
+
+        for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
+            for f, g in operands():
+                assert op(f, g) == op(f_twin, g_twin)
+            for f, g in operands():
+                assert op(g, f) == op(g_twin, f_twin)
+
+    def test_compose_affine_builds_no_fraction_until_coeffs_are_read(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return F(*args)
+
+        p = Poly((3, -1, 4, 1, -5))
+        monkeypatch.setattr(polynomial, "Fraction", counted)
+        outs = [p.compose_affine(F(1, 2), F(-1, 2)), p.compose_affine(2, -1),
+                p.compose_affine(1, 1), ZERO.compose_affine(F(2, 3), 1)]
+        assert built == []
+        coeffs = [out.coeffs for out in outs]
+        assert built  # the coefficients are built on first read ...
+        count = len(built)
+        assert [out.coeffs for out in outs] == coeffs and len(built) == count  # ... and kept
+        monkeypatch.undo()
+        for out, (a, b) in zip(outs, [(F(1, 2), F(-1, 2)), (2, -1), (1, 1)]):
+            assert out == TestComposeAffine._horner_over_poly(p, a, b)
 
 
 class TestArithmetic:
@@ -375,3 +558,68 @@ class TestCayley:
         for k in range(n + 2):
             x0 = F(k + 2)  # 2, 3, ... avoids the pole at 1
             assert image(x0) == (x0 - 1) ** n * p(x0 / (x0 - 1))
+
+
+def _cold_failures():
+    """The ids of the registry entries that fail a run_all() from empty
+    family and path caches."""
+    clear_caches(families, paths)
+    return {r.id for r in identities.run_all() if r.status == "fail"}
+
+
+class TestIntegerFormFaults:
+    """A fault in the integer-form route fails a cold registry run, or,
+    where no entry can see it, the cross-form tests."""
+
+    @pytest.fixture
+    def faulty(self, monkeypatch):
+        """monkeypatch, with the family and path caches emptied once the
+        fault is undone, so nothing built under it outlives the test."""
+        yield monkeypatch
+        monkeypatch.undo()
+        clear_caches(families, paths)
+
+    def test_constructor_that_leaves_the_denominator_unreduced(self, faulty):
+        def content_only(cls, nums, d):
+            while nums and not nums[-1]:
+                nums.pop()
+            g = math.gcd(*nums) or 1
+            p = object.__new__(cls)
+            p._coeffs = None
+            p._nums = tuple(n // g for n in nums), d
+            return p
+
+        faulty.setattr(Poly, "_from_numerators", classmethod(content_only))
+        failed = _cold_failures()
+        # swap-rules builds both of its sides by compose_affine, so an entry
+        # that compares with Poly(ints) must see the fault.
+        assert "dual-routes" in failed
+        assert len(failed) >= 10
+
+    def test_equality_that_ignores_the_denominator(self, faulty):
+        equal = Poly.__eq__
+
+        def numerators_only(self, other):
+            if isinstance(other, Poly) and (self._coeffs is None or other._coeffs is None):
+                return self._numerators()[0] == other._numerators()[0]
+            return equal(self, other)
+
+        faulty.setattr(Poly, "__eq__", numerators_only)
+        assert X == X.compose_affine(F(1, 2), 0)  # the fault is in place
+        # No registry entry compares two polynomials that differ only in
+        # the denominator, so the cross-form tests are the guard.
+        with pytest.raises(AssertionError):
+            assert_equality_agrees(*X_AGAINST_HALF_X)
+
+    def test_compose_affine_with_a_wrong_top_numerator(self, faulty):
+        compose = Poly.compose_affine
+
+        def top_plus_one(self, a, b):
+            out = compose(self, a, b)
+            nums, d = out._numerators()
+            return Poly._from_numerators([*nums[:-1], nums[-1] + 1], d) if nums else out
+
+        faulty.setattr(Poly, "compose_affine", top_plus_one)
+        failed = _cold_failures()
+        assert {"dual-routes", "swap-rules", "sj-expansion"} <= failed
+        assert len(failed) >= 15
