@@ -127,13 +127,14 @@ def sj_product_expansion(n: int, alpha: int, beta: int) -> Poly:
 def schroder_poly(n: int) -> Poly:
     """Schroeder polynomial S_n: the weighted Schroeder total at (1, x, -1).
 
-    Closed form: sum_j (-1)^(n-j)/(j+1) C(2j,j) C(n+j,n-j) x^j, the j-east
-    arrangements below the diagonal being counted by a Catalan number.
+    Closed form: sum_j (-1)^(n-j) C(2j,j)/(j+1) C(n+j,n-j) x^j, the j-east
+    arrangements below the diagonal being counted by the Catalan number
+    C(2j,j)/(j+1), so every coefficient is an integer.
     """
     if n < 0:
         raise InvalidIndex("n must be nonnegative")
     return Poly(
-        Fraction((-1) ** (n - j) * binom(2 * j, j) * binom(n + j, n - j), j + 1)
+        (-1) ** (n - j) * (binom(2 * j, j) // (j + 1)) * binom(n + j, n - j)
         for j in range(n + 1)
     )
 

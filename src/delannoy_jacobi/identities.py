@@ -303,11 +303,6 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
                             m=m, n=n, u=u, v=v, w=w, route="enumeration")
 
 
-def _scaled(c: Fraction, p: Poly) -> Poly:
-    """c * p for a nonzero constant c: each coefficient scaled, no product."""
-    return Poly([c * k for k in p.coeffs])
-
-
 @_register(
     "wcd-legendre",
     "Diagonal weighted Delannoy totals match the shifted Legendre value "
@@ -326,7 +321,7 @@ def _wcd_legendre(cfg: SuiteConfig) -> Cases:
                         n=n, u=u, v=v, w=w)
         for u, w, wt in x_points:
             yield _case(lambda: lp.delannoy_weighted(n, n, wt),
-                        lambda: _scaled((-w) ** n, p.compose_affine(-u / w, 0)),
+                        lambda: (-w) ** n * p.compose_affine(-u / w, 0),
                         n=n, u=u, w=w, v="x")
 
 
@@ -348,7 +343,7 @@ def _wcd_legendre_swap(cfg: SuiteConfig) -> Cases:
                         n=n, u=u, v=v, w=w)
         for u, w, wt in x_points:
             yield _case(lambda: lp.delannoy_weighted(n, n, wt),
-                        lambda: _scaled(w ** n, p.compose_affine(u / w, 1)),
+                        lambda: w ** n * p.compose_affine(u / w, 1),
                         n=n, u=u, w=w, v="x")
 
 
@@ -909,12 +904,6 @@ def _sj_expansion(cfg: SuiteConfig) -> Cases:
                             n=n, alpha=alpha, beta=beta)
 
 
-def _reflected(p: Poly, n: int) -> Poly:
-    """(-1)^n p(-x), with the sign applied by negation, not by a product."""
-    p = p.compose_affine(-1, 0)
-    return -p if n % 2 else p
-
-
 @_register(
     "swap-rules",
     "Parameter swaps hold as polynomial identities: reflecting x swaps "
@@ -924,15 +913,16 @@ def _reflected(p: Poly, n: int) -> Poly:
 def _swap_rules(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     for n in range(cfg.cap(8) + 1):
-        yield _case(lambda: _reflected(F.shifted_legendre(n), n),
+        yield _case(lambda: (-1) ** n * F.shifted_legendre(n).compose_affine(-1, 0),
                     lambda: F.shifted_legendre(n).compose_affine(1, 1),
                     n=n, rule="legendre shift")
         for alpha in range(-3, 4):
             for beta in range(-3, 4):
-                yield _case(lambda: _reflected(F.jacobi(n, alpha, beta), n),
+                yield _case(lambda: (-1) ** n * F.jacobi(n, alpha, beta).compose_affine(-1, 0),
                             lambda: F.jacobi(n, beta, alpha),
                             n=n, alpha=alpha, beta=beta, rule="plain")
-                yield _case(lambda: _reflected(F.shifted_jacobi(n, alpha, beta), n),
+                yield _case(lambda: (-1) ** n
+                            * F.shifted_jacobi(n, alpha, beta).compose_affine(-1, 0),
                             lambda: F.shifted_jacobi(n, beta, alpha).compose_affine(1, 1),
                             n=n, alpha=alpha, beta=beta, rule="shifted")
 

@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator
 
-from .polynomial import CACHE_SIZE, Poly, as_poly
+from .polynomial import CACHE_SIZE, Poly, as_poly, require_rational
 
 ENUMERATION_CAP = 16  # max total steps for explicit path enumeration
 PAIR_CAP = 9          # max element count for bijection enumeration
@@ -113,7 +113,7 @@ class WeightTriple:
         their coefficients; S = max(1, |U|_1 + |V|_1 + |W|_1) bounds the
         growth of a DP cell per step (see _packed_weights).
         """
-        q = math.lcm(*(c.denominator for p in (self.u, self.v, self.w) for c in p.coeffs))
+        q = math.lcm(*(p._numerators()[1] for p in (self.u, self.v, self.w)))
         u, v, w = _scaled(self.u, q), _scaled(self.v, q), _scaled(self.w, q * q)
         size = max(1, sum(abs(c) for c in (*u, *v, *w)))
         return q, u, v, w, size.bit_length()
@@ -276,7 +276,7 @@ def delannoy_sum(m: int, n: int, u: Fraction = Fraction(1), v: Fraction = Fracti
     """
     _require_quadrant(m, n)
     top = min(m, n)
-    (a, b), (c, d), (e, f) = (x.as_integer_ratio() for x in (u, v, w))
+    (a, b), (c, d), (e, f) = (require_rational(x).as_integer_ratio() for x in (u, v, w))
     low = a * c * f
     if low == 0:
         coeff = math.comb(m, top) * math.comb(n, top)
@@ -304,7 +304,7 @@ def schroder_sum(n: int, u: Fraction = Fraction(1), v: Fraction = Fraction(1),
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    (a, b), (c, d), (e, f) = (x.as_integer_ratio() for x in (u, v, w))
+    (a, b), (c, d), (e, f) = (require_rational(x).as_integer_ratio() for x in (u, v, w))
     low = a * c * f
     if low == 0:
         return Fraction(e ** n, f ** n)
@@ -360,8 +360,9 @@ def _packed_weights(wt: WeightTriple, steps: int) -> tuple[int, int, int, int, i
 
 
 def _scaled(p: Poly, scale: int) -> tuple[int, ...]:
-    """The integer coefficients of scale * p; scale is a multiple of every denominator."""
-    return tuple(c.numerator * (scale // c.denominator) for c in p.coeffs)
+    """The integer coefficients of scale * p; scale is a multiple of its denominator."""
+    nums, d = p._numerators()
+    return tuple(n * (scale // d) for n in nums)
 
 
 def _at_power_of_two(coeffs: tuple[int, ...], k: int) -> int:

@@ -13,13 +13,14 @@ The zero polynomial has no coefficients, D = 1 and degree -1.  Trailing
 zero coefficients are stripped on construction, so equality is plain
 comparison of either form and instances are safely hashable.
 
-A Poly is born in the form its maker computes: from ints, from affine
-composition and from the path DPs in integer form, from Fractions (ring
-products and sums, calculus) as coefficients.  Since a Poly never changes,
-the other form is built on first read and kept, like the hash.
-Evaluation, affine composition, integration and the functionals run on the
-integer form, so a polynomial whose integer form was computed never builds
-a Fraction per coefficient unless its coefficients are read, and a cached
+A Poly is born in the form its maker computes: as Fraction coefficients
+from products and sums of polynomials and from cayley, and in integer form
+from the rest (ints, affine composition, a constant times an integer form,
+the antiderivative, division by x, the path DPs).  Since a Poly never
+changes, the other form is built on first read and kept, like the hash.
+Evaluation, composition, calculus and the functionals run on the integer
+form, so a polynomial whose integer form was computed never builds a
+Fraction per coefficient unless its coefficients are read, and a cached
 family polynomial clears its denominators at most once, however often it
 is evaluated.  Neither form's memo takes part in equality or hashing.
 
@@ -30,7 +31,6 @@ denominator-clearing substitution x -> x/(x-1).
 """
 
 import math
-from collections.abc import Sequence
 from fractions import Fraction
 
 Scalar = int | Fraction
@@ -64,12 +64,24 @@ def binom(r: int, k: int) -> int:
     return (-1) ** k * math.comb(k - r - 1, k)
 
 
+def require_rational(value) -> Scalar:
+    """Return value if it is an int or a Fraction; raise TypeError otherwise.
+
+    The check of every entry point that takes a rational, so that a float
+    (0.1 would be 3602879701896397/2**55) or a string never enters
+    silently.  Hot callers call it only when type(value) is neither.
+    """
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"expected an int or a Fraction, got {value!r}")
+
+
 def pochhammer(a: Scalar, n: int) -> Fraction:
     """Rising factorial (a)_n = a(a+1)...(a+n-1), with (a)_0 = 1."""
     if n < 0:
         raise ValueError("pochhammer requires n >= 0")
     out = Fraction(1)
-    a = Fraction(a)
+    a = Fraction(require_rational(a))
     for i in range(n):
         out *= a + i
     return out
@@ -94,7 +106,7 @@ class Poly:
             self._nums = tuple(cs), 1
             return
         # A Fraction is already normalised, so it is kept rather than re-wrapped.
-        cs = [c if type(c) is Fraction else Fraction(c) for c in cs]
+        cs = [c if type(c) is Fraction else Fraction(require_rational(c)) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -201,8 +213,7 @@ class Poly:
 
     def __neg__(self) -> "Poly":
         if self._coeffs is None:
-            nums, d = self._nums
-            return Poly._from_numerators([-n for n in nums], d)
+            return self * -1
         return Poly(-c for c in self._coeffs)
 
     def __add__(self, other) -> "Poly":
@@ -232,6 +243,12 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other) -> "Poly":
+        if self._nums is not None and isinstance(other, (int, Fraction)):
+            # c = a/b scales the integer form to sum (a N_k) x^k / (b D).  A Poly
+            # held as Fractions only (cayley's powers of x) takes the product.
+            a, b = other.as_integer_ratio()
+            nums, d = self._nums
+            return Poly._from_numerators([a * n for n in nums], b * d)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -293,10 +310,17 @@ class Poly:
         single gcd is taken per evaluation.
         """
         nums, d = self._numerators()
+        if type(x) is not int and type(x) is not Fraction:
+            require_rational(x)
         if not nums:
             return Fraction(0)
         a, b = x.as_integer_ratio()
-        return Fraction(_horner(nums, a, b), d * b ** (len(nums) - 1))
+        acc = 0
+        b_pow = 1
+        for n in reversed(nums):
+            acc = acc * a + n * b_pow
+            b_pow *= b
+        return Fraction(acc, d * b ** (len(nums) - 1))
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Poly":
         """Expand p(a*x + b) exactly, by a Taylor shift on integers.
@@ -307,6 +331,9 @@ class Poly:
         keeps them over D E^d in integer form, reduced by one gcd: no
         Fraction is built.
         """
+        for value in (a, b):
+            if type(value) is not int and type(value) is not Fraction:
+                require_rational(value)
         nums, d = self._numerators()
         if not nums:
             return ZERO
@@ -329,37 +356,28 @@ class Poly:
         return Poly._from_numerators(acc, d * e ** (len(nums) - 1))
 
     def antiderivative(self) -> "Poly":
-        """The antiderivative vanishing at 0, i.e. x |-> integral from 0 to x."""
-        return Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
+        """The antiderivative vanishing at 0, i.e. x |-> integral from 0 to x.
 
-    def integrate(self, lo: Scalar, hi: Scalar) -> Fraction:
-        """Exact value of the definite integral over [lo, hi], on integers.
-
-        With p = sum N_k x^k / D and L = lcm(1..d+1), d = deg(p), the
-        antiderivative is sum (L/(k+1)) N_k x^(k+1) / (L D), whose numerators
-        are integers.  Horner runs on them at both bounds, lo = a/b and
-        hi = c/e, and one Fraction is built from the difference over
-        L D (b e)^(d+1).
+        With p = sum N_k x^k / D and L = lcm(1..d+1), d = deg(p), it is the
+        integer form sum (L/(k+1)) N_k x^(k+1) / (L D), reduced by one gcd.
         """
         nums, d = self._numerators()
-        if not nums:
-            return Fraction(0)
-        lo, hi = Fraction(lo), Fraction(hi)
-        top = len(nums)
-        big_l = math.lcm(*range(1, top + 1))
+        big_l = math.lcm(*range(1, len(nums) + 1))
         anti = [0] + [n * (big_l // k) for k, n in enumerate(nums, start=1)]
-        b, e = lo.denominator, hi.denominator
-        difference = (
-            _horner(anti, hi.numerator, e) * b ** top - _horner(anti, lo.numerator, b) * e ** top
-        )
-        return Fraction(difference, big_l * d * (b * e) ** top)
+        return Poly._from_numerators(anti, big_l * d)
+
+    def integrate(self, lo: Scalar, hi: Scalar) -> Fraction:
+        """Exact value of the definite integral over [lo, hi]: the
+        antiderivative evaluated at both bounds, each by integer Horner."""
+        anti = self.antiderivative()
+        return anti(hi) - anti(lo)
 
     def div_x(self) -> "Poly":
-        """Return q with x*q = p; p must have zero constant term."""
-        cs = self.coeffs
-        if cs and cs[0] != 0:
-            raise NonzeroConstantTerm(f"constant term is {cs[0]}, not 0")
-        return Poly(cs[1:])
+        """Return q with x*q = p, p(0) = 0, by dropping N_0 from the integer form."""
+        nums, d = self._numerators()
+        if nums and nums[0]:
+            raise NonzeroConstantTerm(f"constant term is {Fraction(nums[0], d)}, not 0")
+        return Poly._from_numerators(list(nums[1:]), d)
 
     def cayley(self, n: int) -> "Poly":
         """Clear denominators in p(x/(x-1)): return (x-1)**n * p(x/(x-1)).
@@ -381,17 +399,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
-
-
-def _horner(nums: Sequence[int], a: int, b: int) -> int:
-    """sum N_k a^k b^(d-k), d = len(nums) - 1: the numerator of
-    sum N_k (a/b)^k over b^d, by Horner on integers."""
-    acc = 0
-    b_pow = 1
-    for n in reversed(nums):
-        acc = acc * a + n * b_pow
-        b_pow *= b
-    return acc
 
 
 def _coerce(value) -> "Poly":

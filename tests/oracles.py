@@ -3,8 +3,11 @@
 Each is the explicit-enumeration or by-definition twin of a library route:
 path_weight sums a path's step weights for the path DPs, the two
 *_enumerate functions count what modified_delannoy and
-motzkin_legendre_moment compute by DP, and gram_matrix with is_diagonal
-checks orthogonality entry by entry.
+motzkin_legendre_moment compute by DP, gram_matrix with is_diagonal
+checks orthogonality entry by entry, and the *_by_fractions functions run
+on Fraction coefficients what Poly runs on its integer form: scaling by a
+constant and the antiderivative, which integrate_by_antiderivative
+evaluates for Poly.integrate.
 """
 
 from fractions import Fraction
@@ -88,3 +91,21 @@ def is_diagonal(matrix: Matrix) -> bool:
         for j in range(len(matrix))
         if i != j
     )
+
+
+def scaled_by_fractions(c, p: Poly) -> Poly:
+    """c * p, each Fraction coefficient multiplied by c."""
+    return Poly([c * k for k in p.coeffs])
+
+
+def antiderivative_by_fractions(p: Poly) -> Poly:
+    """The antiderivative vanishing at 0, each Fraction coefficient divided
+    by its new exponent."""
+    return Poly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(p.coeffs)])
+
+
+def integrate_by_antiderivative(p: Poly, lo, hi) -> Fraction:
+    """The integral of p over [lo, hi]: the Fraction antiderivative
+    evaluated at both bounds."""
+    anti = antiderivative_by_fractions(p)
+    return anti(hi) - anti(lo)

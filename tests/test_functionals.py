@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gram_matrix, is_diagonal
+from oracles import gram_matrix, integrate_by_antiderivative, is_diagonal
 
 from delannoy_jacobi import families as fam
 from delannoy_jacobi.polynomial import ONE, Poly, X
@@ -27,13 +27,6 @@ from delannoy_jacobi.functionals import (
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 small_polys = st.lists(rationals, max_size=6).map(Poly)
-
-
-def integrate_by_antiderivative(p, lo, hi):
-    """The former body of Poly.integrate: a Fraction antiderivative
-    evaluated at both bounds."""
-    anti = p.antiderivative()
-    return anti(hi) - anti(lo)
 
 
 def functional_by_fractions(functional, p):
@@ -125,7 +118,7 @@ class TestInnerWeighted:
     )
     def test_matches_integrated_weight(self, f, g, alpha, beta):
         # Multiply the weight out and integrate over [0, 1], by the integer
-        # route and by the former antiderivative route.
+        # route and by the Fraction antiderivative route.
         integrand = f * g * Poly((1, -1)) ** alpha * X ** beta
         expected = integrate_by_antiderivative(integrand, 0, 1)
         assert inner_weighted(f, g, alpha, beta) == expected == integrand.integrate(0, 1)

@@ -215,12 +215,15 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
 def _products_from_cold_caches(monkeypatch, id):
     """The operands of every Poly product one entry takes, run with empty
     path and family caches.  __rmul__ is counted too: a scalar times a Poly
-    reaches the product through it."""
+    reaches __mul__ through it.  A scalar times a Poly that holds its
+    integer form scales the numerators and builds no product, so only a
+    scalar times a Fraction-only Poly is counted among them."""
     products = []
     multiply = Poly.__mul__
 
     def counted(self, other):
-        products.append((self, other))
+        if self._nums is None or isinstance(other, Poly):
+            products.append((self, other))
         return multiply(self, other)
 
     clear_caches(paths, families)
@@ -237,8 +240,8 @@ def _products_from_cold_caches(monkeypatch, id):
 ])
 def test_checks_that_reduce_products_to_numbers_build_none(monkeypatch, id):
     # Functionals and [0, 1] integrals take both factors, (-1)^n is a
-    # negation, and the constant (-w)^n or w^n of the v = x legs scales each
-    # coefficient, so none of these entries multiplies two polynomials.
+    # negation, and the constant (-w)^n or w^n of the v = x legs scales the
+    # numerators, so none of these entries multiplies two polynomials.
     assert _products_from_cold_caches(monkeypatch, id) == []
 
 

@@ -7,8 +7,9 @@ import pytest
 from faults import clear_caches
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import antiderivative_by_fractions, integrate_by_antiderivative, scaled_by_fractions
 
-from delannoy_jacobi import families, identities, paths, polynomial
+from delannoy_jacobi import families, identities, paths
 from delannoy_jacobi.functionals import factorial_functional, inner_weighted, lbeta_functional
 from delannoy_jacobi.polynomial import (
     ONE,
@@ -175,6 +176,8 @@ class TestIntegerForm:
 
 
 int_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
+# Constants to scale by: zero, an int of either sign, or a Fraction.
+scalars = st.sampled_from([0, F(0)]) | st.integers(min_value=-50, max_value=50) | rationals
 # Poly(ints) alone (a is None), or composed with a*x + b: the two makers
 # that build a Poly in integer form.
 integer_form_args = st.tuples(int_lists, st.none() | rationals, rationals)
@@ -311,25 +314,49 @@ class TestCrossForm:
             for f, g in operands():
                 assert op(g, f) == op(g_twin, f_twin)
 
-    def test_compose_affine_builds_no_fraction_until_coeffs_are_read(self, monkeypatch):
+    @staticmethod
+    def assert_no_fraction_until_coeffs_are_read(monkeypatch, make):
+        """make() builds no Fraction; reading its results' coefficients
+        builds them once, and they are kept.  Returns the results."""
         built = []
+        new = F.__new__
 
-        def counted(*args):
+        def counted(cls, *args, **kwargs):
             built.append(args)
-            return F(*args)
+            return new(cls, *args, **kwargs)
 
-        p = Poly((3, -1, 4, 1, -5))
-        monkeypatch.setattr(polynomial, "Fraction", counted)
-        outs = [p.compose_affine(F(1, 2), F(-1, 2)), p.compose_affine(2, -1),
-                p.compose_affine(1, 1), ZERO.compose_affine(F(2, 3), 1)]
+        monkeypatch.setattr(F, "__new__", counted)
+        outs = make()
         assert built == []
         coeffs = [out.coeffs for out in outs]
         assert built  # the coefficients are built on first read ...
         count = len(built)
         assert [out.coeffs for out in outs] == coeffs and len(built) == count  # ... and kept
         monkeypatch.undo()
-        for out, (a, b) in zip(outs, [(F(1, 2), F(-1, 2)), (2, -1), (1, 1)]):
+        return outs
+
+    def test_compose_affine_builds_no_fraction_until_coeffs_are_read(self, monkeypatch):
+        p = Poly((3, -1, 4, 1, -5))
+        points = [(F(1, 2), F(-1, 2)), (2, -1), (1, 1)]
+        two_thirds = F(2, 3)
+        outs = self.assert_no_fraction_until_coeffs_are_read(monkeypatch, lambda: [
+            *(p.compose_affine(a, b) for a, b in points), ZERO.compose_affine(two_thirds, 1)])
+        for out, (a, b) in zip(outs, points):
             assert out == TestComposeAffine._horner_over_poly(p, a, b)
+
+    def test_scaling_antiderivative_and_div_x_build_no_fraction_until_coeffs_are_read(
+            self, monkeypatch):
+        p = Poly((0, -1, 4, 1, -5)).compose_affine(F(2, 3), 0)
+        half, c = F(1, 2), F(-7, 3)
+        outs = self.assert_no_fraction_until_coeffs_are_read(monkeypatch, lambda: [
+            c * p, p * c, 3 * p, -p, half * ZERO, p.antiderivative(), p.div_x(),
+            p.antiderivative().antiderivative(), ZERO.antiderivative(), ZERO.div_x()])
+        twin = Poly(p.coeffs)
+        anti = antiderivative_by_fractions(twin)
+        assert outs == [
+            scaled_by_fractions(c, twin), scaled_by_fractions(c, twin),
+            scaled_by_fractions(3, twin), scaled_by_fractions(-1, twin), ZERO, anti,
+            Poly(twin.coeffs[1:]), antiderivative_by_fractions(anti), ZERO, ZERO]
 
 
 class TestArithmetic:
@@ -377,6 +404,17 @@ class TestArithmetic:
     def test_scalar_mixing(self):
         assert 2 * X + 1 == Poly((1, 2))
         assert (X - 1) * (X + 1) == Poly((-1, 0, 1))
+
+    @given(integer_form_args, scalars)
+    def test_scaling_matches_the_fraction_oracle(self, args, c):
+        # An integer-form operand is scaled on its numerators, a
+        # Fraction-only one by the product with a constant; both orders.
+        expected = scaled_by_fractions(c, two_forms(args)[1])
+        for make in (lambda p: c * p, lambda p: p * c, lambda p: Poly.constant(c) * p):
+            for p in two_forms(args):
+                assert make(p) == expected
+        p = two_forms(args)[0]
+        assert (c * p)._numerators() == TestIntegerForm.fresh(expected)
 
 
 class TestEval:
@@ -462,13 +500,6 @@ class TestComposeAffine:
         assert Poly.constant(F(-5, 7)).compose_affine(3, 4) == Poly.constant(F(-5, 7))
 
 
-def integrate_by_antiderivative(p, lo, hi):
-    """The former body of Poly.integrate: a Fraction antiderivative
-    evaluated at both bounds."""
-    anti = p.antiderivative()
-    return anti(hi) - anti(lo)
-
-
 def derivative(p):
     """p', coefficient by coefficient: the package has no derivative, so
     this oracle checks antiderivative by inverting it."""
@@ -479,6 +510,16 @@ class TestCalculus:
     def test_examples(self):
         assert Poly((-1, 2)).antiderivative() == Poly((0, -1, 1))
         assert ZERO.antiderivative() == ZERO
+
+    @given(integer_form_args)
+    def test_antiderivative_matches_the_fraction_oracle(self, args):
+        expected = antiderivative_by_fractions(two_forms(args)[1])
+        for p in two_forms(args):
+            out = p.antiderivative()
+            assert out == expected
+            assert out._numerators() == TestIntegerForm.fresh(expected)
+        p = two_forms(args)[0]
+        assert p.antiderivative().antiderivative() == antiderivative_by_fractions(expected)
 
     @given(polys)
     def test_derivative_inverts_antiderivative(self, p):
@@ -560,6 +601,12 @@ class TestCayley:
             assert image(x0) == (x0 - 1) ** n * p(x0 / (x0 - 1))
 
 
+def _top_plus_one(p):
+    """p with 1 added to the top numerator of its integer form."""
+    nums, d = p._numerators()
+    return Poly._from_numerators([*nums[:-1], nums[-1] + 1], d) if nums else p
+
+
 def _cold_failures():
     """The ids of the registry entries that fail a run_all() from empty
     family and path caches."""
@@ -613,13 +660,37 @@ class TestIntegerFormFaults:
 
     def test_compose_affine_with_a_wrong_top_numerator(self, faulty):
         compose = Poly.compose_affine
-
-        def top_plus_one(self, a, b):
-            out = compose(self, a, b)
-            nums, d = out._numerators()
-            return Poly._from_numerators([*nums[:-1], nums[-1] + 1], d) if nums else out
-
-        faulty.setattr(Poly, "compose_affine", top_plus_one)
+        faulty.setattr(Poly, "compose_affine", lambda self, a, b: _top_plus_one(compose(self, a, b)))
         failed = _cold_failures()
         assert {"dual-routes", "swap-rules", "sj-expansion"} <= failed
         assert len(failed) >= 15
+
+    # The entries that a wrong top numerator of each integer route FAILs.
+    @pytest.mark.parametrize("method, failing", [
+        ("antiderivative", {"antideriv", "narayana"}),
+        ("div_x", {"schroder"}),
+    ])
+    def test_transform_with_a_wrong_top_numerator(self, faulty, method, failing):
+        route = getattr(Poly, method)
+        faulty.setattr(Poly, method, lambda self: _top_plus_one(route(self)))
+        assert _cold_failures() == failing
+
+    def test_scaling_with_a_wrong_top_numerator(self, faulty):
+        multiply = Poly.__mul__
+
+        def scaled_top_plus_one(self, other):
+            out = multiply(self, other)
+            # Only a constant times an integer form takes the scaling route.
+            if self._nums is not None and isinstance(other, (int, F)):
+                out = _top_plus_one(out)
+            return out
+
+        faulty.setattr(Poly, "__mul__", scaled_top_plus_one)
+        faulty.setattr(Poly, "__rmul__", scaled_top_plus_one)
+        # Negating an integer form scales it by -1, so subtraction and the
+        # swap rules' (-1)^n are on this route too.
+        assert _cold_failures() == {
+            "abdec", "antideriv", "cdrec", "favard-legendre", "favard-schroder", "narayana",
+            "schroder", "sj-expansion", "swap-rules", "wcd-legendre", "wcd-legendre-swap",
+            "wd-closed-vs-dp-vs-enum",
+        }
