@@ -265,10 +265,9 @@ def _run_compute(args) -> int:
             total = lp.delannoy_sum(args.m, args.n, args.u, args.v, args.w)
         else:
             index, total = {"n": args.n}, lp.schroder_sum(args.n, args.u, args.v, args.w)
-        record = {**index, "u": str(args.u), "v": str(args.v), "w": str(args.w),
-                  "value": str(total)}
-        _emit(args.format, lambda: record["value"], lambda: record,
-              tuple(record), lambda: [record.values()])
+        record = {**index, "u": str(args.u), "v": str(args.v), "w": str(args.w)}
+        _emit(args.format, lambda: str(total), lambda: {**record, "value": str(total)},
+              (*record, "value"), lambda: [[*record.values(), str(total)]])
     elif args.what == "poly":
         poly = POLY_FAMILIES[args.family](args.n, args.alpha, args.beta)
         fields = {"family": args.family, "n": args.n, "alpha": args.alpha, "beta": args.beta}
@@ -302,17 +301,27 @@ def _emit(fmt: str, text, record, header: tuple, rows) -> None:
 
     text, record and rows are called only for their own format, so each
     format builds only what it prints (csv never renders a polynomial).
+    Every number becomes text here, before anything is printed.
     """
-    if fmt == "text":
-        print(text())
-    elif fmt == "json":
-        print(json.dumps(record()))
-    else:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows())
-        sys.stdout.write(out.getvalue())
+    try:
+        if fmt == "text":
+            out = text() + "\n"
+        elif fmt == "json":
+            out = json.dumps(record()) + "\n"
+        else:
+            buffer = io.StringIO()
+            writer = csv.writer(buffer)
+            writer.writerow(header)
+            writer.writerows(rows())
+            out = buffer.getvalue()
+    except ValueError:
+        # The one ValueError of int-to-text conversion: a value past the
+        # interpreter's digit limit.
+        raise ValueError(
+            "the value has more digits than the interpreter converts to text "
+            f"(limit: {sys.get_int_max_str_digits()} digits)"
+        ) from None
+    sys.stdout.write(out)
 
 
 def _run_verify(args) -> int:

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import Poly, Scalar, X
+from .polynomial import Poly, Scalar, X, require_rational
 
 
 class DegreeOutOfRange(ValueError):
@@ -159,7 +159,7 @@ def hankel_mbeta(beta: int, top: Scalar) -> Matrix:
         raise ValueError("beta must be an odd integer >= 3")
     functional = lbeta_functional(beta)
     size = (beta + 1) // 2
-    top = Fraction(top)
+    top = Fraction(require_rational(top))
     return [
         [
             top if i + j == beta - 1 else functional.moment(i + j)
@@ -177,7 +177,7 @@ def det_exact(matrix: Matrix) -> Fraction:
             raise ValueError("matrix must be square")
     if n == 0:
         return Fraction(1)
-    m = [[Fraction(v) for v in row] for row in matrix]
+    m = [[Fraction(require_rational(v)) for v in row] for row in matrix]
     sign = 1
     prev = Fraction(1)
     for k in range(n - 1):

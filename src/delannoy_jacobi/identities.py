@@ -16,7 +16,10 @@ of what must hold.  It returns the entry's note, if any.  run_identity is
 the only loop that evaluates, counts and compares cases.  It calls a
 case's sides before it resumes the verifier, so a side may read the
 verifier's current loop variables; and iterating a verifier without
-calling any side lists the entry's grid.
+calling any side lists the entry's grid.  Shapes that several entries
+repeat are written once: each swap pair (wcd-legendre, wd-jacobi and their
+-swap forms) is one generator registered twice with its form as data, and
+the three Gram-matrix checks yield their cases from _gram.
 
 A check that only reduces a product to a number, a moment functional of
 f*g or its weighted integral over [0, 1], never builds the product: it
@@ -35,6 +38,7 @@ import time
 from collections.abc import Callable, Generator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any
 
 from . import families as _families
@@ -229,17 +233,12 @@ def _grid(cfg: SuiteConfig) -> tuple[Fraction, ...]:
 
 
 def _weight_points(cfg: SuiteConfig):
-    """The nonzero (u, v, w) points of the weight grid, in grid order, each
-    with its WeightTriple; an entry builds this list once and reuses the
-    triples, so its DP cache lookups hash the same objects."""
+    """The (u, v, w) points of the weight grid, in grid order, each with its
+    WeightTriple; an entry builds this list once and reuses the triples, so
+    its DP cache lookups hash the same objects.  SuiteConfig refuses a zero
+    weight, so every point may divide by w or by uv."""
     grid = _grid(cfg)
-    return [
-        (u, v, w, lp.WeightTriple.of(u, v, w))
-        for u in grid
-        for v in grid
-        for w in grid
-        if u != 0 and v != 0 and w != 0
-    ]
+    return [(u, v, w, lp.WeightTriple.of(u, v, w)) for u in grid for v in grid for w in grid]
 
 
 def _x_points(cfg: SuiteConfig):
@@ -252,6 +251,27 @@ def _powers(base: Fraction, lo: int, hi: int) -> dict[int, Fraction]:
     """base^k for lo <= k <= hi, keyed by k: the powers a weight-grid entry
     reads at one point, computed once per point rather than once per case."""
     return {k: base ** k for k in range(lo, hi + 1)}
+
+
+def _swap_form(swapped: bool) -> tuple[int, int]:
+    """(s, t) for one of the two forms of a weighted Delannoy total, which
+    scale by (s w)^n and evaluate at s uv/w + t: (-1, 0) for the P~(-uv/w)
+    form, (1, 1) for the swapped P~(uv/w + 1) form.  x -> 1 - x maps one
+    form to the other."""
+    return (1, 1) if swapped else (-1, 0)
+
+
+def _gram(inner: Callable[[int, int], Fraction], size: int, positive: str | None = None,
+          **params) -> Cases:
+    """The cases of a size x size Gram matrix, in (m, n) order: inner(m, n)
+    == 0 off the diagonal and, when positive gives the claim's text,
+    inner(n, n) > 0 on it.  params lead each case's own m and n."""
+    for m in range(size):
+        for n in range(size):
+            if m != n:
+                yield _case(lambda: inner(m, n), lambda: Fraction(0), **params, m=m, n=n)
+            elif positive is not None:
+                yield _claim(lambda: inner(n, n) > 0, positive, **params, n=n)
 
 
 _POLY_X_WT = lp.WeightTriple.of(1, X, -1)
@@ -303,92 +323,68 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
                             m=m, n=n, u=u, v=v, w=w, route="enumeration")
 
 
-@_register(
+def _wcd_legendre(cfg: SuiteConfig, swapped: bool) -> Cases:
+    F = cfg.families
+    s, t = _swap_form(swapped)
+    points = [(u, v, w, wt, s * w, s * u * v / w + t) for u, v, w, wt in _weight_points(cfg)]
+    x_points = [(u, w, wt, s * w, s * u / w) for u, w, wt in _x_points(cfg)]
+    for n in range(cfg.cap(6) + 1):
+        p = F.shifted_legendre(n)
+        for u, v, w, wt, base, at in points:
+            yield _case(lambda: lp.delannoy_weighted(n, n, wt).constant_value(),
+                        lambda: base ** n * p(at),
+                        n=n, u=u, v=v, w=w)
+        for u, w, wt, base, slope in x_points:
+            yield _case(lambda: lp.delannoy_weighted(n, n, wt),
+                        lambda: base ** n * p.compose_affine(slope, t),
+                        n=n, u=u, w=w, v="x")
+
+
+_register(
     "wcd-legendre",
     "Diagonal weighted Delannoy totals match the shifted Legendre value "
     "(-w)^n P~_n(-uv/w)",
     "n <= 6; (u,v,w) on the weight grid; plus the v = x polynomial form",
-)
-def _wcd_legendre(cfg: SuiteConfig) -> Cases:
-    F = cfg.families
-    points = [(u, v, w, wt, -w, -u * v / w) for u, v, w, wt in _weight_points(cfg)]
-    x_points = _x_points(cfg)
-    for n in range(cfg.cap(6) + 1):
-        p = F.shifted_legendre(n)
-        for u, v, w, wt, minus_w, at in points:
-            yield _case(lambda: lp.delannoy_weighted(n, n, wt).constant_value(),
-                        lambda: minus_w ** n * p(at),
-                        n=n, u=u, v=v, w=w)
-        for u, w, wt in x_points:
-            yield _case(lambda: lp.delannoy_weighted(n, n, wt),
-                        lambda: (-w) ** n * p.compose_affine(-u / w, 0),
-                        n=n, u=u, w=w, v="x")
+)(partial(_wcd_legendre, swapped=False))
 
-
-@_register(
+_register(
     "wcd-legendre-swap",
     "Diagonal weighted Delannoy totals match the swapped form "
     "w^n P~_n(uv/w + 1)",
     "n <= 6; (u,v,w) on the weight grid; plus the v = x polynomial form",
-)
-def _wcd_legendre_swap(cfg: SuiteConfig) -> Cases:
+)(partial(_wcd_legendre, swapped=True))
+
+
+def _wd_jacobi(cfg: SuiteConfig, swapped: bool) -> Cases:
     F = cfg.families
-    points = [(u, v, w, wt, u * v / w + 1) for u, v, w, wt in _weight_points(cfg)]
-    x_points = _x_points(cfg)
-    for n in range(cfg.cap(6) + 1):
-        p = F.shifted_legendre(n)
-        for u, v, w, wt, at in points:
-            yield _case(lambda: lp.delannoy_weighted(n, n, wt).constant_value(),
-                        lambda: w ** n * p(at),
-                        n=n, u=u, v=v, w=w)
-        for u, w, wt in x_points:
-            yield _case(lambda: lp.delannoy_weighted(n, n, wt),
-                        lambda: w ** n * p.compose_affine(u / w, 1),
-                        n=n, u=u, w=w, v="x")
+    top = cfg.cap(6)
+    s, t = _swap_form(swapped)
+    points = [
+        (u, v, w, wt, s * u * v / w + t, _powers(u, -top, 4), _powers(s * w, 0, top))
+        for u, v, w, wt in _weight_points(cfg)
+    ]
+    for n in range(top + 1):
+        for beta in range(-n, 5):
+            p = F.shifted_jacobi(n, beta, 0) if swapped else F.shifted_jacobi(n, 0, beta)
+            for u, v, w, wt, at, u_pow, w_pow in points:
+                yield _case(lambda: lp.delannoy_weighted(n + beta, n, wt).constant_value(),
+                            lambda: u_pow[beta] * w_pow[n] * p(at),
+                            n=n, beta=beta, u=u, v=v, w=w)
 
 
-@_register(
+_register(
     "wd-jacobi",
     "Weighted Delannoy totals to (n+beta, n) match "
     "u^beta (-w)^n P~_n^(0,beta)(-uv/w)",
     "n <= 6, beta in [-n, 4], (u,v,w) on the weight grid",
-)
-def _wd_jacobi(cfg: SuiteConfig) -> Cases:
-    F = cfg.families
-    top = cfg.cap(6)
-    points = [
-        (u, v, w, wt, -u * v / w, _powers(u, -top, 4), _powers(-w, 0, top))
-        for u, v, w, wt in _weight_points(cfg)
-    ]
-    for n in range(top + 1):
-        for beta in range(-n, 5):
-            p = F.shifted_jacobi(n, 0, beta)
-            for u, v, w, wt, at, u_pow, w_pow in points:
-                yield _case(lambda: lp.delannoy_weighted(n + beta, n, wt).constant_value(),
-                            lambda: u_pow[beta] * w_pow[n] * p(at),
-                            n=n, beta=beta, u=u, v=v, w=w)
+)(partial(_wd_jacobi, swapped=False))
 
-
-@_register(
+_register(
     "wd-jacobi-swap",
     "Weighted Delannoy totals to (n+beta, n) match the swapped form "
     "u^beta w^n P~_n^(beta,0)(uv/w + 1)",
     "n <= 6, beta in [-n, 4], (u,v,w) on the weight grid",
-)
-def _wd_jacobi_swap(cfg: SuiteConfig) -> Cases:
-    F = cfg.families
-    top = cfg.cap(6)
-    points = [
-        (u, v, w, wt, u * v / w + 1, _powers(u, -top, 4), _powers(w, 0, top))
-        for u, v, w, wt in _weight_points(cfg)
-    ]
-    for n in range(top + 1):
-        for beta in range(-n, 5):
-            p = F.shifted_jacobi(n, beta, 0)
-            for u, v, w, wt, at, u_pow, w_pow in points:
-                yield _case(lambda: lp.delannoy_weighted(n + beta, n, wt).constant_value(),
-                            lambda: u_pow[beta] * w_pow[n] * p(at),
-                            n=n, beta=beta, u=u, v=v, w=w)
+)(partial(_wd_jacobi, swapped=True))
 
 
 @_register(
@@ -470,17 +466,9 @@ def _orth_full(cfg: SuiteConfig) -> Cases:
     for alpha in range(4):
         for beta in range(4):
             polys = [F.shifted_jacobi(n, alpha, beta) for n in range(top + 1)]
-            for m in range(top + 1):
-                for n in range(top + 1):
-                    if m != n:
-                        yield _case(lambda: fn.inner_weighted(polys[m], polys[n], alpha, beta),
-                                    lambda: Fraction(0),
-                                    alpha=alpha, beta=beta, m=m, n=n)
-                    else:
-                        yield _claim(
-                            lambda: fn.inner_weighted(polys[n], polys[n], alpha, beta) > 0,
-                            "diagonal Gram entry must be positive",
-                            alpha=alpha, beta=beta, n=n)
+            yield from _gram(lambda m, n: fn.inner_weighted(polys[m], polys[n], alpha, beta),
+                             top + 1, "diagonal Gram entry must be positive",
+                             alpha=alpha, beta=beta)
 
 
 @_register(
@@ -549,20 +537,11 @@ def _laguerre_orth(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     top = cfg.cap(6)
     functional = fn.factorial_functional(2 * top + 6)
-    for m in range(top + 1):
-        for n in range(top + 1):
-            if m != n:
-                yield _case(lambda: functional.pair(F.laguerre(m), F.laguerre(n)),
-                            lambda: Fraction(0),
-                            m=m, n=n)
+    yield from _gram(lambda m, n: functional.pair(F.laguerre(m), F.laguerre(n)), top + 1)
     for beta in range(5):
-        for m in range(top + 1):
-            weighted = Poly.monomial(beta) * F.laguerre_gen(m, beta)
-            for n in range(top + 1):
-                if m != n:
-                    yield _case(lambda: functional.pair(weighted, F.laguerre_gen(n, beta)),
-                                lambda: Fraction(0),
-                                beta=beta, m=m, n=n)
+        weighted = [Poly.monomial(beta) * F.laguerre_gen(m, beta) for m in range(top + 1)]
+        yield from _gram(lambda m, n: functional.pair(weighted[m], F.laguerre_gen(n, beta)),
+                         top + 1, beta=beta)
     bridge_top = cfg.cap(5)
     for n in range(bridge_top + 1):
         for m in range(bridge_top + 1):
@@ -665,16 +644,8 @@ def _romanovski_orth(cfg: SuiteConfig) -> Cases:
         functional = fn.lbeta_functional(beta)
         top = (beta - 2) // 2
         polys = [F.romanovski(n, 0, -beta) for n in range(top + 1)]
-        for m in range(top + 1):
-            for n in range(top + 1):
-                if m != n:
-                    yield _case(lambda: functional.pair(polys[m], polys[n]),
-                                lambda: Fraction(0),
-                                beta=beta, m=m, n=n)
-                else:
-                    yield _claim(lambda: functional.pair(polys[n], polys[n]) > 0,
-                                 "diagonal entry must be positive",
-                                 beta=beta, n=n)
+        yield from _gram(lambda m, n: functional.pair(polys[m], polys[n]), top + 1,
+                         "diagonal entry must be positive", beta=beta)
     for beta in range(3, 12, 2):
         functional = fn.lbeta_functional(beta)
         boundary = (beta - 1) // 2

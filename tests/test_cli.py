@@ -341,6 +341,34 @@ class TestCrossFormat:
             assert rows == [["index", "value"], *numbered]
 
 
+
+class TestDigitLimit:
+    """A value past the interpreter's limit on int-to-text digits ends
+    with exit 1 and an error line in the CLI's terms, in every format."""
+
+    @pytest.fixture
+    def limit(self):
+        """The limit, lowered to its minimum for the test so that values
+        past it stay cheap to compute, and restored afterwards."""
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield 640
+        sys.set_int_max_str_digits(before)
+
+    # D(n, n) and S(n) have about 0.77 n digits, so n = 900 passes 640.
+    @pytest.mark.parametrize("argv", [
+        ["delannoy", "--m", "900", "--n", "900"],
+        ["schroder", "--n", "900"],
+        ["poly", "--family", "shifted-legendre", "--n", "900"],
+        ["sequence", "--name", "central-delannoy", "--count", "900"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_error_names_the_limit(self, capsys, limit, argv, fmt):
+        code, out, err = run_cli(capsys, "compute", *argv, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == ("error: the value has more digits than the interpreter "
+                       f"converts to text (limit: {limit} digits)\n")
+
 class TestVerify:
     def test_single_identity_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--id", "dp1")

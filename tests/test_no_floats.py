@@ -10,6 +10,7 @@ import pytest
 
 import delannoy_jacobi
 from delannoy_jacobi import paths
+from delannoy_jacobi.functionals import det_exact, hankel_mbeta
 from delannoy_jacobi.paths import WeightTriple
 from delannoy_jacobi.polynomial import Poly, X, as_poly, pochhammer
 
@@ -35,6 +36,8 @@ ENTRY_POINTS = {
     "delannoy_sum-w": lambda value: paths.delannoy_sum(2, 2, 1, 1, value),
     "schroder_sum-v": lambda value: paths.schroder_sum(2, 1, value),
     "schroder_sum-w": lambda value: paths.schroder_sum(2, 1, 1, value),
+    "hankel_mbeta-top": lambda value: hankel_mbeta(3, value),
+    "det_exact": lambda value: det_exact([[value]]),
 }
 
 

@@ -592,13 +592,17 @@ class TestCayley:
     @given(polys, st.integers(min_value=0, max_value=10))
     @settings(max_examples=60)
     def test_by_rational_sampling(self, p, extra):
-        # eval(cayley(p, n), x0) == (x0 - 1)^n * p(x0 / (x0 - 1)) away from x0 = 1,
-        # at more sample points than the result's degree.
-        n = max(p.degree, 0) + extra
-        image = p.cayley(n)
-        for k in range(n + 2):
-            x0 = F(k + 2)  # 2, 3, ... avoids the pole at 1
-            assert image(x0) == (x0 - 1) ** n * p(x0 / (x0 - 1))
+        assert_cayley_by_sampling(p, extra)
+
+
+def assert_cayley_by_sampling(p, extra):
+    """eval(cayley(p, n), x0) == (x0 - 1)^n * p(x0 / (x0 - 1)) away from
+    x0 = 1, at more sample points than the result's degree."""
+    n = max(p.degree, 0) + extra
+    image = p.cayley(n)
+    for k in range(n + 2):
+        x0 = F(k + 2)  # 2, 3, ... avoids the pole at 1
+        assert image(x0) == (x0 - 1) ** n * p(x0 / (x0 - 1))
 
 
 def _top_plus_one(p):
@@ -694,3 +698,45 @@ class TestIntegerFormFaults:
             "schroder", "sj-expansion", "swap-rules", "wcd-legendre", "wcd-legendre-swap",
             "wd-closed-vs-dp-vs-enum",
         }
+
+    # Poly x Poly products and sums still run on Fraction coefficients.
+    # The entries that a wrong top numerator of a product FAILs, where
+    # the other factor is a Poly (a constant factor takes the scaling
+    # route above).
+    PRODUCT_FAILING = {
+        "abdec", "antideriv", "bneg", "cdrec", "favard-legendre", "favard-schroder",
+        "laguerre-orth", "narayana", "schroder", "sj-expansion", "wd-closed-vs-dp-vs-enum",
+    }
+
+    def test_product_with_a_wrong_top_numerator(self, faulty):
+        multiply = Poly.__mul__
+
+        def product_top_plus_one(self, other):
+            out = multiply(self, other)
+            return _top_plus_one(out) if isinstance(other, Poly) else out
+
+        faulty.setattr(Poly, "__mul__", product_top_plus_one)
+        faulty.setattr(Poly, "__rmul__", product_top_plus_one)
+        assert _cold_failures() == self.PRODUCT_FAILING
+
+    # A wrong sum passes bneg and laguerre-orth, which a wrong product fails.
+    @pytest.mark.parametrize("methods, failing", [
+        (("__add__", "__radd__"), PRODUCT_FAILING - {"bneg", "laguerre-orth"}),
+        (("__pow__",), {"abdec", "antideriv", "narayana", "sj-expansion",
+                        "wd-closed-vs-dp-vs-enum"}),
+        (("cayley",), {"narayana"}),
+    ])
+    def test_fraction_route_with_a_wrong_top_numerator(self, faulty, methods, failing):
+        for method in methods:
+            route = getattr(Poly, method)
+            faulty.setattr(Poly, method,
+                           lambda self, arg, route=route: _top_plus_one(route(self, arg)))
+        assert _cold_failures() == failing
+
+    def test_cayley_fault_fails_the_sampling_check(self, faulty):
+        # narayana is the one entry that sees a wrong cayley, so the
+        # sampling property is its second guard.
+        cayley = Poly.cayley
+        faulty.setattr(Poly, "cayley", lambda self, n: _top_plus_one(cayley(self, n)))
+        with pytest.raises(AssertionError):
+            assert_cayley_by_sampling(X, 0)
