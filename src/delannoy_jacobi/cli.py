@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import families
 from . import identities
 from . import paths as lp
-from .render import format_poly, parse_rational
+from .render import TooManyDigits, format_poly, parse_integer, parse_rational
 
 CONFIG_FILENAME = "delannoy-jacobi.conf"
 CONFIG_ENV_VAR = "DJ_CONFIG"
@@ -45,8 +45,6 @@ POLY_FAMILIES = {
 SEQUENCES = ("central-delannoy", "schroder", "delannoy-row")
 WEIGHT_FLAGS = ("--u", "--v", "--w")
 NEGATIVE_LITERAL = re.compile(r"-\d")
-# [0-9], not \d: int() and \d also take non-ASCII decimal digits such as "٢".
-INTEGER_LITERAL = re.compile(r"-?[0-9]+")
 
 EPILOG = """\
 formats:
@@ -137,18 +135,11 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_int(text: str) -> int:
-    """An integer literal: ASCII digits with an optional leading "-"."""
-    if not INTEGER_LITERAL.fullmatch(text):
-        raise ValueError(f"not an integer literal: {text!r}")
-    return int(text)
-
-
 def _int_flag(text: str) -> int:
     try:
-        return _parse_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _nonnegative_int(text: str) -> int:
@@ -192,26 +183,26 @@ def _parse_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key == "weight_grid":
                 try:
-                    values[key] = tuple(
+                    setting = tuple(
                         parse_rational(part) for part in value.split(",") if part.strip()
                     )
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: weight_grid: {exc}") from None
-                # Several entries divide by a grid weight (they evaluate at uv/w),
-                # and an empty grid would pass them without a single case.
-                if not values[key] or 0 in values[key]:
-                    raise ValueError(
-                        f"{path}:{lineno}: weight_grid must list nonzero rationals, got {value!r}"
-                    )
             else:
                 try:
-                    values[key] = _parse_int(value)
+                    setting = parse_integer(value)
+                except TooManyDigits as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: {key} must be an integer, got {value!r}"
                     ) from None
-                if values[key] < 0:
-                    raise ValueError(f"{path}:{lineno}: {key} must be nonnegative, got {value}")
+            # SuiteConfig is the one check of what a setting may be.
+            try:
+                identities.SuiteConfig(**{key: setting})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            values[key] = setting
     return values
 
 

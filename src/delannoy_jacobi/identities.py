@@ -44,7 +44,7 @@ from typing import Any
 from . import families as _families
 from . import functionals as fn
 from . import paths as lp
-from .polynomial import Poly, X, binom, pochhammer
+from .polynomial import Poly, X, binom, pochhammer, require_rational
 from .render import format_poly
 
 
@@ -62,9 +62,12 @@ class SuiteConfig:
     namespace the verifiers build polynomial families from; tests swap in a
     fault-injecting wrapper to exercise the harness itself.
 
-    Values the CLI rejects raise here too: a negative max_n or an empty
-    grid would run entries with no case, a zero weight divides by zero, and
-    a float would enter as its binary expansion.
+    The one check of the settings, the CLI's config file included: a
+    negative max_n or an empty grid would run entries with no case, a zero
+    weight divides by zero, and a float, which require_rational refuses,
+    would enter as its binary expansion.  The grid is kept as Fractions,
+    with each given Fraction itself, so that entries' triples share their
+    coefficient objects and DP cache hits compare them by identity.
     """
 
     max_n: int | None = None
@@ -72,20 +75,16 @@ class SuiteConfig:
     families: Any = _families
 
     def __post_init__(self):
-        max_n = self.max_n
-        if max_n is not None and (
-            not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 0
-        ):
-            raise ValueError(f"max_n must be a nonnegative int or None, got {max_n!r}")
-        for value in self.weight_grid:
-            if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
-                raise TypeError(
-                    f"weight_grid values must be ints or Fractions, got {value!r}"
-                )
-        if not self.weight_grid or 0 in self.weight_grid:
+        if self.max_n is not None and (type(self.max_n) is not int or self.max_n < 0):
+            raise ValueError(f"max_n must be nonnegative (an int or None), got {self.max_n!r}")
+        grid = tuple(
+            v if type(v) is Fraction else Fraction(require_rational(v)) for v in self.weight_grid
+        )
+        if not grid or 0 in grid:
             raise ValueError(
                 f"weight_grid must list nonzero rationals, got {self.weight_grid!r}"
             )
+        object.__setattr__(self, "weight_grid", grid)
 
     def cap(self, default: int) -> int:
         if self.max_n is None:
@@ -224,27 +223,13 @@ def run_all(config: SuiteConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
     return [run_identity(id, config) for id in sorted(REGISTRY)]
 
 
-def _grid(cfg: SuiteConfig) -> tuple[Fraction, ...]:
-    """The weight grid as Fractions.  Values that already are Fractions are
-    kept, not copied, so the triples that different entries build share
-    their coefficient objects, and a DP cache hit on another entry's triple
-    compares them by identity."""
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in cfg.weight_grid)
-
-
 def _weight_points(cfg: SuiteConfig):
     """The (u, v, w) points of the weight grid, in grid order, each with its
     WeightTriple; an entry builds this list once and reuses the triples, so
     its DP cache lookups hash the same objects.  SuiteConfig refuses a zero
     weight, so every point may divide by w or by uv."""
-    grid = _grid(cfg)
+    grid = cfg.weight_grid
     return [(u, v, w, lp.WeightTriple.of(u, v, w)) for u in grid for v in grid for w in grid]
-
-
-def _x_points(cfg: SuiteConfig):
-    """The (u, w) pairs of the weight grid, each with the triple (u, x, w)."""
-    grid = _grid(cfg)
-    return [(u, w, lp.WeightTriple.of(u, X, w)) for u in grid for w in grid]
 
 
 def _powers(base: Fraction, lo: int, hi: int) -> dict[int, Fraction]:
@@ -327,7 +312,9 @@ def _wcd_legendre(cfg: SuiteConfig, swapped: bool) -> Cases:
     F = cfg.families
     s, t = _swap_form(swapped)
     points = [(u, v, w, wt, s * w, s * u * v / w + t) for u, v, w, wt in _weight_points(cfg)]
-    x_points = [(u, w, wt, s * w, s * u / w) for u, w, wt in _x_points(cfg)]
+    grid = cfg.weight_grid
+    # The v = x leg: each (u, w) pair of the grid with the triple (u, x, w).
+    x_points = [(u, w, lp.WeightTriple.of(u, X, w), s * w, s * u / w) for u in grid for w in grid]
     for n in range(cfg.cap(6) + 1):
         p = F.shifted_legendre(n)
         for u, v, w, wt, base, at in points:

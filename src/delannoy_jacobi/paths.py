@@ -64,14 +64,6 @@ class Step(Enum):
     NORTH = (0, 1)
     DIAG = (1, 1)
 
-    @property
-    def dx(self) -> int:
-        return self.value[0]
-
-    @property
-    def dy(self) -> int:
-        return self.value[1]
-
 
 @dataclass(frozen=True)
 class WeightTriple:

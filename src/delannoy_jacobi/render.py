@@ -7,9 +7,12 @@ sequences unchanged.
 
 Rational literals are "p/q" or integer strings in ASCII digits; decimals
 are rejected to keep the exactness contract visible at the boundary.
+The CLI reads every literal here; one past the interpreter's digit limit
+(sys.get_int_max_str_digits(), 0 for none) raises TooManyDigits.
 """
 
 import re
+import sys
 from fractions import Fraction
 
 from .polynomial import Poly
@@ -19,16 +22,42 @@ from .polynomial import Poly
 MAX_PARSED_DEGREE = 100_000
 
 
+# [0-9], not \d: int(), Fraction() and \d also take non-ASCII digits such as "٣".
+INTEGER_LITERAL = re.compile(r"-?[0-9]+")
+RATIONAL_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+class TooManyDigits(ValueError):
+    """A literal with more digits than the interpreter converts from text."""
+
+
+def _convert(kind, text: str):
+    """kind(text) for text in the grammar, whose one ValueError is the digit limit."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise TooManyDigits(
+            "the literal has more digits than the interpreter converts from text "
+            f"(limit: {sys.get_int_max_str_digits()} digits)"
+        ) from None
+
+
+def parse_integer(text: str) -> int:
+    """An integer literal: ASCII digits with an optional leading "-"."""
+    if not INTEGER_LITERAL.fullmatch(text):
+        raise ValueError(f"invalid int value: {text!r}")
+    return _convert(int, text)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or an integer literal; no decimal forms."""
     text = text.strip()
-    # [0-9], not \d: \d also matches non-ASCII decimal digits such as "٣".
-    match = re.fullmatch(r"-?[0-9]+(?:/([0-9]+))?", text)
-    if not match:
+    if not RATIONAL_LITERAL.fullmatch(text):
         raise ValueError(f"not a rational literal (use p/q or an integer): {text!r}")
-    if match.group(1) and int(match.group(1)) == 0:
-        raise ValueError(f"zero denominator in rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return _convert(Fraction, text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
 def _format_term(coeff: Fraction, power: int) -> str:
@@ -91,7 +120,7 @@ def parse_poly(text: str) -> Poly:
         if m.group("x") is None:
             power = 0
         else:
-            power = int(m.group("power")) if m.group("power") else 1
+            power = parse_integer(m.group("power")) if m.group("power") else 1
         if power > MAX_PARSED_DEGREE:
             raise ValueError(f"power {power} exceeds {MAX_PARSED_DEGREE} in {text!r}")
         if power in coeffs:

@@ -369,6 +369,54 @@ class TestDigitLimit:
         assert err == ("error: the value has more digits than the interpreter "
                        f"converts to text (limit: {limit} digits)\n")
 
+    # The input side: a literal in the grammar but past the limit.
+    LONG = "7" * 5000
+
+    @staticmethod
+    def too_long(limit):
+        return ("the literal has more digits than the interpreter converts "
+                f"from text (limit: {limit} digits)")
+
+    @pytest.mark.parametrize("flags", [["--m", "1", "--u", LONG], ["--m", LONG]],
+                             ids=["rational", "integer"])
+    def test_long_flag_literal_is_usage_error(self, capsys, limit, flags):
+        with pytest.raises(SystemExit) as info:
+            main(["compute", "delannoy", "--n", "1", *flags])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert f"argument {flags[-2]}: {self.too_long(limit)}\n" in err
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("key,value", [("weight_grid", f"1, {LONG}"), ("max_n", LONG)])
+    def test_long_config_literal_names_file_and_line(
+        self, capsys, tmp_path, monkeypatch, limit, key, value
+    ):
+        config = tmp_path / "custom.conf"
+        config.write_text(f"# settings\n{key} = {value}\n")
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "verify", "--id", "dp1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {config}:2: {key}: {self.too_long(limit)}\n"
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.fixture
+    def no_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    def test_no_limit_reads_long_literals(self, capsys, tmp_path, monkeypatch, no_limit):
+        code, out, _ = run_cli(
+            capsys, "compute", "delannoy", "--m", "1", "--n", "1", "--u", self.LONG, "--w", "0"
+        )
+        assert (code, out) == (0, f"{2 * int(self.LONG)}\n")  # uv + vu + w
+        config = tmp_path / "custom.conf"
+        config.write_text(f"max_n = {self.LONG}\n")
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        assert run_cli(capsys, "verify", "--id", "dp1")[0] == 0
+
+
 class TestVerify:
     def test_single_identity_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--id", "dp1")

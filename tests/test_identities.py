@@ -139,7 +139,7 @@ def test_suite_config_rejects_what_the_cli_rejects(settings):
         SuiteConfig(**settings)
 
 
-@pytest.mark.parametrize("grid", [(0.1,), (1, "2"), (Fraction(1), 2.0), (True,)])
+@pytest.mark.parametrize("grid", [(0.1,), (1, "2"), (Fraction(1), 2.0)])
 def test_suite_config_rejects_grid_values_that_are_not_rational(grid):
     # A float entered as its binary expansion, 0.1 as 3602879701896397/2^55.
     with pytest.raises(TypeError):
@@ -147,8 +147,13 @@ def test_suite_config_rejects_grid_values_that_are_not_rational(grid):
 
 
 def test_suite_config_accepts_ints_fractions_and_no_max_n():
-    config = SuiteConfig(max_n=0, weight_grid=(1, Fraction(-1, 2)))
-    assert (config.max_n, config.weight_grid) == (0, (1, Fraction(-1, 2)))
+    half = Fraction(-1, 2)
+    config = SuiteConfig(max_n=0, weight_grid=[1, half, True])
+    assert (config.max_n, config.weight_grid) == (0, (1, half, 1))
+    # Stored as a tuple of Fractions, with a given Fraction kept, not copied;
+    # True is the int 1, as require_rational and WeightTriple.of take it.
+    assert all(type(v) is Fraction for v in config.weight_grid)
+    assert config.weight_grid[1] is half
     assert SuiteConfig().max_n is None
 
 

@@ -124,8 +124,8 @@ class TestDelannoyEnumerate:
         for path in delannoy_enumerate(3, 2):
             assert path not in seen
             seen.add(path)
-            assert sum(s.dx for s in path) == 3
-            assert sum(s.dy for s in path) == 2
+            assert sum(s.value[0] for s in path) == 3
+            assert sum(s.value[1] for s in path) == 2
 
     def test_cap(self):
         assert ENUMERATION_CAP == 16
@@ -310,7 +310,8 @@ class TestSchroder:
         for path in schroder_enumerate(3):
             x = y = 0
             for step in path:
-                x, y = x + step.dx, y + step.dy
+                dx, dy = step.value
+                x, y = x + dx, y + dy
                 assert y <= x
 
     def test_weighted_examples(self):
@@ -843,7 +844,7 @@ class TestValidPairs:
             for step in path:
                 if step is Step.EAST:
                     east_columns.add(x + 1)
-                x += step.dx
+                x += step.value[0]
             diag = sum(1 for s in path if s is Step.DIAG)
             # element order: r, a_1..a_{n+beta}, b_1..b_m
             for sigma in itertools.permutations(range(1, total_items + 1)):

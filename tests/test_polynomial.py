@@ -79,6 +79,10 @@ class TestConstruction:
     def test_coefficient_beyond_degree(self):
         assert X.coefficient(5) == 0
 
+    def test_leading(self):
+        assert ZERO.leading == 0 and Poly().leading == 0
+        assert Poly((1, 0, F(-2, 3))).leading == F(-2, 3)
+
     def test_monomial(self):
         assert Poly.monomial(3, 2) == Poly((0, 0, 0, 2))
         assert Poly.monomial(0) == ONE
@@ -404,6 +408,12 @@ class TestArithmetic:
     def test_scalar_mixing(self):
         assert 2 * X + 1 == Poly((1, 2))
         assert (X - 1) * (X + 1) == Poly((-1, 0, 1))
+        assert 3 - X == Poly((3, -1))
+        assert F(1, 2) - 2 * X == Poly((F(1, 2), -2))
+
+    @given(polys, scalars)
+    def test_reflected_subtraction(self, p, c):
+        assert c - p == Poly.constant(c) - p == -(p - c)
 
     @given(integer_form_args, scalars)
     def test_scaling_matches_the_fraction_oracle(self, args, c):

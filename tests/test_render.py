@@ -1,5 +1,6 @@
 """Tests for polynomial text rendering and the matching parser."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delannoy_jacobi.polynomial import Poly, X
-from delannoy_jacobi.render import MAX_PARSED_DEGREE, format_poly, parse_poly, parse_rational
+from delannoy_jacobi.render import (
+    MAX_PARSED_DEGREE,
+    TooManyDigits,
+    format_poly,
+    parse_integer,
+    parse_poly,
+    parse_rational,
+)
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -49,6 +57,36 @@ def test_parse_rational():
     for bad in ["1.5", "2/", "/3", "a", "1e3"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_parse_integer():
+    assert parse_integer("-12") == -12
+    assert parse_integer("007") == 7
+    for bad in ["", "-", "+3", "3_0", " 3", "1/2", "1.0", "\u0663"]:
+        with pytest.raises(ValueError, match="invalid int value"):
+            parse_integer(bad)
+
+
+@pytest.fixture
+def set_digit_limit():
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_digit_limit_error_names_the_limit(set_digit_limit):
+    long = "7" * 5000
+    set_digit_limit(4300)
+    for parse, text in [
+        (parse_integer, long), (parse_rational, long), (parse_rational, f"1/{long}"),
+        (parse_poly, f"x^{long}"),
+    ]:
+        with pytest.raises(TooManyDigits, match=r"from text \(limit: 4300 digits\)") as info:
+            parse(text)
+        assert "set_int_max_str_digits" not in str(info.value)
+    set_digit_limit(0)  # no limit
+    assert parse_integer(long) == parse_rational(long) == int(long)
+    assert parse_rational(f"-1/{long}") == F(-1, int(long))
 
 
 def test_non_ascii_digits_are_rejected():
