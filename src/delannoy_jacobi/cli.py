@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import families
 from . import identities
 from . import paths as lp
-from .render import TooManyDigits, format_poly, parse_integer, parse_rational
+from .render import TooManyDigits, format_poly, parse_integer, parse_rational, quoted
 
 CONFIG_FILENAME = "delannoy-jacobi.conf"
 CONFIG_ENV_VAR = "DJ_CONFIG"
@@ -175,12 +175,12 @@ def _parse_config(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {quoted(raw)}")
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
             if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown config key {quoted(key)}")
             if key == "weight_grid":
                 try:
                     setting = tuple(
@@ -195,7 +195,7 @@ def _parse_config(path: str) -> dict:
                     raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
                 except ValueError:
                     raise ValueError(
-                        f"{path}:{lineno}: {key} must be an integer, got {value!r}"
+                        f"{path}:{lineno}: {key} must be an integer, got {quoted(value)}"
                     ) from None
             # SuiteConfig is the one check of what a setting may be.
             try:

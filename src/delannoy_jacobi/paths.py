@@ -18,15 +18,13 @@ Schroeder sums, each term from the previous one by its integer ratio; the
 DPs and delannoy_closed are their oracles in the tests.  Enumeration runs
 up to fixed bounds, ENUMERATION_CAP = 16 steps per path and PAIR_CAP = 9
 elements per path/bijection pair, and raises CapExceeded beyond them; the
-polynomial-time DPs and closed sums have no bound.  Enumeration is a
-depth-first walk with an explicit stack of lattice points and the steps
-that reach them: it needs no recursion and yields every path exactly once, in
-the lexicographic order east < north < northeast, and it never uses the
-closed sum's choice of step positions, whose oracle it is.  diagonal_tally
-counts the paths to one endpoint by northeast steps, for the oracles that
-only need those counts: the same walk, visiting every path once, keeps
-only each path's northeast count instead of its steps.  The closed sum is
-one Horner loop, run on integers for constant weights, clearing the
+polynomial-time DPs and closed sums have no bound.  Enumeration is one
+depth-first walk with an explicit stack: it needs no recursion, yields every
+path exactly once, in the lexicographic order east < north < northeast, as
+its steps or (for diagonal_tally, which counts the paths to one endpoint by
+northeast steps) as its northeast count, and never uses the closed sum's
+choice of step positions, whose oracle it is.  The closed sum is one Horner
+loop, run on integers for constant weights, clearing the
 denominators itself, and on Poly for polynomial weights.  Neither the walk
 nor the closed sum reads the weights the DPs clear and pack, so a fault
 there cannot make an oracle agree with its DP.  The Legendre Motzkin
@@ -113,12 +111,16 @@ class WeightTriple:
 
 UNIT_WEIGHTS = WeightTriple.of(1, 1, 1)
 
+# A path's state in _depth_first: its steps, or its number of northeast steps.
+_AS_STEPS = {step: (step,) for step in Step}
+_NORTHEAST_COUNT = {Step.EAST: 0, Step.NORTH: 0, Step.DIAG: 1}
+
 
 def delannoy_enumerate(m: int, n: int) -> Iterator[tuple[Step, ...]]:
     """Yield every Delannoy path from (0,0) to (m,n) exactly once."""
     _require_quadrant(m, n)
     _require_steps(m + n)
-    return _depth_first((m, n), lambda i, j: i <= m and j <= n)
+    return _depth_first((m, n), (), _AS_STEPS)
 
 
 def schroder_enumerate(n: int) -> Iterator[tuple[Step, ...]]:
@@ -126,76 +128,54 @@ def schroder_enumerate(n: int) -> Iterator[tuple[Step, ...]]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     _require_steps(2 * n)
-    return _depth_first((n, n), lambda i, j: j <= i <= n)
-
-
-def _depth_first(end: tuple[int, int], inside) -> Iterator[tuple[Step, ...]]:
-    """Yield the steps of every walk from (0,0) to `end` that stays on the
-    points (i, j) with inside(i, j), depth first, in the lexicographic order
-    east < north < northeast.  Each stack entry is a lattice point with the
-    steps taken to reach it, as in _diagonal_walk."""
-    m, n = end
-    east, north, diag = Step.EAST, Step.NORTH, Step.DIAG
-    stack = [(0, 0, ())]
-    pop, push = stack.pop, stack.append
-    while stack:
-        i, j, steps = pop()
-        if i == m and j == n:
-            yield steps
-            continue
-        # Pushed last, popped first: east before north before northeast.
-        if inside(i + 1, j + 1):
-            push((i + 1, j + 1, steps + (diag,)))
-        if inside(i, j + 1):
-            push((i, j + 1, steps + (north,)))
-        if inside(i + 1, j):
-            push((i + 1, j, steps + (east,)))
+    return _depth_first((n, n), (), _AS_STEPS, below_diagonal=True)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def diagonal_tally(m: int, n: int) -> tuple[int, ...]:
     """(N_0, .., N_min(m,n)): N_d paths to (m, n) take d northeast steps.
 
-    Counted by walking every Delannoy path (_diagonal_counts), never from
+    Counted by walking every Delannoy path (_depth_first), never from
     binomials, so it stays an oracle of the closed sum and of the DPs.  A
     path with d northeast steps takes m-d east and n-d north steps, so any
     sum over paths that depends only on their step counts reads this tally
     instead of walking the paths again.  An lru_cache stores no exception,
     so the enumeration's bound is checked on every call.
     """
+    _require_quadrant(m, n)
+    _require_steps(m + n)
     counts = [0] * (min(m, n) + 1)
-    for diag in _diagonal_counts(m, n):
+    for diag in _depth_first((m, n), 0, _NORTHEAST_COUNT):
         counts[diag] += 1
     return tuple(counts)
 
 
-def _diagonal_counts(m: int, n: int) -> Iterator[int]:
-    """Yield the number of northeast steps of every Delannoy path to (m, n),
-    one path at a time, in delannoy_enumerate's order.
+def _depth_first(end: tuple[int, int], start, delta: dict, below_diagonal=False) -> Iterator:
+    """Yield the state of every Delannoy path from (0,0) to `end`, depth
+    first, in the order east < north < northeast; with below_diagonal, only
+    the paths with j <= i at every point (i, j).
 
-    A depth-first walk like delannoy_enumerate's, with the path reduced to
-    what the tally needs: each stack entry is a lattice point with the
-    northeast steps taken to reach it, and no step tuple is built.  A point
-    on the line i = m or j = n has one way left to (m, n), all north or all
-    east, so it ends its path there.
+    A path's state is start + delta[s] for its steps s in turn (a tuple of
+    steps, or a count), so the walk never asks which one it builds.  A stack
+    entry is a point with the state of the steps that reach it.  From the
+    line i = m the path goes on all north, from j = n all east, so it ends
+    there.  Short of both lines, east and northeast steps stay in the box and
+    below the diagonal; only a north step from j = i would cross it.
     """
-    _require_quadrant(m, n)
-    _require_steps(m + n)
-    return _diagonal_walk(m, n)
-
-
-def _diagonal_walk(m: int, n: int) -> Iterator[int]:
-    stack = [(0, 0, 0)]
+    m, n = end
+    east, north, diag = (delta[step] for step in Step)
+    stack = [(0, 0, start)]
     pop, push = stack.pop, stack.append
     while stack:
-        i, j, diag = pop()
+        i, j, state = pop()
         if i == m or j == n:
-            yield diag
+            yield state + (north * (n - j) if i == m else east * (m - i))
             continue
         # Pushed last, popped first: east before north before northeast.
-        push((i + 1, j + 1, diag + 1))
-        push((i, j + 1, diag))
-        push((i + 1, j, diag))
+        push((i + 1, j + 1, state + diag))
+        if not below_diagonal or j < i:
+            push((i, j + 1, state + north))
+        push((i + 1, j, state + east))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

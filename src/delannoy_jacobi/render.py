@@ -8,7 +8,9 @@ sequences unchanged.
 Rational literals are "p/q" or integer strings in ASCII digits; decimals
 are rejected to keep the exactness contract visible at the boundary.
 The CLI reads every literal here; one past the interpreter's digit limit
-(sys.get_int_max_str_digits(), 0 for none) raises TooManyDigits.
+(sys.get_int_max_str_digits(), 0 for none) raises TooManyDigits.  An error
+message quotes a rejected literal through quoted, cut to its first
+QUOTED_CHARS characters.
 """
 
 import re
@@ -21,6 +23,8 @@ from .polynomial import Poly
 # are rejected as text rather than allocated.
 MAX_PARSED_DEGREE = 100_000
 
+QUOTED_CHARS = 40  # of a literal an error message shows
+
 
 # [0-9], not \d: int(), Fraction() and \d also take non-ASCII digits such as "٣".
 INTEGER_LITERAL = re.compile(r"-?[0-9]+")
@@ -29,6 +33,14 @@ RATIONAL_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 class TooManyDigits(ValueError):
     """A literal with more digits than the interpreter converts from text."""
+
+
+def quoted(text: str) -> str:
+    """repr(text), or for a longer text the repr of its first QUOTED_CHARS
+    characters and its length, so an error message stays one short line."""
+    if len(text) <= QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
 def _convert(kind, text: str):
@@ -45,7 +57,7 @@ def _convert(kind, text: str):
 def parse_integer(text: str) -> int:
     """An integer literal: ASCII digits with an optional leading "-"."""
     if not INTEGER_LITERAL.fullmatch(text):
-        raise ValueError(f"invalid int value: {text!r}")
+        raise ValueError(f"invalid int value: {quoted(text)}")
     return _convert(int, text)
 
 
@@ -53,11 +65,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or an integer literal; no decimal forms."""
     text = text.strip()
     if not RATIONAL_LITERAL.fullmatch(text):
-        raise ValueError(f"not a rational literal (use p/q or an integer): {text!r}")
+        raise ValueError(f"not a rational literal (use p/q or an integer): {quoted(text)}")
     try:
         return _convert(Fraction, text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
+        raise ValueError(f"zero denominator in rational literal: {quoted(text)}") from None
 
 
 def _format_term(coeff: Fraction, power: int) -> str:
@@ -108,12 +120,12 @@ def parse_poly(text: str) -> Poly:
     else:
         tokens = ["+"] + tokens
     if len(tokens) % 2 != 0:
-        raise ValueError(f"malformed polynomial text: {text!r}")
+        raise ValueError(f"malformed polynomial text: {quoted(text)}")
     coeffs: dict[int, Fraction] = {}
     for sign, term in zip(tokens[0::2], tokens[1::2]):
         m = _TERM.fullmatch(term)
         if not m or (m.group("coeff") is None and m.group("x") is None):
-            raise ValueError(f"malformed term {term!r} in {text!r}")
+            raise ValueError(f"malformed term {quoted(term)} in {quoted(text)}")
         coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
         if sign == "-":
             coeff = -coeff
@@ -122,9 +134,9 @@ def parse_poly(text: str) -> Poly:
         else:
             power = parse_integer(m.group("power")) if m.group("power") else 1
         if power > MAX_PARSED_DEGREE:
-            raise ValueError(f"power {power} exceeds {MAX_PARSED_DEGREE} in {text!r}")
+            raise ValueError(f"power {power} exceeds {MAX_PARSED_DEGREE} in {quoted(text)}")
         if power in coeffs:
-            raise ValueError(f"repeated power {power} in {text!r}")
+            raise ValueError(f"repeated power {power} in {quoted(text)}")
         coeffs[power] = coeff
     out = [Fraction(0)] * (max(coeffs) + 1)
     for power, coeff in coeffs.items():

@@ -10,8 +10,10 @@ in test_criterion_10_restricted_domain_and_boundary below.
 """
 
 import functools
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from oracles import gram_matrix, is_diagonal
@@ -303,38 +305,12 @@ def test_criterion_15_fault_injection():
     assert report.cases_run == 1 and report.counterexample["params"] == {"n": 0}
 
 
-# Cases each entry runs at the default grids, 10 524 in all: a faster run
-# must come from faster code, never from a smaller grid.
-DEFAULT_CASE_COUNTS = {
-    "abdec": 140,
-    "antideriv": 68,
-    "bneg": 56,
-    "bneg-symmetry": 156,
-    "bneg-table1": 7,
-    "borth2": 91,
-    "cdrec": 240,
-    "dp1": 90,
-    "dual-routes": 650,
-    "epl": 414,
-    "favard-legendre": 48,
-    "favard-schroder": 18,
-    "laguerre-orth": 504,
-    "llp": 56,
-    "modified-delannoy": 35,
-    "motzkin-moments": 13,
-    "narayana": 20,
-    "orth-0beta": 105,
-    "orth-full": 784,
-    "romanovski-orth": 185,
-    "schroder": 531,
-    "sj-expansion": 405,
-    "swap-rules": 891,
-    "wcd-legendre": 252,
-    "wcd-legendre-swap": 252,
-    "wd-closed-vs-dp-vs-enum": 1489,
-    "wd-jacobi": 1512,
-    "wd-jacobi-swap": 1512,
-}
+# Cases each entry runs at the default grids, 10 524 in all, as the
+# benchmark's reference records them: a faster run must come from faster
+# code, never from a smaller grid.
+DEFAULT_CASE_COUNTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)["cases"]
 
 
 @criterion(0, "whole registry passes with default grids")

@@ -30,6 +30,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def exit_code_and_stderr(capsys, *argv):
+    """main's exit code, argparse's usage errors included, and its stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exited:
+        code = exited.code
+    return code, capsys.readouterr().err
+
+
 class TestComputeSequence:
     def test_central_delannoy(self, capsys):
         code, out, _ = run_cli(
@@ -417,6 +426,35 @@ class TestDigitLimit:
         assert run_cli(capsys, "verify", "--id", "dp1")[0] == 0
 
 
+class TestLongLiterals:
+    """An error message quotes a rejected literal cut to its first 40
+    characters and its length, so a long one gives one short stderr line."""
+
+    # A decimal, outside the grammar, 5 000 characters long.
+    LONG = "0." + "5" * 4998
+
+    @pytest.mark.parametrize("flag", ["--u", "--m"])
+    def test_flag(self, capsys, flag):
+        code, err = exit_code_and_stderr(capsys, "compute", "delannoy", "--m", "1", "--n", "1",
+                                         flag, self.LONG)
+        line = err.splitlines()[-1]
+        assert code == 2
+        assert len(line) < 200
+        assert line.endswith(f"{self.LONG[:40]!r}... (5000 characters)")
+
+    @pytest.mark.parametrize("line", [f"weight_grid = 1, {LONG}", f"max_n = {LONG}",
+                                      LONG, f"{LONG} = 1"],
+                             ids=["weight_grid", "max_n", "no-equals", "unknown-key"])
+    def test_config_line(self, capsys, tmp_path, monkeypatch, line):
+        (tmp_path / "delannoy-jacobi.conf").write_text(line + "\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DJ_CONFIG", raising=False)
+        code, err = exit_code_and_stderr(capsys, "verify", "--id", "dp1")
+        assert code == 1
+        assert len(err) < 200
+        assert re.fullmatch(r"error: delannoy-jacobi\.conf:1: .*\.\.\. \(500[01] characters\)\n", err)
+
+
 class TestVerify:
     def test_single_identity_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--id", "dp1")
@@ -744,6 +782,66 @@ class TestCounterexampleLabels:
         }]
         report = re.sub(r'"millis": [0-9]+', '"millis": 0', out_file.read_text())
         assert report == json.dumps(expected, indent=2) + "\n"
+
+
+# Tokens that break the grammar: non-ASCII digits, a zero denominator,
+# decimals, 5 000-digit literals past the interpreter's digit limit,
+# 5 000-character text, a negative p/q as its own token, and no value.
+MUTANT_VALUES = ("\u0663", "1/0", "-4/0", "0.5", "-1.5", "1e3", "7" * 5000,
+                 "1/" + "3" * 5000, "x" * 5000, "-1/3", "")
+
+
+@st.composite
+def fuzzed_argv(draw) -> list[str]:
+    """An argv from the CLI's grammar with small valid sizes (|int| <= 40,
+    verify always with --max-n <= 2), then mutated: values swapped for
+    MUTANT_VALUES, flags dropped or repeated, unknown flags added."""
+    small = st.integers(-40, 40).map(str)
+    weight = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)).map(str)
+    what = draw(st.sampled_from(("delannoy", "schroder", "poly", "sequence", "verify")))
+    fmt = ("--format", st.sampled_from(("text", "json", "csv")))
+    weights = [("--u", weight), ("--v", weight), ("--w", weight)]
+    if what == "delannoy":
+        flags = [("--m", small), ("--n", small), *weights, fmt]
+    elif what == "schroder":
+        flags = [("--n", small), *weights, fmt]
+    elif what == "poly":
+        family = st.sampled_from((*cli.POLY_FAMILIES, "hermite"))
+        flags = [("--family", family), ("--n", small), ("--alpha", small),
+                 ("--beta", small), fmt]
+    elif what == "sequence":
+        flags = [("--name", st.sampled_from((*cli.SEQUENCES, "catalan"))),
+                 ("--count", small), ("--m", small), fmt]
+    else:
+        selector = draw(st.sampled_from((("--id", st.sampled_from((*identities.REGISTRY, "nope"))),
+                                         ("--all", None))))
+        flags = [selector, ("--format", st.sampled_from(("text", "json")))]
+    argv = ["verify"] if what == "verify" else ["compute", what]
+    for flag, values in flags:
+        # Missing, once or repeated.
+        for _ in range(draw(st.sampled_from((0, *[1] * 8, 2)))):
+            argv.append(flag)
+            if values is not None:
+                mutate = draw(st.integers(0, 9)) == 0
+                argv.append(draw(st.sampled_from(MUTANT_VALUES) if mutate else values))
+    if what == "verify":
+        # Always given once, as a small value or a mutant: the registry's
+        # full grids take seconds.
+        max_n = st.one_of(st.sampled_from(("0", "1", "2")), st.sampled_from((*MUTANT_VALUES, "-1")))
+        argv += ["--max-n", draw(max_n)]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("--bogus", "-x", "--n"))))
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fuzzed_argv())
+    def test_every_argv_ends_with_a_documented_exit_code(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # no config file applies
+        monkeypatch.delenv("DJ_CONFIG", raising=False)
+        assert exit_code_and_stderr(capsys, *argv)[0] in (0, 1, 2), argv
 
 
 class TestModuleEntry:

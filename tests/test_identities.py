@@ -193,14 +193,14 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
     # only where both coordinates are positive) must fail each entry at its
     # first enumeration case that sees the loss, whatever the cache held
     # before.
-    count_paths = paths._diagonal_counts
+    walk = paths._depth_first
 
-    def one_path_short(m, n):
-        found = count_paths(m, n)
-        return found if off_axes and not (m and n) else itertools.islice(found, 1, None)
+    def one_path_short(end, *args, **kwargs):
+        found = walk(end, *args, **kwargs)
+        return found if off_axes and 0 in end else itertools.islice(found, 1, None)
 
     clear_caches(paths)
-    monkeypatch.setattr(paths, "_diagonal_counts", one_path_short)
+    monkeypatch.setattr(paths, "_depth_first", one_path_short)
     try:
         report = run_identity("wd-closed-vs-dp-vs-enum")
         assert report.status == "fail"

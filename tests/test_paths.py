@@ -180,19 +180,21 @@ class TestDiagonalTally:
         assert diagonal_tally.cache_info().currsize == 3
 
     def test_counting_walk_follows_the_enumeration(self):
-        # One northeast count per path, in delannoy_enumerate's order.
+        # The tally's walk gives one northeast count per path, in
+        # delannoy_enumerate's order.
         for m in range(13):
             for n in range(13 - m):
                 expected = [p.count(Step.DIAG) for p in delannoy_enumerate(m, n)]
-                assert list(paths._diagonal_counts(m, n)) == expected, (m, n)
+                walk = paths._depth_first((m, n), 0, paths._NORTHEAST_COUNT)
+                assert list(walk) == expected, (m, n)
 
     def test_counting_walk_cap(self):
         for m in range(18):
-            with pytest.raises(CapExceeded):  # on the call, before any iteration
-                paths._diagonal_counts(m, 17 - m)
-        assert sum(1 for _ in paths._diagonal_counts(8, 8)) == 265729
+            with pytest.raises(CapExceeded):
+                diagonal_tally(m, 17 - m)
+        assert sum(diagonal_tally(8, 8)) == 265729
         with pytest.raises(ValueError):
-            paths._diagonal_counts(2, -1)
+            diagonal_tally(2, -1)
 
 
 class TestPathWeight:

@@ -15,6 +15,7 @@ from delannoy_jacobi.render import (
     parse_integer,
     parse_poly,
     parse_rational,
+    quoted,
 )
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -114,6 +115,19 @@ def test_parse_poly_degree_bound():
     for bad in [f"x^{MAX_PARSED_DEGREE + 1}", "2x^99999999999 + 1", "x^" + "9" * 5000]:
         with pytest.raises(ValueError):
             parse_poly(bad)
+
+
+def test_long_literals_are_quoted_cut():
+    # Up to 40 characters a literal is quoted whole, past that cut with its length.
+    assert quoted("0.5") == "'0.5'"
+    assert quoted("7" * 40) == repr("7" * 40)
+    assert quoted("7" * 41) == f"{'7' * 40!r}... (41 characters)"
+    long = "1/2x + " + "x" * 5000
+    for parse, text in [(parse_integer, "0." + "5" * 5000), (parse_rational, "5" * 5000 + "."),
+                        (parse_poly, long), (parse_poly, long + " + 1 + 1")]:
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert len(str(info.value)) < 200
 
 
 # Text near the grammar (digits, signs, slashes, x, ^, spaces) as well as
