@@ -145,7 +145,7 @@ def _int_flag(text: str) -> int:
 def _nonnegative_int(text: str) -> int:
     value = _int_flag(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {quoted(text)}")
     return value
 
 

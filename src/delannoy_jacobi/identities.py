@@ -45,7 +45,7 @@ from . import families as _families
 from . import functionals as fn
 from . import paths as lp
 from .polynomial import Poly, X, binom, pochhammer, require_rational
-from .render import format_poly
+from .render import format_poly, quoted
 
 
 class UnknownIdentity(ValueError):
@@ -76,14 +76,14 @@ class SuiteConfig:
 
     def __post_init__(self):
         if self.max_n is not None and (type(self.max_n) is not int or self.max_n < 0):
-            raise ValueError(f"max_n must be nonnegative (an int or None), got {self.max_n!r}")
+            shown = quoted(repr(self.max_n))
+            raise ValueError(f"max_n must be nonnegative (an int or None), got {shown}")
         grid = tuple(
             v if type(v) is Fraction else Fraction(require_rational(v)) for v in self.weight_grid
         )
         if not grid or 0 in grid:
-            raise ValueError(
-                f"weight_grid must list nonzero rationals, got {self.weight_grid!r}"
-            )
+            shown = quoted(", ".join(map(str, grid)))
+            raise ValueError(f"weight_grid must list nonzero rationals, got {shown}")
         object.__setattr__(self, "weight_grid", grid)
 
     def cap(self, default: int) -> int:
@@ -175,7 +175,7 @@ def lookup(id: str) -> IdentityCheck:
         return REGISTRY[id]
     except KeyError:
         known = ", ".join(sorted(REGISTRY))
-        raise UnknownIdentity(f"unknown identity {id!r}; known ids: {known}") from None
+        raise UnknownIdentity(f"unknown identity {quoted(id)}; known ids: {known}") from None
 
 
 def run_identity(id: str, config: SuiteConfig = DEFAULT_CONFIG) -> IdentityReport:

@@ -34,10 +34,11 @@ by enumeration) live with the tests.  Weights may be rational constants
 or polynomials in a single variable, so substituting v = x turns the same
 DP into a polynomial-family constructor.  The DPs clear the
 weights' denominators once per weight triple and evaluate them at a power
-of two large enough to hold every coefficient (Kronecker substitution), so
-constant and polynomial weights alike run on plain ints, and a total
-becomes a Poly in integer form with no Fraction built; the sequence
-helpers read a whole sequence off one DP table.
+of two large enough to hold every coefficient (Kronecker substitution, by
+polynomial's pair _packed and _unpacked), so constant and polynomial
+weights alike run on plain ints, and a total becomes a Poly in integer
+form with no Fraction built; the sequence helpers read a whole sequence
+off one DP table.
 """
 
 import math
@@ -47,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator
 
-from .polynomial import CACHE_SIZE, Poly, as_poly, require_rational
+from .polynomial import CACHE_SIZE, Poly, _packed, _unpacked, as_poly, require_rational
 
 ENUMERATION_CAP = 16  # max total steps for explicit path enumeration
 PAIR_CAP = 9          # max element count for bijection enumeration
@@ -183,7 +184,7 @@ def delannoy_weighted(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Delannoy total by dynamic programming."""
     _require_quadrant(m, n)
     q, k, u, v, w = _packed_weights(wt, m + n)
-    return _unpacked(_last(_delannoy_rows(m, n, u, v, w))[n], q, k, m + n)
+    return _unpacked(_last(_delannoy_rows(m, n, u, v, w))[n], k, q ** (m + n))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -229,7 +230,7 @@ def schroder_weighted(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     q, k, u, v, w = _packed_weights(wt, 2 * n)
-    return _unpacked(_last(_schroder_rows(n, u, v, w))[n], q, k, 2 * n)
+    return _unpacked(_last(_schroder_rows(n, u, v, w))[n], k, q ** (2 * n))
 
 
 def delannoy_sum(m: int, n: int, u: Fraction = Fraction(1), v: Fraction = Fraction(1),
@@ -322,37 +323,20 @@ def _packed_weights(wt: WeightTriple, steps: int) -> tuple[int, int, int, int, i
     cell obeys |D(i,j)|_1 <= S^(i+j) by induction, so each of its signed
     coefficients fits in a K-bit digit for K = steps * bitlength(S) + 2 (a
     sign bit to spare, and K >= 2 even for the empty path).  Evaluating the
-    cleared weights at x = 2^K (Kronecker substitution) then lets the DP run
-    on plain ints and read D(i,j) off the digits of one integer, with no gcd
-    in any cell; constant weights are the degree-0 case.
+    cleared weights at x = 2^K (Kronecker substitution, polynomial's
+    _packed) then lets the DP run on plain ints and read D(i,j) off the
+    digits of one integer (its twin _unpacked), with no gcd in any cell;
+    constant weights are the degree-0 case.
     """
     q, u, v, w, bits = wt.cleared
     k = steps * bits + 2
-    return q, k, _at_power_of_two(u, k), _at_power_of_two(v, k), _at_power_of_two(w, k)
+    return q, k, _packed(u, k), _packed(v, k), _packed(w, k)
 
 
 def _scaled(p: Poly, scale: int) -> tuple[int, ...]:
     """The integer coefficients of scale * p; scale is a multiple of its denominator."""
     nums, d = p._numerators()
     return tuple(n * (scale // d) for n in nums)
-
-
-def _at_power_of_two(coeffs: tuple[int, ...], k: int) -> int:
-    return sum(c << (k * i) for i, c in enumerate(coeffs))
-
-
-def _unpacked(value: int, q: int, k: int, steps: int) -> Poly:
-    """The Poly whose coefficients are the balanced base-2^K digits of
-    value, each divided by q^steps, built in integer form."""
-    digits = []
-    half, mask = 1 << (k - 1), (1 << k) - 1
-    while value:
-        digit = value & mask
-        if digit >= half:
-            digit -= mask + 1
-        digits.append(digit)
-        value = (value - digit) >> k
-    return Poly._from_numerators(digits, q ** steps)
 
 
 def _delannoy_rows(m: int, n: int, u, v, w) -> Iterator[list]:

@@ -27,7 +27,9 @@ is evaluated.  Neither form's memo takes part in equality or hashing.
 Everything is immutable and exact: no floats, no rounding, ever.  The
 transforms every other module leans on live here: affine composition,
 zero-based antiderivative, definite integration, division by x, and the
-denominator-clearing substitution x -> x/(x-1).
+denominator-clearing substitution x -> x/(x-1).  Affine composition and the
+path DPs share one pair, _packed and _unpacked, that packs integer
+coefficients at x = 2^K and reads balanced base-2^K digits into a Poly.
 """
 
 import math
@@ -323,13 +325,16 @@ class Poly:
         return Fraction(acc, d * b ** (len(nums) - 1))
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Poly":
-        """Expand p(a*x + b) exactly, by a Taylor shift on integers.
+        """Expand p(a*x + b) exactly, by a Taylor shift on one integer.
 
-        With p = sum N_k x^k / D and a = A/E, b = B/E over common
-        denominators, p(a*x + b) = sum N_k E^(d-k) (A x + B)^k / (D E^d),
-        d = deg(p).  Horner runs on the integer numerators, and the result
-        keeps them over D E^d in integer form, reduced by one gcd: no
-        Fraction is built.
+        With p = sum N_k x^k / D, a = A/E and b = B/E, p(a*x + b) =
+        sum N_k E^(d-k) (A x + B)^k / (D E^d), d = deg(p), whose numerators
+        are at most |N|_1 * max(E, |A| + |B|)^d in absolute value (p(1) at
+        a = 0, b = 1 attains it when every N_k >= 0).  With K two bits past
+        that bound's bit length, one integer Horner at A 2^K + B (each step
+        a shift and two small products) yields them as the balanced
+        base-2^K digits that _unpacked reads over D E^d (Kronecker
+        substitution); no Fraction is built.
         """
         for value in (a, b):
             if type(value) is not int and type(value) is not Fraction:
@@ -340,20 +345,14 @@ class Poly:
         (a_num, a_den), (b_num, b_den) = a.as_integer_ratio(), b.as_integer_ratio()
         e = math.lcm(a_den, b_den)
         big_a, big_b = a_num * (e // a_den), b_num * (e // b_den)
-        acc: list[int] = []
+        degree = len(nums) - 1
+        k = (sum(map(abs, nums)) * max(e, abs(big_a) + abs(big_b)) ** degree).bit_length() + 2
+        acc = 0
         e_pow = 1
         for n in reversed(nums):
-            term = n * e_pow
-            if acc:
-                acc = (
-                    [big_b * acc[0] + term]
-                    + [big_a * lo + big_b * hi for lo, hi in zip(acc, acc[1:])]
-                    + [big_a * acc[-1]]
-                )
-            else:
-                acc = [term]
+            acc = (acc * big_a << k) + acc * big_b + n * e_pow
             e_pow *= e
-        return Poly._from_numerators(acc, d * e ** (len(nums) - 1))
+        return _unpacked(acc, k, d * e ** degree)
 
     def antiderivative(self) -> "Poly":
         """The antiderivative vanishing at 0, i.e. x |-> integral from 0 to x.
@@ -399,6 +398,23 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
+
+
+def _packed(coeffs: tuple[int, ...], k: int) -> int:
+    """sum c_i 2^(K i): the integer coefficients c_i evaluated at x = 2^K."""
+    return sum(c << (k * i) for i, c in enumerate(coeffs))
+
+
+def _unpacked(value: int, k: int, d: int) -> Poly:
+    """The Poly sum c_i x^i / d in integer form, c_i the balanced base-2^K
+    digits of value; it inverts _packed when every |c_i| < 2^(K-1)."""
+    digits = []
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    while value:
+        digit = ((value & mask) ^ half) - half  # the low K bits, sign-extended
+        digits.append(digit)
+        value = (value - digit) >> k
+    return Poly._from_numerators(digits, d)
 
 
 def _coerce(value) -> "Poly":

@@ -7,9 +7,11 @@ motzkin_legendre_moment compute by DP, gram_matrix with is_diagonal
 checks orthogonality entry by entry, and the *_by_fractions functions run
 on Fraction coefficients what Poly runs on its integer form: scaling by a
 constant and the antiderivative, which integrate_by_antiderivative
-evaluates for Poly.integrate.
+evaluates for Poly.integrate; compose_affine_by_lists is the list Horner
+of the Taylor shift that Poly.compose_affine runs as one integer Horner.
 """
 
+import math
 from fractions import Fraction
 
 from delannoy_jacobi.functionals import Matrix
@@ -109,3 +111,29 @@ def integrate_by_antiderivative(p: Poly, lo, hi) -> Fraction:
     evaluated at both bounds."""
     anti = antiderivative_by_fractions(p)
     return anti(hi) - anti(lo)
+
+
+def compose_affine_by_lists(p: Poly, a, b) -> Poly:
+    """p(a*x + b) = sum N_k E^(d-k) (A x + B)^k / (D E^d), a = A/E and
+    b = B/E, by Horner on the integer form with each step a new list of
+    numerators: no digit packing, so no digit bound to get wrong."""
+    nums, d = p._numerators()
+    if not nums:
+        return Poly()
+    (a_num, a_den), (b_num, b_den) = a.as_integer_ratio(), b.as_integer_ratio()
+    e = math.lcm(a_den, b_den)
+    big_a, big_b = a_num * (e // a_den), b_num * (e // b_den)
+    acc: list[int] = []
+    e_pow = 1
+    for n in reversed(nums):
+        term = n * e_pow
+        if acc:
+            acc = (
+                [big_b * acc[0] + term]
+                + [big_a * lo + big_b * hi for lo, hi in zip(acc, acc[1:])]
+                + [big_a * acc[-1]]
+            )
+        else:
+            acc = [term]
+        e_pow *= e
+    return Poly._from_numerators(acc, d * e ** (len(nums) - 1))

@@ -454,6 +454,31 @@ class TestLongLiterals:
         assert len(err) < 200
         assert re.fullmatch(r"error: delannoy-jacobi\.conf:1: .*\.\.\. \(500[01] characters\)\n", err)
 
+    def test_unknown_id_is_cut_and_lists_every_known_id(self, capsys):
+        code, err = exit_code_and_stderr(capsys, "verify", "--id", "z" * 5000, "--max-n", "1")
+        known = ", ".join(sorted(identities.REGISTRY))
+        assert code == 2
+        assert err == f"error: unknown identity {'z' * 40!r}... (5000 characters); known ids: {known}\n"
+
+    # In the grammar and in the digit limit, but out of range.
+    NINES = "9" * 4000
+
+    @pytest.mark.parametrize("argv, line, code", [
+        (["--max-n", f"-{NINES}"], None, 2),
+        ([], f"max_n = -{NINES}", 1),
+        ([], f"weight_grid = 0, {NINES}", 1),
+    ], ids=["flag", "max_n", "weight_grid"])
+    def test_rejected_integer_setting(self, capsys, tmp_path, monkeypatch, argv, line, code):
+        if line is not None:
+            (tmp_path / "delannoy-jacobi.conf").write_text(line + "\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DJ_CONFIG", raising=False)
+        got, err = exit_code_and_stderr(capsys, "verify", "--all", *argv)
+        last = err.splitlines()[-1]
+        assert got == code
+        assert len(last) < 200
+        assert re.search(r"got '[-09, ]{40}'\.\.\. \(400[13] characters\)$", last)
+
 
 class TestVerify:
     def test_single_identity_passes(self, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import modified_delannoy_enumerate, motzkin_legendre_moment_enumerate, path_weight
 
 import delannoy_jacobi
-from delannoy_jacobi import families, paths
+from delannoy_jacobi import families, paths, polynomial
 from delannoy_jacobi.polynomial import CACHE_SIZE, Poly, X, as_poly, binom
 from delannoy_jacobi.paths import (
     ENUMERATION_CAP,
@@ -488,12 +488,17 @@ class TestClosedSum:
             assert delannoy_closed(m, n, POLY_WT) == families.sj_product_expansion(n, 0, m - n)
 
     def test_independent_of_the_dp_weights(self, monkeypatch):
-        # The oracles never read the DPs' cleared or packed weights.
+        # The oracles never read the DPs' cleared or packed weights, and never
+        # pack or read digits by the Kronecker pair that polynomial owns and
+        # the DPs and Poly.compose_affine share: refused in both modules.
         def refuse(*args, **kwargs):
             raise AssertionError("an oracle read the DPs' weights")
 
-        for name in ("_packed_weights", "_unpacked", "_scaled"):
+        for name in ("_packed_weights", "_scaled"):
             monkeypatch.setattr(paths, name, refuse)
+        for module in (polynomial, paths):
+            for name in ("_packed", "_unpacked"):
+                monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(WeightTriple, "cleared", property(refuse))
         delannoy_closed.cache_clear()
         diagonal_tally.cache_clear()

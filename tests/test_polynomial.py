@@ -7,7 +7,12 @@ import pytest
 from faults import clear_caches
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import antiderivative_by_fractions, integrate_by_antiderivative, scaled_by_fractions
+from oracles import (
+    antiderivative_by_fractions,
+    compose_affine_by_lists,
+    integrate_by_antiderivative,
+    scaled_by_fractions,
+)
 
 from delannoy_jacobi import families, identities, paths
 from delannoy_jacobi.functionals import factorial_functional, inner_weighted, lbeta_functional
@@ -508,6 +513,74 @@ class TestComposeAffine:
         assert p.compose_affine(0, F(1, 2)) == Poly.constant(p(F(1, 2)))
         assert ZERO.compose_affine(F(2, 3), -1) == ZERO
         assert Poly.constant(F(-5, 7)).compose_affine(3, 4) == Poly.constant(F(-5, 7))
+
+
+class TestComposeAffineAgainstListHorner:
+    """The one-integer Taylor shift against the list Horner of
+    tests/oracles.py, which packs no digits: from the registry's sizes to
+    the benchmark's, and at the cases that reach the digit bound."""
+
+    # Jacobi-type (n, alpha, beta) at the benchmark's largest sizes: the
+    # compute-poly shapes (perfbench/workloads.py JACOBI_SHAPES) at
+    # n = 145 and 150, with numerators of 80 to 580 bits on either side.
+    BENCHMARK_SHAPES = [
+        (145, -130, 0), (145, -72, -58), (145, 0, -130), (145, 7, 7), (145, -29, -102),
+        (150, -135, 0), (150, -75, -60), (150, 0, -135), (150, 8, 8), (150, -30, -105),
+    ]
+    SHIFTS = [(1, -1), (F(1, 2), F(-1, 2)), (2, 1), (-1, 0), (1, 1)]
+
+    def test_every_call_of_a_cold_registry_run(self, monkeypatch):
+        calls = []
+        compose = Poly.compose_affine
+
+        def recorded(self, a, b):
+            out = compose(self, a, b)
+            calls.append((self, a, b, out))
+            return out
+
+        clear_caches(families, paths)
+        monkeypatch.setattr(Poly, "compose_affine", recorded)
+        try:
+            identities.run_all()
+        finally:
+            monkeypatch.undo()
+            clear_caches(families, paths)
+        assert len(calls) > 1000
+        for p, a, b, out in calls:
+            assert out == compose_affine_by_lists(p, a, b), (p, a, b)
+
+    @pytest.mark.parametrize("n, alpha, beta", BENCHMARK_SHAPES)
+    def test_benchmark_sizes(self, n, alpha, beta):
+        p = families.romanovski_sum(n, alpha, beta)
+        assert p.degree == n
+        for a, b in self.SHIFTS:
+            assert p.compose_affine(a, b) == compose_affine_by_lists(p, a, b), (a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        (0, 0), (0, F(-7, 3)), (F(5, 2), 0), (-1, 3), (F(-7, 9), F(2, 5)), (-3, -5),
+        (F(1, 10**30), F(-1, 10**30 - 1)), (F(-(10**25) - 3, 7**40), F(11**30, 13**20)),
+    ])
+    def test_zero_negative_and_large_denominator_arguments(self, a, b):
+        for p in (Poly((F(1, 3), F(-2, 5), F(7, 2))), families.romanovski_sum(30, -12, 4),
+                  Poly([F((-1) ** k * (k + 1) ** 9, 10**12 + k) for k in range(40)])):
+            assert p.compose_affine(a, b) == compose_affine_by_lists(p, a, b)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 7, 64, 150])
+    @pytest.mark.parametrize("bits", [1, 40, 470])
+    def test_digit_bound_worst_cases(self, degree, bits):
+        # Equal signs after the shift: every coefficient of p(x + 1) for an
+        # all-positive p, and of p(-x - 1) for an alternating one, adds up
+        # its terms with no cancellation, as the bound assumes.  At a = 0 and
+        # b = 1 (b = -1) the constant p(1) (p(-1)) = |N|_1 meets the bound.
+        top = (1 << bits) - 1
+        positive = Poly([top] * (degree + 1))
+        alternating = Poly([(-1) ** k * top for k in range(degree + 1)])
+        for p, (a, b) in ((positive, (1, 1)), (alternating, (-1, -1)),
+                          (positive, (F(1, 3), F(2, 3))), (alternating, (F(-1, 2), F(-1, 2))),
+                          (positive, (0, 1)), (alternating, (0, -1))):
+            out = p.compose_affine(a, b)
+            assert out == compose_affine_by_lists(p, a, b)
+            assert out(1) == p(a + b)
 
 
 def derivative(p):
