@@ -4,7 +4,9 @@ All parameters are integers (negative values allowed where noted), so every
 coefficient comes out of generalized binomials and stays an exact rational.
 The Jacobi-type families are the integer sequence R = romanovski_sum
 shifted once or not at all: romanovski is R, jacobi is R((x-1)/2) and
-shifted_jacobi is R(x-1).  The path DP checks jacobi in the dp1,
+shifted_jacobi is R(x-1).  Both shifts read R through the cached
+romanovski, so each (n, alpha, beta) sums its binomials once however many
+of the three families ask for it.  The path DP checks jacobi in the dp1,
 modified-delannoy and schroder entries and shifted_jacobi in llp, wd-jacobi
 and wd-jacobi-swap; dual-routes checks romanovski against jacobi composed
 with 2x+1, and the shifted Legendre family against a second binomial sum.
@@ -28,16 +30,18 @@ def jacobi(n: int, alpha: int = 0, beta: int = 0) -> Poly:
         sum_j C(n+alpha+beta+j, j) C(n+alpha, n-j) ((x-1)/2)^j,
     which agrees with the classical polynomials for alpha, beta > -1.  For
     negative integer parameters the degree may drop below n.  It is
-    R((x-1)/2) for R = romanovski_sum, one integer Taylor shift.
+    R((x-1)/2) for R = romanovski, one integer Taylor shift of the cached
+    Romanovski coefficients.
     """
-    return romanovski_sum(n, alpha, beta).compose_affine(Fraction(1, 2), Fraction(-1, 2))
+    return romanovski(n, alpha, beta).compose_affine(Fraction(1, 2), Fraction(-1, 2))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def shifted_jacobi(n: int, alpha: int = 0, beta: int = 0) -> Poly:
     """Shifted Jacobi polynomial: the Jacobi polynomial composed with 2x-1,
-    which is R(x-1) for R = romanovski_sum, one integer Taylor shift."""
-    return romanovski_sum(n, alpha, beta).compose_affine(1, -1)
+    which is R(x-1) for R = romanovski, one integer Taylor shift of the
+    cached Romanovski coefficients."""
+    return romanovski(n, alpha, beta).compose_affine(1, -1)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

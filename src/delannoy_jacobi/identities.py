@@ -26,7 +26,11 @@ f*g or its weighted integral over [0, 1], never builds the product: it
 hands the two factors to MomentFunctional.pair or inner_weighted, which
 convolve their integer numerators.  The weight-grid entries compute each
 point's evaluation point and powers, and each family polynomial, outside
-their innermost loop.
+their innermost loop.  They read the grid's points from one cache,
+_weight_points, which builds each config's 27 (u, v, w) triples and the 9
+(u, x, w) triples of the v = x leg once: every entry hands the DPs the
+same triple objects, so a DP cache hit across entries is an identity hit,
+and emptying the cache makes the next run cold again.
 
 Family constructors are reached through the config's `families` namespace,
 which tests may replace with a corrupting wrapper to confirm that the
@@ -38,13 +42,13 @@ import time
 from collections.abc import Callable, Generator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Any
+from functools import lru_cache, partial
+from typing import Any, NamedTuple
 
 from . import families as _families
 from . import functionals as fn
 from . import paths as lp
-from .polynomial import Poly, X, binom, pochhammer, require_rational
+from .polynomial import CACHE_SIZE, Poly, X, binom, pochhammer, require_rational
 from .render import format_poly, quoted
 
 
@@ -66,8 +70,8 @@ class SuiteConfig:
     negative max_n or an empty grid would run entries with no case, a zero
     weight divides by zero, and a float, which require_rational refuses,
     would enter as its binary expansion.  The grid is kept as Fractions,
-    with each given Fraction itself, so that entries' triples share their
-    coefficient objects and DP cache hits compare them by identity.
+    with each given Fraction itself; the entries' weight triples are built
+    from it once per config (_weight_points).
     """
 
     max_n: int | None = None
@@ -223,13 +227,29 @@ def run_all(config: SuiteConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
     return [run_identity(id, config) for id in sorted(REGISTRY)]
 
 
-def _weight_points(cfg: SuiteConfig):
-    """The (u, v, w) points of the weight grid, in grid order, each with its
-    WeightTriple; an entry builds this list once and reuses the triples, so
-    its DP cache lookups hash the same objects.  SuiteConfig refuses a zero
-    weight, so every point may divide by w or by uv."""
+class _WeightPoints(NamedTuple):
+    """The points of one config's weight grid, in grid order, each with its
+    WeightTriple: uvw holds (u, v, w, triple) for every (u, v, w), and uxw
+    holds (u, w, triple) for the v = x leg's (u, x, w)."""
+
+    uvw: tuple
+    uxw: tuple
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _weight_points(cfg: SuiteConfig) -> _WeightPoints:
+    """The weight-grid points of cfg, built once and read by every entry
+    that runs on the grid.  So all of them pass the DPs the same triple
+    objects: a DP cache hit across entries is an identity hit, each triple
+    hashes and clears its weights once, and a cold run stays cold, since
+    emptying this cache builds new triples.  SuiteConfig compares by
+    identity and refuses a zero weight, so two configs never share a
+    triple, and every point may divide by w or by uv."""
     grid = cfg.weight_grid
-    return [(u, v, w, lp.WeightTriple.of(u, v, w)) for u in grid for v in grid for w in grid]
+    return _WeightPoints(
+        tuple((u, v, w, lp.WeightTriple.of(u, v, w)) for u in grid for v in grid for w in grid),
+        tuple((u, w, lp.WeightTriple.of(u, X, w)) for u in grid for w in grid),
+    )
 
 
 def _powers(base: Fraction, lo: int, hi: int) -> dict[int, Fraction]:
@@ -283,7 +303,7 @@ _ENUMERATION_POINTS = [
 )
 def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
     top = cfg.cap(6)
-    points = _weight_points(cfg)
+    points = _weight_points(cfg).uvw
     for m in range(top + 1):
         for n in range(top + 1):
             for u, v, w, wt in points:
@@ -311,10 +331,10 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
 def _wcd_legendre(cfg: SuiteConfig, swapped: bool) -> Cases:
     F = cfg.families
     s, t = _swap_form(swapped)
-    points = [(u, v, w, wt, s * w, s * u * v / w + t) for u, v, w, wt in _weight_points(cfg)]
-    grid = cfg.weight_grid
+    uvw, uxw = _weight_points(cfg)
+    points = [(u, v, w, wt, s * w, s * u * v / w + t) for u, v, w, wt in uvw]
     # The v = x leg: each (u, w) pair of the grid with the triple (u, x, w).
-    x_points = [(u, w, lp.WeightTriple.of(u, X, w), s * w, s * u / w) for u in grid for w in grid]
+    x_points = [(u, w, wt, s * w, s * u / w) for u, w, wt in uxw]
     for n in range(cfg.cap(6) + 1):
         p = F.shifted_legendre(n)
         for u, v, w, wt, base, at in points:
@@ -348,7 +368,7 @@ def _wd_jacobi(cfg: SuiteConfig, swapped: bool) -> Cases:
     s, t = _swap_form(swapped)
     points = [
         (u, v, w, wt, s * u * v / w + t, _powers(u, -top, 4), _powers(s * w, 0, top))
-        for u, v, w, wt in _weight_points(cfg)
+        for u, v, w, wt in _weight_points(cfg).uvw
     ]
     for n in range(top + 1):
         for beta in range(-n, 5):
@@ -712,7 +732,7 @@ def _schroder(cfg: SuiteConfig) -> Cases:
     # the factor 1 + w/(uv) of the (1,-1) and (-1,1) forms.
     points = [
         (u, v, w, wt, -w, -u * v / w, u * v / w + 1, 1 + w / (u * v))
-        for u, v, w, wt in _weight_points(cfg)
+        for u, v, w, wt in _weight_points(cfg).uvw
     ]
     for n in range(cfg.cap(6) + 1):
         sn_poly = F.schroder_poly(n)
@@ -743,7 +763,7 @@ def _schroder(cfg: SuiteConfig) -> Cases:
 def _cdrec(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     top = cfg.cap(8)
-    points = [(u, v, w, wt, 2 * u * v) for u, v, w, wt in _weight_points(cfg)]
+    points = [(u, v, w, wt, 2 * u * v) for u, v, w, wt in _weight_points(cfg).uvw]
     for n in range(1, top + 1):
         for u, v, w, wt, two_uv in points:
             yield _case(lambda: lp.delannoy_weighted(n, n, wt).constant_value(),

@@ -38,7 +38,9 @@ of two large enough to hold every coefficient (Kronecker substitution, by
 polynomial's pair _packed and _unpacked), so constant and polynomial
 weights alike run on plain ints, and a total becomes a Poly in integer
 form with no Fraction built; the sequence helpers read a whole sequence
-off one DP table.
+off one DP table.  A triple also keeps its hash, which every cached DP
+lookup takes, and, apart from the DPs' cleared weights, the integer
+ratios of constant weights that the closed sum runs on.
 """
 
 import math
@@ -68,9 +70,13 @@ class Step(Enum):
 class WeightTriple:
     """Step weights (u east, v north, w northeast), each a polynomial.
 
-    The weights with their denominators cleared, which the DPs run on, are
-    computed on first use and kept on the triple (`cleared`); like the
-    polynomials' own memos they take no part in equality or hashing.
+    Three values are computed on first use and kept on the triple: its hash
+    (the DP caches hash their key on every lookup), the weights with their
+    denominators cleared, which the DPs run on (`cleared`), and, for
+    constant weights, the integer ratios that delannoy_closed runs on
+    (`ratios`).  The DPs and their oracle read separate memos, so a fault
+    in one cannot reach the other; like the polynomials' own memos, none
+    takes part in equality or hashing.
     """
 
     u: Poly
@@ -93,6 +99,21 @@ class WeightTriple:
                 self.w.constant_value(),
             )
         return (self.u, self.v, self.w)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.u, self.v, self.w))
+
+    @cached_property
+    def ratios(self) -> tuple[tuple[int, int], ...] | None:
+        """((a, b), (c, d), (e, f)) with u = a/b, v = c/d and w = e/f in
+        lowest terms, for constant weights; None for polynomial weights."""
+        if not self.is_constant():
+            return None
+        return tuple(x.as_integer_ratio() for x in self.values())
 
     @cached_property
     def cleared(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
@@ -198,14 +219,15 @@ def delannoy_closed(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     _closed_sum builds by Horner's rule.  Polynomial weights run it on Poly.
     For constant weights u = a/b, v = c/d, w = e/f, multiplying by
     b^m d^n f^K turns (uv, w) into the integers (acf, bde), so the loop
-    runs on ints and one Fraction is made at the end.  Neither route reads
-    the cleared or packed weights of the DPs, so the sum stays their
-    independent oracle.
+    runs on ints and one Fraction is made at the end; the triple keeps
+    those ratios (WeightTriple.ratios).  Neither route reads the cleared or
+    packed weights of the DPs, so the sum stays their independent oracle.
     """
     _require_quadrant(m, n)
     top = min(m, n)
-    if wt.is_constant():
-        (a, b), (c, d), (e, f) = (x.as_integer_ratio() for x in wt.values())
+    ratios = wt.ratios
+    if ratios is not None:
+        (a, b), (c, d), (e, f) = ratios
         total = _closed_sum(m, n, a * c * f, b * d * e) * a ** (m - top) * c ** (n - top)
         return Poly.constant(Fraction(total, b ** m * d ** n * f ** top))
     u, v, w = wt.values()

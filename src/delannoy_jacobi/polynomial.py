@@ -27,9 +27,10 @@ is evaluated.  Neither form's memo takes part in equality or hashing.
 Everything is immutable and exact: no floats, no rounding, ever.  The
 transforms every other module leans on live here: affine composition,
 zero-based antiderivative, definite integration, division by x, and the
-denominator-clearing substitution x -> x/(x-1).  Affine composition and the
-path DPs share one pair, _packed and _unpacked, that packs integer
-coefficients at x = 2^K and reads balanced base-2^K digits into a Poly.
+denominator-clearing substitution x -> x/(x-1).  One private pair does
+Kronecker substitution: _packed evaluates integer coefficients at x = 2^K
+by Horner's rule, for the path DPs, and _unpacked reads balanced base-2^K
+digits back into a Poly, for the DPs and affine composition.
 """
 
 import math
@@ -37,10 +38,11 @@ from fractions import Fraction
 
 Scalar = int | Fraction
 
-# Bound of every lru_cache on the family constructors and path DPs, so a
-# long-lived process cannot grow them without limit.  A default
-# `verify --all` fills the largest (delannoy_weighted) to 1 937 entries, so
-# its warm repeat evicts nothing.
+# Bound of every lru_cache on the family constructors, the path DPs and the
+# registry's weight-grid points, so a long-lived process cannot grow them
+# without limit.  A default `verify --all` fills the largest
+# (delannoy_weighted) to 1 937 entries, and romanovski, which both Jacobi
+# shifts read, to 916, so its warm repeat evicts nothing.
 CACHE_SIZE = 4096
 
 
@@ -401,13 +403,22 @@ class Poly:
 
 
 def _packed(coeffs: tuple[int, ...], k: int) -> int:
-    """sum c_i 2^(K i): the integer coefficients c_i evaluated at x = 2^K."""
-    return sum(c << (k * i) for i, c in enumerate(coeffs))
+    """sum c_i 2^(K i): the integer coefficients c_i evaluated at x = 2^K,
+    by Horner's rule, so a constant packs in one step."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << k) + c
+    return value
 
 
 def _unpacked(value: int, k: int, d: int) -> Poly:
     """The Poly sum c_i x^i / d in integer form, c_i the balanced base-2^K
-    digits of value; it inverts _packed when every |c_i| < 2^(K-1)."""
+    digits of value; it inverts _packed when every |c_i| < 2^(K-1).
+
+    K >= 2: at K = 1 the digit range [-1, 0] cannot hold a positive
+    remainder, and the loop would never end."""
+    if k < 2:
+        raise ValueError(f"digit width must be at least 2 bits, got {k}")
     digits = []
     half, mask = 1 << (k - 1), (1 << k) - 1
     while value:

@@ -9,7 +9,7 @@ import golden_reports
 import pytest
 from faults import FAULT_TARGETS, CorruptingFamilies, clear_caches
 
-from delannoy_jacobi import families, paths
+from delannoy_jacobi import families, identities, paths
 from delannoy_jacobi.identities import (
     REGISTRY,
     SuiteConfig,
@@ -17,7 +17,7 @@ from delannoy_jacobi.identities import (
     run_all,
     run_identity,
 )
-from delannoy_jacobi.polynomial import Poly
+from delannoy_jacobi.polynomial import Poly, X
 
 SMALL = SuiteConfig(max_n=2)
 
@@ -316,3 +316,75 @@ def test_reports_match_the_golden_file(label):
     # Counts, statuses, notes and first counterexamples, fixed per
     # configuration; tests/golden_reports.py regenerates the file.
     assert golden_reports.reports(label) == GOLDEN[label]
+
+
+def _clear_every_cache():
+    clear_caches(families, paths, identities)
+
+
+def test_each_entry_alone_reports_as_inside_run_all():
+    # Caches and weight triples shared across entries only save work: an
+    # entry run alone from empty caches gives the report it gives inside a
+    # cold run_all(), in every field but its timing.
+    def fields(report):
+        return {k: v for k, v in report.to_dict().items() if k != "millis"}
+
+    _clear_every_cache()
+    together = {report.id: fields(report) for report in run_all()}
+    assert sorted(together) == sorted(REGISTRY)
+    for id in sorted(REGISTRY):
+        _clear_every_cache()
+        assert fields(run_identity(id)) == together[id], id
+
+
+WEIGHT_GRID_ENTRIES = [
+    "cdrec", "schroder", "wcd-legendre", "wcd-legendre-swap", "wd-closed-vs-dp-vs-enum",
+    "wd-jacobi", "wd-jacobi-swap",
+]
+
+
+def _grid_triples(monkeypatch, config):
+    """Per weight-grid entry, the WeightTriples on config's grid, (u, v, w)
+    and (u, x, w), that it passes a weighted DP."""
+    grid = config.weight_grid
+    on_grid = {paths.WeightTriple.of(u, v, w) for u in grid for v in (*grid, X) for w in grid}
+    passed = {id: [] for id in WEIGHT_GRID_ENTRIES}
+    current = []
+
+    def recording(dp):
+        def call(*args):
+            current.extend(a for a in args if a in on_grid)
+            return dp(*args)
+
+        return call
+
+    for name in ("delannoy_weighted", "schroder_weighted"):
+        monkeypatch.setattr(paths, name, recording(getattr(paths, name)))
+    for id in WEIGHT_GRID_ENTRIES:
+        current = passed[id]
+        assert run_identity(id, config).status == "pass", id
+    monkeypatch.undo()
+    return passed, on_grid
+
+
+def test_weight_grid_entries_of_one_config_share_triples(monkeypatch):
+    # Every weight-grid entry of one config passes the DPs the same triple
+    # object for each grid point, so DP cache hits across entries are
+    # identity hits; a second config with an equal grid gets its own
+    # triples.  The grid leaves out 1, which the enumeration leg's own
+    # module-level triples use.
+    grid = (Fraction(-1, 3), 2, Fraction(5, 2))
+    first, second = SuiteConfig(max_n=3, weight_grid=grid), SuiteConfig(max_n=3, weight_grid=grid)
+    _clear_every_cache()
+    objects = []
+    for config in (first, second):
+        passed, on_grid = _grid_triples(monkeypatch, config)
+        assert all(passed.values()), [entry for entry, seen in passed.items() if not seen]
+        by_value = {}
+        for seen in passed.values():
+            for wt in seen:
+                by_value.setdefault(wt, set()).add(id(wt))
+        assert set(by_value) == on_grid  # 27 (u, v, w) and 9 (u, x, w) points
+        assert all(len(ids) == 1 for ids in by_value.values())
+        objects.append(set().union(*by_value.values()))
+    assert objects[0].isdisjoint(objects[1])

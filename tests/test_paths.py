@@ -512,6 +512,40 @@ class TestClosedSum:
             delannoy_closed.cache_clear()
             diagonal_tally.cache_clear()
 
+    def test_dps_never_read_the_oracles_ratios(self, monkeypatch):
+        # The other direction: the triple keeps the integer ratios that
+        # delannoy_closed runs on in a memo of their own, which the DPs
+        # never read, so a fault there cannot make a DP agree with it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a DP read the closed sum's ratios")
+
+        wt = WeightTriple.of(F(1, 2), F(-1, 3), 7)
+        expected = [_closed_by_fractions(6, 6, wt), _closed_by_fractions(3, 2, POLY_WT)]
+        monkeypatch.setattr(WeightTriple, "ratios", property(refuse))
+        delannoy_weighted.cache_clear()
+        schroder_weighted.cache_clear()
+        try:
+            assert [delannoy_weighted(6, 6, wt), delannoy_weighted(3, 2, POLY_WT)] == expected
+            assert schroder_weighted(4, wt) == schroder_sum(4, F(1, 2), F(-1, 3), 7)
+            assert schroder_weighted(4, POLY_WT) == families.schroder_poly(4)
+        finally:
+            delannoy_weighted.cache_clear()
+            schroder_weighted.cache_clear()
+
+    @given(st.one_of(wide_triples, poly_triples))
+    def test_equal_triples_built_apart_compare_and_hash_equal(self, uvw):
+        # The kept hash, cleared weights and ratios take no part in equality
+        # or hashing: a triple whose memos are filled equals, and hashes
+        # like, a twin built from the Fraction coefficients of its weights.
+        wt = WeightTriple.of(*uvw)
+        memos = hash(wt), wt.cleared, wt.ratios
+        twin = WeightTriple(*(Poly(as_poly(x).coeffs) for x in uvw))
+        assert twin is not wt and twin.u is not wt.u
+        assert wt == twin and twin == wt
+        assert {wt: 1}.get(twin) == 1
+        assert (hash(twin), twin.cleared, twin.ratios) == memos
+        assert memos[0] == hash((wt.u, wt.v, wt.w))
+
 
 def _schroder_by_family(n, wt):
     """(-w)^n S_n(-uv/w), the paper's form of the weighted Schroeder total;
@@ -895,7 +929,7 @@ class TestCacheBound:
             value for module in modules for value in vars(module).values()
             if hasattr(value, "cache_info") and value.__module__ == module.__name__
         ]
-        assert len(caches) == 10
+        assert len(caches) == 11
         assert all(cache.cache_info().maxsize == CACHE_SIZE for cache in caches)
 
     def test_distinct_calls_stay_within_bound(self):

@@ -23,6 +23,8 @@ from delannoy_jacobi.polynomial import (
     Poly,
     X,
     ZERO,
+    _packed,
+    _unpacked,
     binom,
     pochhammer,
 )
@@ -587,6 +589,35 @@ def derivative(p):
     """p', coefficient by coefficient: the package has no derivative, so
     this oracle checks antiderivative by inverting it."""
     return Poly(k * c for k, c in enumerate(p.coeffs) if k >= 1)
+
+
+@st.composite
+def digit_words(draw):
+    """(coefficients, K): K >= 2 and signed integer coefficients that each
+    fit a balanced K-bit digit, |c| < 2^(K-1)."""
+    k = draw(st.integers(min_value=2, max_value=70))
+    top = (1 << (k - 1)) - 1
+    return tuple(draw(st.lists(st.integers(min_value=-top, max_value=top), max_size=10))), k
+
+
+class TestKroneckerPair:
+    """_packed evaluates integer coefficients at x = 2^K, and _unpacked
+    reads them back as balanced base-2^K digits over a denominator."""
+
+    @given(digit_words(), st.integers(min_value=1, max_value=30))
+    def test_round_trip(self, word, d):
+        coeffs, k = word
+        packed = _packed(coeffs, k)
+        assert packed == sum(c << (k * i) for i, c in enumerate(coeffs))  # the defining sum
+        assert _unpacked(packed, k, 1) == Poly(coeffs)
+        assert _unpacked(packed, k, d) == Poly(F(c, d) for c in coeffs)
+
+    def test_digit_width_below_two_fails_at_once(self):
+        # At K = 1 the balanced digits are -1 and 0, so 1 = -1 + 2 * 1
+        # would be read forever; the call refuses the width instead.
+        for k in (1, 0, -3):
+            with pytest.raises(ValueError, match="at least 2 bits"):
+                _unpacked(1, k, 1)
 
 
 class TestCalculus:
