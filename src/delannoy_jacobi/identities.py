@@ -24,13 +24,17 @@ the three Gram-matrix checks yield their cases from _gram.
 A check that only reduces a product to a number, a moment functional of
 f*g or its weighted integral over [0, 1], never builds the product: it
 hands the two factors to MomentFunctional.pair or inner_weighted, which
-convolve their integer numerators.  The weight-grid entries compute each
-point's evaluation point and powers, and each family polynomial, outside
-their innermost loop.  They read the grid's points from one cache,
-_weight_points, which builds each config's 27 (u, v, w) triples and the 9
-(u, x, w) triples of the v = x leg once: every entry hands the DPs the
-same triple objects, so a DP cache hit across entries is an identity hit,
-and emptying the cache makes the next run cold again.
+convolve their integer numerators.  The weight-grid entries read their
+weight triples from one cache, _weight_points, which builds each config's
+27 (u, v, w) triples, the 9 (u, x, w) triples of the v = x leg, and the
+fixed (1, x, -1) and enumeration triples once: every entry hands the DPs
+the same triple objects, so a DP cache hit across entries is an identity
+hit, and emptying the cache makes the next run cold again.  At each grid
+point they read the constant-weight totals from one Delannoy and one
+Schroeder table (paths.delannoy_table, schroder_table), sized once per
+config for the farthest cell any of them reads, so each grid triple's DPs
+run once.  Their right sides are homogeneous forms b^n p(a/b), with (a, b)
+computed once per point, each taken by one Poly.homogenized call.
 
 Family constructors are reached through the config's `families` namespace,
 which tests may replace with a corrupting wrapper to confirm that the
@@ -228,28 +232,54 @@ def run_all(config: SuiteConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
 
 
 class _WeightPoints(NamedTuple):
-    """The points of one config's weight grid, in grid order, each with its
-    WeightTriple: uvw holds (u, v, w, triple) for every (u, v, w), and uxw
-    holds (u, w, triple) for the v = x leg's (u, x, w)."""
+    """The weight triples of one config, with their weights.  uvw holds
+    (u, v, w, triple) for every (u, v, w) of the grid, in grid order, and uxw
+    holds (u, w, triple) for the v = x leg's (u, x, w).  poly_x is the
+    triple (1, x, -1), whose totals are the shifted Jacobi and Schroeder
+    polynomials, and enumeration holds (u, v, w, triple) for the
+    enumeration leg's three fixed points."""
 
     uvw: tuple
     uxw: tuple
+    poly_x: lp.WeightTriple
+    enumeration: tuple
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _weight_points(cfg: SuiteConfig) -> _WeightPoints:
-    """The weight-grid points of cfg, built once and read by every entry
-    that runs on the grid.  So all of them pass the DPs the same triple
-    objects: a DP cache hit across entries is an identity hit, each triple
-    hashes and clears its weights once, and a cold run stays cold, since
-    emptying this cache builds new triples.  SuiteConfig compares by
-    identity and refuses a zero weight, so two configs never share a
-    triple, and every point may divide by w or by uv."""
+    """The weight triples of cfg, built once and read by every entry that
+    runs on them.  So all of them pass the DPs the same triple objects: a
+    DP cache hit across entries is an identity hit, each triple hashes and
+    clears its weights once, and a cold run stays cold, since emptying this
+    cache builds new triples, the fixed (1, x, -1) and enumeration triples
+    among them.  SuiteConfig compares by identity and refuses a zero
+    weight, so two configs never share a triple, and every grid point may
+    divide by w or by uv."""
     grid = cfg.weight_grid
     return _WeightPoints(
         tuple((u, v, w, lp.WeightTriple.of(u, v, w)) for u in grid for v in grid for w in grid),
         tuple((u, w, lp.WeightTriple.of(u, X, w)) for u in grid for w in grid),
+        lp.WeightTriple.of(1, X, -1),
+        # Unit, positive, and rational of mixed sign.
+        tuple((u, v, w, lp.WeightTriple.of(u, v, w))
+              for u, v, w in [(Fraction(1), Fraction(1), Fraction(1)),
+                              (Fraction(2), Fraction(3), Fraction(5)),
+                              (Fraction(1, 2), Fraction(-1, 3), Fraction(7))]),
     )
+
+
+def _delannoy_table(cfg: SuiteConfig, wt: lp.WeightTriple) -> lp.PackedTable:
+    """The Delannoy totals at one grid point, from one DP run sized for the
+    farthest cell any weight-grid entry reads: (n + beta, n) of wd-jacobi
+    up to (cap(6) + 4, cap(6)), and (n, n) of cdrec up to cap(8), which is
+    at most cap(6) + 2."""
+    return lp.delannoy_table(cfg.cap(6) + 4, cfg.cap(8), wt)
+
+
+def _schroder_table(cfg: SuiteConfig, wt: lp.WeightTriple) -> lp.PackedTable:
+    """The Schroeder totals at one grid point up to n = cap(8), from one
+    DP run; cdrec reads them up to cap(8) - 1, schroder up to cap(6)."""
+    return lp.schroder_table(cfg.cap(8), wt)
 
 
 def _powers(base: Fraction, lo: int, hi: int) -> dict[int, Fraction]:
@@ -259,10 +289,10 @@ def _powers(base: Fraction, lo: int, hi: int) -> dict[int, Fraction]:
 
 
 def _swap_form(swapped: bool) -> tuple[int, int]:
-    """(s, t) for one of the two forms of a weighted Delannoy total, which
-    scale by (s w)^n and evaluate at s uv/w + t: (-1, 0) for the P~(-uv/w)
-    form, (1, 1) for the swapped P~(uv/w + 1) form.  x -> 1 - x maps one
-    form to the other."""
+    """(s, t) for one of the two forms of a weighted Delannoy total,
+    (s w)^n p(s uv/w + t): (-1, 0) for the P~(-uv/w) form, (1, 1) for the
+    swapped P~(uv/w + 1) form.  x -> 1 - x maps one form to the other.  As
+    a homogeneous form b^n p(a/b) it has a = uv + s t w and b = s w."""
     return (1, 1) if swapped else (-1, 0)
 
 
@@ -279,17 +309,6 @@ def _gram(inner: Callable[[int, int], Fraction], size: int, positive: str | None
                 yield _claim(lambda: inner(n, n) > 0, positive, **params, n=n)
 
 
-_POLY_X_WT = lp.WeightTriple.of(1, X, -1)
-
-# The enumeration leg's weights: unit, positive, and rational of mixed sign.
-_ENUMERATION_POINTS = [
-    (u, v, w, lp.WeightTriple.of(u, v, w))
-    for u, v, w in [(Fraction(1), Fraction(1), Fraction(1)),
-                    (Fraction(2), Fraction(3), Fraction(5)),
-                    (Fraction(1, 2), Fraction(-1, 3), Fraction(7))]
-]
-
-
 # --------------------------------------------------------------------------
 # Weighted Delannoy counts
 # --------------------------------------------------------------------------
@@ -303,16 +322,18 @@ _ENUMERATION_POINTS = [
 )
 def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
     top = cfg.cap(6)
-    points = _weight_points(cfg).uvw
+    weights = _weight_points(cfg)
+    points = [(u, v, w, wt, _delannoy_table(cfg, wt)) for u, v, w, wt in weights.uvw]
+    poly_x = weights.poly_x
     for m in range(top + 1):
         for n in range(top + 1):
-            for u, v, w, wt in points:
-                yield _case(lambda: lp.delannoy_weighted(m, n, wt),
+            for u, v, w, wt, table in points:
+                yield _case(lambda: table[m, n],
                             lambda: lp.delannoy_closed(m, n, wt),
                             m=m, n=n, u=u, v=v, w=w)
             # Polynomial weights exercise the same code path symbolically.
-            yield _case(lambda: lp.delannoy_weighted(m, n, _POLY_X_WT),
-                        lambda: lp.delannoy_closed(m, n, _POLY_X_WT),
+            yield _case(lambda: lp.delannoy_weighted(m, n, poly_x),
+                        lambda: lp.delannoy_closed(m, n, poly_x),
                         m=m, n=n, weights="(1, x, -1)")
     for m in range(top + 1):
         for n in range(top + 1):
@@ -321,7 +342,7 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
             # Every enumerated path with d northeast steps weighs
             # u^(m-d) v^(n-d) w^d, so the paths are summed by that count.
             tally = lp.diagonal_tally(m, n)
-            for u, v, w, wt in _ENUMERATION_POINTS:
+            for u, v, w, wt in weights.enumeration:
                 yield _case(lambda: Poly.constant(sum(npaths * u ** (m - d) * v ** (n - d) * w ** d
                                                       for d, npaths in enumerate(tally))),
                             lambda: lp.delannoy_weighted(m, n, wt),
@@ -331,15 +352,16 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
 def _wcd_legendre(cfg: SuiteConfig, swapped: bool) -> Cases:
     F = cfg.families
     s, t = _swap_form(swapped)
-    uvw, uxw = _weight_points(cfg)
-    points = [(u, v, w, wt, s * w, s * u * v / w + t) for u, v, w, wt in uvw]
+    weights = _weight_points(cfg)
+    points = [(u, v, w, _delannoy_table(cfg, wt), u * v + s * t * w, s * w)
+              for u, v, w, wt in weights.uvw]
     # The v = x leg: each (u, w) pair of the grid with the triple (u, x, w).
-    x_points = [(u, w, wt, s * w, s * u / w) for u, w, wt in uxw]
+    x_points = [(u, w, wt, s * w, s * u / w) for u, w, wt in weights.uxw]
     for n in range(cfg.cap(6) + 1):
         p = F.shifted_legendre(n)
-        for u, v, w, wt, base, at in points:
-            yield _case(lambda: lp.delannoy_weighted(n, n, wt).constant_value(),
-                        lambda: base ** n * p(at),
+        for u, v, w, table, a, b in points:
+            yield _case(lambda: table[n, n].constant_value(),
+                        lambda: p.homogenized(n, a, b),
                         n=n, u=u, v=v, w=w)
         for u, w, wt, base, slope in x_points:
             yield _case(lambda: lp.delannoy_weighted(n, n, wt),
@@ -367,15 +389,15 @@ def _wd_jacobi(cfg: SuiteConfig, swapped: bool) -> Cases:
     top = cfg.cap(6)
     s, t = _swap_form(swapped)
     points = [
-        (u, v, w, wt, s * u * v / w + t, _powers(u, -top, 4), _powers(s * w, 0, top))
+        (u, v, w, _delannoy_table(cfg, wt), u * v + s * t * w, s * w, _powers(u, -top, 4))
         for u, v, w, wt in _weight_points(cfg).uvw
     ]
     for n in range(top + 1):
         for beta in range(-n, 5):
             p = F.shifted_jacobi(n, beta, 0) if swapped else F.shifted_jacobi(n, 0, beta)
-            for u, v, w, wt, at, u_pow, w_pow in points:
-                yield _case(lambda: lp.delannoy_weighted(n + beta, n, wt).constant_value(),
-                            lambda: u_pow[beta] * w_pow[n] * p(at),
+            for u, v, w, table, a, b, u_pow in points:
+                yield _case(lambda: table[n + beta, n].constant_value(),
+                            lambda: u_pow[beta] * p.homogenized(n, a, b),
                             n=n, beta=beta, u=u, v=v, w=w)
 
 
@@ -417,10 +439,11 @@ def _dp1(cfg: SuiteConfig) -> Cases:
 )
 def _llp(cfg: SuiteConfig) -> Cases:
     F = cfg.families
+    poly_x = _weight_points(cfg).poly_x
     for n in range(cfg.cap(6) + 1):
         for beta in range(-n, 5):
             yield _case(lambda: F.shifted_jacobi(n, 0, beta),
-                        lambda: lp.delannoy_weighted(n + beta, n, _POLY_X_WT),
+                        lambda: lp.delannoy_weighted(n + beta, n, poly_x),
                         n=n, beta=beta)
 
 
@@ -704,6 +727,7 @@ def _borth2(cfg: SuiteConfig) -> Cases:
 )
 def _schroder(cfg: SuiteConfig) -> Cases:
     F = cfg.families
+    weights = _weight_points(cfg)
     for n, expected in enumerate((1, 2, 6, 22, 90)):
         yield _case(lambda: sum(1 for _ in lp.schroder_enumerate(n)),
                     lambda: expected,
@@ -713,7 +737,7 @@ def _schroder(cfg: SuiteConfig) -> Cases:
                     n=n, route="dp")
     for n in range(cfg.cap(8) + 1):
         sn = F.schroder_poly(n)
-        yield _case(lambda: lp.schroder_weighted(n, _POLY_X_WT),
+        yield _case(lambda: lp.schroder_weighted(n, weights.poly_x),
                     lambda: sn,
                     n=n, route="dp vs closed")
         if n >= 1:
@@ -728,29 +752,29 @@ def _schroder(cfg: SuiteConfig) -> Cases:
         yield _case(lambda: lp.schroder_weighted(n).constant_value(),
                     lambda: Fraction(2, n + 1) * F.jacobi(n, -1, 1)(3),
                     n=n, route="value at 3")
-    # Each point with -w, its two evaluation points -uv/w and uv/w + 1, and
-    # the factor 1 + w/(uv) of the (1,-1) and (-1,1) forms.
+    # Each point with uv, uv + w and -w: (-w)^n p(-uv/w) is p's homogeneous
+    # form at (uv, -w), and w^n p(uv/w + 1) at (uv + w, w); 1 + w/(uv) is
+    # the factor of the (1,-1) and (-1,1) forms.
     points = [
-        (u, v, w, wt, -w, -u * v / w, u * v / w + 1, 1 + w / (u * v))
-        for u, v, w, wt in _weight_points(cfg).uvw
+        (u, v, w, _schroder_table(cfg, wt), u * v, u * v + w, -w, 1 + w / (u * v))
+        for u, v, w, wt in weights.uvw
     ]
     for n in range(cfg.cap(6) + 1):
         sn_poly = F.schroder_poly(n)
         up_down = F.shifted_jacobi(n, 1, -1)
         down_up = F.shifted_jacobi(n, -1, 1)
-        for u, v, w, wt, minus_w, at, swapped_at, factor in points:
-            sn = lp.schroder_weighted(n, wt).constant_value()
-            scale = minus_w ** n
+        for u, v, w, table, uv, uv_w, minus_w, factor in points:
+            sn = table[n, n].constant_value()
             yield _case(lambda: sn,
-                        lambda: scale * sn_poly(at),
+                        lambda: sn_poly.homogenized(n, uv, minus_w),
                         n=n, u=u, v=v, w=w, route="scaled value")
             if n >= 2:
                 yield _case(lambda: sn,
-                            lambda: scale / (n + 1) * factor * up_down(at),
+                            lambda: factor / (n + 1) * up_down.homogenized(n, uv, minus_w),
                             n=n, u=u, v=v, w=w, route="(1,-1) form")
             if n >= 1:
                 yield _case(lambda: sn,
-                            lambda: w ** n / (n + 1) * factor * down_up(swapped_at),
+                            lambda: factor / (n + 1) * down_up.homogenized(n, uv_w, w),
                             n=n, u=u, v=v, w=w, route="(-1,1) form")
 
 
@@ -763,15 +787,16 @@ def _schroder(cfg: SuiteConfig) -> Cases:
 def _cdrec(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     top = cfg.cap(8)
-    points = [(u, v, w, wt, 2 * u * v) for u, v, w, wt in _weight_points(cfg).uvw]
+    points = [(u, v, w, _delannoy_table(cfg, wt), _schroder_table(cfg, wt), 2 * u * v)
+              for u, v, w, wt in _weight_points(cfg).uvw]
     for n in range(1, top + 1):
-        for u, v, w, wt, two_uv in points:
-            yield _case(lambda: lp.delannoy_weighted(n, n, wt).constant_value(),
+        for u, v, w, delannoy, schroder, two_uv in points:
+            yield _case(lambda: delannoy[n, n].constant_value(),
                         lambda: two_uv * sum(
-                            lp.delannoy_weighted(k, k, wt).constant_value()
-                            * lp.schroder_weighted(n - k - 1, wt).constant_value()
+                            delannoy[k, k].constant_value()
+                            * schroder[n - k - 1, n - k - 1].constant_value()
                             for k in range(n)
-                        ) + w * lp.delannoy_weighted(n - 1, n - 1, wt).constant_value(),
+                        ) + w * delannoy[n - 1, n - 1].constant_value(),
                         n=n, u=u, v=v, w=w)
     for n in range(1, top + 1):
         lhs = F.shifted_legendre(n)

@@ -26,8 +26,11 @@ is evaluated.  Neither form's memo takes part in equality or hashing.
 
 Everything is immutable and exact: no floats, no rounding, ever.  The
 transforms every other module leans on live here: affine composition,
-zero-based antiderivative, definite integration, division by x, and the
-denominator-clearing substitution x -> x/(x-1).  One private pair does
+zero-based antiderivative, definite integration, division by x, the
+denominator-clearing substitution x -> x/(x-1), and the homogeneous form
+b^n p(a/b) at rational (a, b), which shares evaluation's integer Horner
+loop (_horner), so the registry's weighted right sides take one Fraction
+each.  One private pair does
 Kronecker substitution: _packed evaluates integer coefficients at x = 2^K
 by Horner's rule, for the path DPs, and _unpacked reads balanced base-2^K
 digits back into a Poly, for the DPs and affine composition.
@@ -38,11 +41,11 @@ from fractions import Fraction
 
 Scalar = int | Fraction
 
-# Bound of every lru_cache on the family constructors, the path DPs and the
-# registry's weight-grid points, so a long-lived process cannot grow them
-# without limit.  A default `verify --all` fills the largest
-# (delannoy_weighted) to 1 937 entries, and romanovski, which both Jacobi
-# shifts read, to 916, so its warm repeat evicts nothing.
+# Bound of every lru_cache on the family constructors, the path DPs and
+# tables and the registry's weight-grid points, so a long-lived process
+# cannot grow them without limit.  A default `verify --all` fills the
+# largest (delannoy_closed) to 1 372 entries, and romanovski, which both
+# Jacobi shifts read, to 916, so its warm repeat evicts nothing.
 CACHE_SIZE = 4096
 
 
@@ -310,8 +313,8 @@ class Poly:
 
         With p = sum N_k x^k / D and x = a/b in lowest terms,
         p(x) = sum N_k a^k b^(d-k) / (D b^d), d = deg(p).  Horner runs on
-        the integer numerators and one Fraction is built at the end, so a
-        single gcd is taken per evaluation.
+        the integer numerators (_horner) and one Fraction is built at the
+        end, so a single gcd is taken per evaluation.
         """
         nums, d = self._numerators()
         if type(x) is not int and type(x) is not Fraction:
@@ -319,12 +322,35 @@ class Poly:
         if not nums:
             return Fraction(0)
         a, b = x.as_integer_ratio()
-        acc = 0
-        b_pow = 1
-        for n in reversed(nums):
-            acc = acc * a + n * b_pow
-            b_pow *= b
-        return Fraction(acc, d * b ** (len(nums) - 1))
+        return Fraction(_horner(nums, a, b), d * b ** (len(nums) - 1))
+
+    def homogenized(self, n: int, a: Scalar, b: Scalar) -> Fraction:
+        """sum c_k a^k b^(n-k), the degree-n homogeneous form of p at (a, b),
+        for rationals a and b: b^n p(a/b) when b != 0.
+
+        With p = sum N_k x^k / D, a = a1/a2 and b = b1/b2, it is
+        sum N_k A^k B^(n-k) / (D (a2 b2)^n) for A = a1 b2 and B = a2 b1, so
+        the Horner loop of evaluation (_horner) runs once on the integers
+        (A, B) and one Fraction is built.  b = 0 leaves c_n a^n.  n may lie
+        below deg(p), where the terms k > n divide by a power of b, so b
+        must then be nonzero (ZeroDivisionError otherwise); n < 0 is refused.
+        """
+        if n < 0:
+            raise ValueError(f"homogeneous degree must be nonnegative, got {n}")
+        for value in (a, b):
+            if type(value) is not int and type(value) is not Fraction:
+                require_rational(value)
+        nums, d = self._numerators()
+        if not nums:
+            return Fraction(0)
+        (a1, a2), (b1, b2) = a.as_integer_ratio(), b.as_integer_ratio()
+        big_b = a2 * b1
+        total = _horner(nums, a1 * b2, big_b)  # sum N_k A^k B^(deg(p)-k)
+        den = d * (a2 * b2) ** n
+        extra = n - (len(nums) - 1)
+        if extra < 0:
+            return Fraction(total, den * big_b ** -extra)
+        return Fraction(total * big_b ** extra, den)
 
     def compose_affine(self, a: Scalar, b: Scalar) -> "Poly":
         """Expand p(a*x + b) exactly, by a Taylor shift on one integer.
@@ -400,6 +426,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
+
+
+def _horner(nums: tuple[int, ...], a: int, b: int) -> int:
+    """sum N_k a^k b^(d-k), d = len(nums) - 1: the integer numerators N
+    evaluated at a/b and scaled by b^d, by Horner's rule on integers."""
+    acc = 0
+    b_pow = 1
+    for n in reversed(nums):
+        acc = acc * a + n * b_pow
+        b_pow *= b
+    return acc
 
 
 def _packed(coeffs: tuple[int, ...], k: int) -> int:

@@ -345,7 +345,7 @@ WEIGHT_GRID_ENTRIES = [
 
 def _grid_triples(monkeypatch, config):
     """Per weight-grid entry, the WeightTriples on config's grid, (u, v, w)
-    and (u, x, w), that it passes a weighted DP."""
+    and (u, x, w), that it passes a weighted DP or a DP table."""
     grid = config.weight_grid
     on_grid = {paths.WeightTriple.of(u, v, w) for u in grid for v in (*grid, X) for w in grid}
     passed = {id: [] for id in WEIGHT_GRID_ENTRIES}
@@ -358,13 +358,34 @@ def _grid_triples(monkeypatch, config):
 
         return call
 
-    for name in ("delannoy_weighted", "schroder_weighted"):
+    for name in ("delannoy_weighted", "schroder_weighted", "delannoy_table", "schroder_table"):
         monkeypatch.setattr(paths, name, recording(getattr(paths, name)))
     for id in WEIGHT_GRID_ENTRIES:
         current = passed[id]
         assert run_identity(id, config).status == "pass", id
     monkeypatch.undo()
     return passed, on_grid
+
+
+def test_cold_run_all_runs_each_grid_triples_dps_once(monkeypatch):
+    # The weight-grid entries read their constant-weight totals from one
+    # Delannoy and one Schroeder table per grid point, so a cold run_all()
+    # runs each grid triple's DPs once: to (10, 8), 18 steps, the farthest
+    # cell wd-jacobi and cdrec read, and to (8, 8), 16 steps.
+    packed = []
+    real = paths._packed_weights
+
+    def recording(wt, steps):
+        packed.append((wt, steps))
+        return real(wt, steps)
+
+    monkeypatch.setattr(paths, "_packed_weights", recording)
+    _clear_every_cache()
+    assert all(r.status == "pass" for r in run_all())
+    grid = identities._weight_points(identities.DEFAULT_CONFIG).uvw
+    assert len(grid) == 27
+    for *_, wt in grid:
+        assert sorted(steps for seen, steps in packed if seen is wt) == [16, 18], wt
 
 
 def test_weight_grid_entries_of_one_config_share_triples(monkeypatch):

@@ -22,6 +22,8 @@ ENTRY_POINTS = {
     "Poly.monomial": lambda value: Poly.monomial(2, value),
     "call": lambda value: X(value),
     "call-zero": lambda value: Poly()(value),
+    "homogenized-a": lambda value: X.homogenized(2, value, 1),
+    "homogenized-b": lambda value: X.homogenized(2, 1, value),
     "compose_affine-a": lambda value: X.compose_affine(value, 0),
     "compose_affine-b": lambda value: X.compose_affine(1, value),
     "integrate-lo": lambda value: X.integrate(value, 1),

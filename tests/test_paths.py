@@ -7,12 +7,13 @@ import pkgutil
 from fractions import Fraction as F
 
 import pytest
+from faults import clear_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import modified_delannoy_enumerate, motzkin_legendre_moment_enumerate, path_weight
 
 import delannoy_jacobi
-from delannoy_jacobi import families, paths, polynomial
+from delannoy_jacobi import families, identities, paths, polynomial
 from delannoy_jacobi.polynomial import CACHE_SIZE, Poly, X, as_poly, binom
 from delannoy_jacobi.paths import (
     ENUMERATION_CAP,
@@ -443,6 +444,99 @@ class TestPackedDP:
         # (1, x, -1) gives S_n; the benchmark's largest Schroeder size is 38.
         for n in range(41):
             assert schroder_weighted(n, POLY_WT) == families.schroder_poly(n)
+
+
+class TestPackedTables:
+    """delannoy_table and schroder_table read every total off one packed DP
+    run, sized for its far corner; each total must equal the one that a DP
+    run to its own endpoint computes."""
+
+    @staticmethod
+    def assert_tables_match_their_runs(m, n, wt):
+        table = paths.delannoy_table(m, n, wt)
+        for i in range(m + 1):
+            for j in range(n + 1):
+                assert table[i, j] == delannoy_weighted(i, j, wt), (i, j)
+                assert table[i, j] is table[i, j]  # read once, then kept
+        top = max(m, n)
+        schroder = paths.schroder_table(top, wt)
+        for i in range(top + 1):
+            assert schroder[i, i] == schroder_weighted(i, wt), i
+
+    @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8),
+           st.one_of(wide_triples, poly_triples))
+    @settings(max_examples=60, deadline=None)
+    def test_every_cell_matches_its_own_run(self, m, n, uvw):
+        self.assert_tables_match_their_runs(m, n, WeightTriple.of(*uvw))
+
+    @pytest.mark.parametrize("uvw", [
+        (0, 0, 0), (0, 1, 1), (1, 0, F(-2, 3)), (F(1, 2), F(-1, 3), 0), (-1, -1, -1),
+        (F(-5, 4), F(3, 7), F(-9, 2)), (1, X, -1),
+        (RATIONAL_POLY_WT.u, RATIONAL_POLY_WT.v, RATIONAL_POLY_WT.w),
+    ])
+    def test_zero_negative_rational_and_polynomial_weights(self, uvw):
+        self.assert_tables_match_their_runs(9, 8, WeightTriple.of(*uvw))
+
+    @given(TestPackedDP.big, st.integers(min_value=0, max_value=6),
+           st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=9),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_far_corner_at_the_digit_bound(self, a, d, m, q, on_north_axis):
+        # TestPackedDP's single monomial weight: the corner's only path
+        # weighs exactly S^m once cleared, the largest digit the bound allows.
+        weight = Poly.monomial(d, F(-a, q))
+        zero = Poly()
+        if on_north_axis:
+            wt, corner = WeightTriple(zero, weight, zero), (0, m)
+        else:
+            wt, corner = WeightTriple(weight, zero, zero), (m, 0)
+        assert paths.delannoy_table(*corner, wt)[corner] == Poly.monomial(d * m, F(-a, q) ** m)
+        self.assert_tables_match_their_runs(*corner, wt)
+
+    def test_far_corner_of_alternating_and_mixed_sign_digits(self):
+        a = 2 ** 40 - 1
+        alternating = Poly((F(-a, 2), F(a, 2)))
+        self.assert_tables_match_their_runs(12, 0, WeightTriple.of(alternating, 0, 0))
+        assert paths.delannoy_table(12, 0, WeightTriple.of(alternating, 0, 0))[12, 0] == (
+            alternating ** 12
+        )
+        u = Poly([(-1) ** k * (2 ** 40 - 3 * k) for k in range(7)])
+        v = Poly([(-1) ** (k // 2) * (2 ** 40 + 5 * k) for k in range(7)])
+        w = Poly([F(2 ** 40 - k, 7) * (-1) ** k for k in range(7)])
+        self.assert_tables_match_their_runs(8, 7, WeightTriple.of(u, v, w))
+
+    def test_one_dp_run_per_table(self, monkeypatch):
+        runs = []
+
+        def counting(rows):
+            def run(*args):
+                runs.append(rows.__name__)
+                return rows(*args)
+
+            return run
+
+        for name in ("_delannoy_rows", "_schroder_rows"):
+            monkeypatch.setattr(paths, name, counting(getattr(paths, name)))
+        wt = WeightTriple.of(F(1, 2), F(-1, 3), 7)
+        delannoy, schroder = paths.delannoy_table(6, 5, wt), paths.schroder_table(6, wt)
+        cells = [delannoy[i, j] for i in range(7) for j in range(6)]
+        totals = [schroder[i, i] for i in range(7)]
+        assert runs == ["_delannoy_rows", "_schroder_rows"]
+        assert cells == [delannoy_closed(i, j, wt) for i in range(7) for j in range(6)]
+        assert totals == [schroder_sum(i, F(1, 2), F(-1, 3), 7) for i in range(7)]
+
+    def test_cells_outside_the_run_and_invalid_sizes(self):
+        delannoy, schroder = paths.delannoy_table(3, 2, ONES), paths.schroder_table(3, ONES)
+        for end in ((4, 0), (0, 3), (-1, 0), (0, -1)):
+            with pytest.raises(KeyError):
+                delannoy[end]
+        for end in ((4, 4), (2, 1), (-1, -1)):
+            with pytest.raises(KeyError):
+                schroder[end]
+        with pytest.raises(ValueError):
+            paths.delannoy_table(-1, 2, ONES)
+        with pytest.raises(ValueError):
+            paths.schroder_table(-1, ONES)
 
 
 class TestClosedSum:
@@ -918,6 +1012,39 @@ class TestValidPairs:
             assert valid_pair_signed_sum(n, m, beta) == self._fully_literal(n, m, beta), (n, m, beta)
 
 
+class TestDPRowFaults:
+    """A wrong cell in either DP recurrence fails a cold registry run, in
+    exactly the entries that read that DP's totals."""
+
+    @staticmethod
+    def with_wrong_cell(rows):
+        """The row generator with 1 added to its cell (1, 1).  The generator
+        computes the next row from the list it yielded, so the error spreads
+        to every later cell, as a wrong step of the recurrence would."""
+
+        def faulty(*args):
+            for i, row in enumerate(rows(*args)):
+                if i == 1 and len(row) > 1:
+                    row[1] += 1
+                yield row
+
+        return faulty
+
+    @pytest.mark.parametrize("rows, failing", [
+        ("_delannoy_rows", {"cdrec", "dp1", "llp", "wcd-legendre", "wcd-legendre-swap",
+                            "wd-closed-vs-dp-vs-enum", "wd-jacobi", "wd-jacobi-swap"}),
+        ("_schroder_rows", {"cdrec", "schroder"}),
+    ])
+    def test_wrong_cell_fails_exactly_its_readers(self, monkeypatch, rows, failing):
+        monkeypatch.setattr(paths, rows, self.with_wrong_cell(getattr(paths, rows)))
+        clear_caches(families, paths, identities)
+        try:
+            assert {r.id for r in identities.run_all() if r.status == "fail"} == failing
+        finally:
+            monkeypatch.undo()
+            clear_caches(families, paths, identities)
+
+
 class TestCacheBound:
     def test_every_cache_is_bounded(self):
         modules = [
@@ -929,7 +1056,7 @@ class TestCacheBound:
             value for module in modules for value in vars(module).values()
             if hasattr(value, "cache_info") and value.__module__ == module.__name__
         ]
-        assert len(caches) == 11
+        assert len(caches) == 13
         assert all(cache.cache_info().maxsize == CACHE_SIZE for cache in caches)
 
     def test_distinct_calls_stay_within_bound(self):

@@ -470,6 +470,62 @@ class TestEval:
         assert out == self._fraction_horner(p, x)
 
 
+class TestHomogenized:
+    """p.homogenized(n, a, b) = sum c_k a^k b^(n-k), which is b^n p(a/b)
+    for b != 0."""
+
+    def test_examples(self):
+        legendre2 = Poly((1, -6, 6))
+        # b = 0 leaves the top term c_n a^n, and nothing when n > deg(p).
+        assert legendre2.homogenized(2, 3, 0) == 6 * 9
+        assert legendre2.homogenized(3, 3, 0) == 0
+        assert legendre2.homogenized(2, F(3, 4), F(-1, 2)) == F(1, 4) * legendre2(F(-3, 2))
+        assert legendre2.homogenized(4, 1, 2) == 16 * legendre2(F(1, 2))
+        # Below the degree, as a fault-injected family can be: 1 + x at
+        # n = 0 and (a, b) = (1/4, -1/2) is 1 + a/b.
+        assert Poly((1, 1)).homogenized(0, F(1, 4), F(-1, 2)) == F(1, 2)
+        assert Poly((1, 1)).homogenized(0, 1, -1) == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("a, b", [(0, 0), (3, 0), (F(-2, 3), F(5, 7)), (0, 1)])
+    def test_zero_polynomial(self, n, a, b):
+        out = ZERO.homogenized(n, a, b)
+        assert out == 0 and isinstance(out, F)
+
+    @given(st.one_of(st.just(ZERO), polys), st.integers(min_value=0, max_value=12),
+           st.one_of(st.just(0), rationals), st.one_of(st.just(0), rationals))
+    def test_matches_scaled_evaluation(self, p, n, a, b):
+        if b == 0 and n < p.degree:
+            # The terms above n divide by a power of b.
+            with pytest.raises(ZeroDivisionError):
+                p.homogenized(n, a, b)
+            return
+        out = p.homogenized(n, a, b)
+        assert isinstance(out, F)
+        if b == 0:
+            assert out == p.coefficient(n) * F(a) ** n
+        else:
+            assert out == b ** n * p(F(a) / b)
+        if n >= p.degree:
+            assert out == sum((c * F(a) ** k * F(b) ** (n - k) for k, c in enumerate(p.coeffs)),
+                              F(0))
+
+    @given(polys, st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                            st.fractions(max_denominator=10**6)))
+    def test_evaluation_is_the_form_of_the_degree_at_b_one(self, p, x):
+        assert p.homogenized(max(p.degree, 0), x, 1) == p(x)
+
+    @pytest.mark.parametrize("value", [0.5, X, Poly.constant(2), "1/3"])
+    def test_refuses_what_is_not_rational(self, value):
+        for args in ((value, 1), (1, value)):
+            with pytest.raises(TypeError):
+                X.homogenized(2, *args)
+
+    def test_refuses_a_negative_degree(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            X.homogenized(-1, 1, 2)
+
+
 class TestComposeAffine:
     def test_examples(self):
         assert (X ** 2).compose_affine(2, -1) == Poly((1, -4, 4))
