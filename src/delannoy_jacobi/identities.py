@@ -24,16 +24,16 @@ the three Gram-matrix checks yield their cases from _gram.
 A check that only reduces a product to a number, a moment functional of
 f*g or its weighted integral over [0, 1], never builds the product: it
 hands the two factors to MomentFunctional.pair or inner_weighted, which
-convolve their integer numerators.  The weight-grid entries read their
-weight triples from one cache, _weight_points, which builds each config's
-27 (u, v, w) triples, the 9 (u, x, w) triples of the v = x leg, and the
-fixed (1, x, -1) and enumeration triples once: every entry hands the DPs
-the same triple objects, so a DP cache hit across entries is an identity
-hit, and emptying the cache makes the next run cold again.  At each grid
-point they read the constant-weight totals from one Delannoy and one
-Schroeder table (paths.delannoy_table, schroder_table), sized once per
-config for the farthest cell any of them reads, so each grid triple's DPs
-run once.  Their right sides are homogeneous forms b^n p(a/b), with (a, b)
+convolve their integer numerators.  The path entries read their weight
+triples from one cache, _weight_points, which builds each config's 27
+(u, v, w) triples, the 9 (u, x, w) triples of the v = x leg, and the
+fixed (1, x, -1), unit and enumeration triples once: every entry hands the
+DPs the same triple objects, so a DP cache hit across entries is an
+identity hit, and emptying the cache makes the next run cold again.  Every
+DP total they read comes from one Delannoy and one Schroeder table per
+triple (paths.delannoy_table, schroder_table), sized by one rule for the
+farthest cell any entry reads, so each triple's DPs run once.  The
+weight-grid right sides are homogeneous forms b^n p(a/b), with (a, b)
 computed once per point, each taken by one Poly.homogenized call.
 
 Family constructors are reached through the config's `families` namespace,
@@ -162,16 +162,15 @@ def _failure(case: tuple) -> dict | None:
 class IdentityCheck:
     id: str
     description: str
-    grid: str  # human-readable summary of the default parameter grid
     verifier: Callable[[SuiteConfig], Cases]
 
 
 REGISTRY: dict[str, IdentityCheck] = {}
 
 
-def _register(id: str, description: str, grid: str):
+def _register(id: str, description: str):
     def wrap(fn_):
-        REGISTRY[id] = IdentityCheck(id, description, grid, fn_)
+        REGISTRY[id] = IdentityCheck(id, description, fn_)
         return fn_
 
     return wrap
@@ -236,12 +235,14 @@ class _WeightPoints(NamedTuple):
     (u, v, w, triple) for every (u, v, w) of the grid, in grid order, and uxw
     holds (u, w, triple) for the v = x leg's (u, x, w).  poly_x is the
     triple (1, x, -1), whose totals are the shifted Jacobi and Schroeder
-    polynomials, and enumeration holds (u, v, w, triple) for the
-    enumeration leg's three fixed points."""
+    polynomials, unit is (1, 1, 1), whose totals are the plain counts, and
+    enumeration holds (u, v, w, triple) for the enumeration leg's three
+    fixed points, unit first."""
 
     uvw: tuple
     uxw: tuple
     poly_x: lp.WeightTriple
+    unit: lp.WeightTriple
     enumeration: tuple
 
 
@@ -256,30 +257,34 @@ def _weight_points(cfg: SuiteConfig) -> _WeightPoints:
     weight, so two configs never share a triple, and every grid point may
     divide by w or by uv."""
     grid = cfg.weight_grid
+    one = Fraction(1)
+    unit = lp.WeightTriple.of(one, one, one)
     return _WeightPoints(
         tuple((u, v, w, lp.WeightTriple.of(u, v, w)) for u in grid for v in grid for w in grid),
         tuple((u, w, lp.WeightTriple.of(u, X, w)) for u in grid for w in grid),
         lp.WeightTriple.of(1, X, -1),
+        unit,
         # Unit, positive, and rational of mixed sign.
-        tuple((u, v, w, lp.WeightTriple.of(u, v, w))
-              for u, v, w in [(Fraction(1), Fraction(1), Fraction(1)),
-                              (Fraction(2), Fraction(3), Fraction(5)),
-                              (Fraction(1, 2), Fraction(-1, 3), Fraction(7))]),
+        ((one, one, one, unit),)
+        + tuple((u, v, w, lp.WeightTriple.of(u, v, w))
+                for u, v, w in [(Fraction(2), Fraction(3), Fraction(5)),
+                                (Fraction(1, 2), Fraction(-1, 3), Fraction(7))]),
     )
 
 
+# The farthest cells that any entry reads, whatever the config: every
+# Delannoy total lies within (n + alpha, n) of dp1, alpha <= 5 and
+# n <= cap(8), and every Schroeder total within the (n, n) of schroder,
+# n <= cap(10) and n <= 4 on its enumeration leg.  cap never raises a
+# default, so cap(6) <= cap(8) <= cap(10) under any max_n.
 def _delannoy_table(cfg: SuiteConfig, wt: lp.WeightTriple) -> lp.PackedTable:
-    """The Delannoy totals at one grid point, from one DP run sized for the
-    farthest cell any weight-grid entry reads: (n + beta, n) of wd-jacobi
-    up to (cap(6) + 4, cap(6)), and (n, n) of cdrec up to cap(8), which is
-    at most cap(6) + 2."""
-    return lp.delannoy_table(cfg.cap(6) + 4, cfg.cap(8), wt)
+    """Every Delannoy total the registry reads at the triple wt, from one DP run."""
+    return lp.delannoy_table(cfg.cap(8) + 5, cfg.cap(8), wt)
 
 
 def _schroder_table(cfg: SuiteConfig, wt: lp.WeightTriple) -> lp.PackedTable:
-    """The Schroeder totals at one grid point up to n = cap(8), from one
-    DP run; cdrec reads them up to cap(8) - 1, schroder up to cap(6)."""
-    return lp.schroder_table(cfg.cap(8), wt)
+    """Every Schroeder total the registry reads at the triple wt, from one DP run."""
+    return lp.schroder_table(max(cfg.cap(10), 4), wt)
 
 
 def _powers(base: Fraction, lo: int, hi: int) -> dict[int, Fraction]:
@@ -318,13 +323,14 @@ def _gram(inner: Callable[[int, int], Fraction], size: int, positive: str | None
     "wd-closed-vs-dp-vs-enum",
     "Closed binomial sum, DP recursion, and explicit path enumeration give "
     "the same weighted Delannoy totals",
-    "m,n <= 6 on the weight grid; enumeration leg for m+n <= 8",
 )
 def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
     top = cfg.cap(6)
     weights = _weight_points(cfg)
     points = [(u, v, w, wt, _delannoy_table(cfg, wt)) for u, v, w, wt in weights.uvw]
     poly_x = weights.poly_x
+    poly_table = _delannoy_table(cfg, poly_x)
+    enumeration = [(u, v, w, _delannoy_table(cfg, wt)) for u, v, w, wt in weights.enumeration]
     for m in range(top + 1):
         for n in range(top + 1):
             for u, v, w, wt, table in points:
@@ -332,7 +338,7 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
                             lambda: lp.delannoy_closed(m, n, wt),
                             m=m, n=n, u=u, v=v, w=w)
             # Polynomial weights exercise the same code path symbolically.
-            yield _case(lambda: lp.delannoy_weighted(m, n, poly_x),
+            yield _case(lambda: poly_table[m, n],
                         lambda: lp.delannoy_closed(m, n, poly_x),
                         m=m, n=n, weights="(1, x, -1)")
     for m in range(top + 1):
@@ -342,10 +348,10 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
             # Every enumerated path with d northeast steps weighs
             # u^(m-d) v^(n-d) w^d, so the paths are summed by that count.
             tally = lp.diagonal_tally(m, n)
-            for u, v, w, wt in weights.enumeration:
+            for u, v, w, table in enumeration:
                 yield _case(lambda: Poly.constant(sum(npaths * u ** (m - d) * v ** (n - d) * w ** d
                                                       for d, npaths in enumerate(tally))),
-                            lambda: lp.delannoy_weighted(m, n, wt),
+                            lambda: table[m, n],
                             m=m, n=n, u=u, v=v, w=w, route="enumeration")
 
 
@@ -356,15 +362,15 @@ def _wcd_legendre(cfg: SuiteConfig, swapped: bool) -> Cases:
     points = [(u, v, w, _delannoy_table(cfg, wt), u * v + s * t * w, s * w)
               for u, v, w, wt in weights.uvw]
     # The v = x leg: each (u, w) pair of the grid with the triple (u, x, w).
-    x_points = [(u, w, wt, s * w, s * u / w) for u, w, wt in weights.uxw]
+    x_points = [(u, w, _delannoy_table(cfg, wt), s * w, s * u / w) for u, w, wt in weights.uxw]
     for n in range(cfg.cap(6) + 1):
         p = F.shifted_legendre(n)
         for u, v, w, table, a, b in points:
             yield _case(lambda: table[n, n].constant_value(),
                         lambda: p.homogenized(n, a, b),
                         n=n, u=u, v=v, w=w)
-        for u, w, wt, base, slope in x_points:
-            yield _case(lambda: lp.delannoy_weighted(n, n, wt),
+        for u, w, table, base, slope in x_points:
+            yield _case(lambda: table[n, n],
                         lambda: base ** n * p.compose_affine(slope, t),
                         n=n, u=u, w=w, v="x")
 
@@ -373,14 +379,12 @@ _register(
     "wcd-legendre",
     "Diagonal weighted Delannoy totals match the shifted Legendre value "
     "(-w)^n P~_n(-uv/w)",
-    "n <= 6; (u,v,w) on the weight grid; plus the v = x polynomial form",
 )(partial(_wcd_legendre, swapped=False))
 
 _register(
     "wcd-legendre-swap",
     "Diagonal weighted Delannoy totals match the swapped form "
     "w^n P~_n(uv/w + 1)",
-    "n <= 6; (u,v,w) on the weight grid; plus the v = x polynomial form",
 )(partial(_wcd_legendre, swapped=True))
 
 
@@ -405,14 +409,12 @@ _register(
     "wd-jacobi",
     "Weighted Delannoy totals to (n+beta, n) match "
     "u^beta (-w)^n P~_n^(0,beta)(-uv/w)",
-    "n <= 6, beta in [-n, 4], (u,v,w) on the weight grid",
 )(partial(_wd_jacobi, swapped=False))
 
 _register(
     "wd-jacobi-swap",
     "Weighted Delannoy totals to (n+beta, n) match the swapped form "
     "u^beta w^n P~_n^(beta,0)(uv/w + 1)",
-    "n <= 6, beta in [-n, 4], (u,v,w) on the weight grid",
 )(partial(_wd_jacobi, swapped=True))
 
 
@@ -420,13 +422,13 @@ _register(
     "dp1",
     "Plain Delannoy numbers equal Jacobi values at 3: "
     "d_{n+alpha,n} = P_n^(alpha,0)(3), negative alpha included",
-    "n <= 8, alpha in [-n, 5]",
 )
 def _dp1(cfg: SuiteConfig) -> Cases:
     F = cfg.families
+    table = _delannoy_table(cfg, _weight_points(cfg).unit)
     for n in range(cfg.cap(8) + 1):
         for alpha in range(-n, 6):
-            yield _case(lambda: lp.delannoy_weighted(n + alpha, n).constant_value(),
+            yield _case(lambda: table[n + alpha, n].constant_value(),
                         lambda: F.jacobi(n, alpha, 0)(3),
                         n=n, alpha=alpha)
 
@@ -435,15 +437,14 @@ def _dp1(cfg: SuiteConfig) -> Cases:
     "llp",
     "Shifted Jacobi polynomials are the weighted path totals at "
     "(u,v,w) = (1, x, -1), as exact polynomials",
-    "n <= 6, beta in [-n, 4]",
 )
 def _llp(cfg: SuiteConfig) -> Cases:
     F = cfg.families
-    poly_x = _weight_points(cfg).poly_x
+    table = _delannoy_table(cfg, _weight_points(cfg).poly_x)
     for n in range(cfg.cap(6) + 1):
         for beta in range(-n, 5):
             yield _case(lambda: F.shifted_jacobi(n, 0, beta),
-                        lambda: lp.delannoy_weighted(n + beta, n, poly_x),
+                        lambda: table[n + beta, n],
                         n=n, beta=beta)
 
 
@@ -451,7 +452,6 @@ def _llp(cfg: SuiteConfig) -> Cases:
     "modified-delannoy",
     "Strictly-upward lattice path counts equal Jacobi values at 3: "
     "d~_{n+beta,n} = P_n^(0,beta)(3)",
-    "n <= 6, beta in [0, 4]",
 )
 def _modified_delannoy(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -471,7 +471,6 @@ def _modified_delannoy(cfg: SuiteConfig) -> Cases:
     "orth-0beta",
     "Monomials of lower order are orthogonal to P~_n^(0,beta) under the "
     "x^beta weight on [0,1]",
-    "m < n <= 6, beta in [0, 4]",
 )
 def _orth_0beta(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -488,7 +487,6 @@ def _orth_0beta(cfg: SuiteConfig) -> Cases:
     "orth-full",
     "Gram matrices of the shifted Jacobi families under the "
     "(1-x)^alpha x^beta weight on [0,1] are diagonal with positive diagonal",
-    "n <= 6, alpha and beta in [0, 3]",
 )
 def _orth_full(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -506,7 +504,6 @@ def _orth_full(cfg: SuiteConfig) -> Cases:
     "The weighted-integral and factorial-sum sides of the pair-counting "
     "identity agree, vanish for m < n, and match the brute-force signed "
     "pair enumeration where the cap allows",
-    "n, m, beta <= 5; pair oracle up to 8 elements",
 )
 def _epl(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -540,7 +537,6 @@ def _epl(cfg: SuiteConfig) -> Cases:
     "abdec",
     "(x-1)^alpha P~_n^(alpha,beta) decomposes as the alternating sum of "
     "x^(alpha-i) P~_n^(0,alpha+beta-i)",
-    "n <= 6, alpha in [0, 4], beta in [0, 3]",
 )
 def _abdec(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -561,7 +557,6 @@ def _abdec(cfg: SuiteConfig) -> Cases:
     "The factorial functional annihilates off-diagonal Laguerre products, "
     "plain and x^beta-weighted; the integral and factorial sides of the "
     "monomial bridge agree; diagonal values are recorded, not asserted",
-    "m, n <= 6 off-diagonal; bridge for n, m, beta <= 5",
 )
 def _laguerre_orth(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -604,7 +599,6 @@ def _laguerre_orth(cfg: SuiteConfig) -> Cases:
     "bneg",
     "Above the symmetry band the negative-parameter polynomials are monomial "
     "multiples: P~_n^(0,-beta) = x^beta P~_{n-beta}^(0,beta)",
-    "beta <= 6, beta <= n <= 10",
 )
 def _bneg(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -624,7 +618,6 @@ def _bneg(cfg: SuiteConfig) -> Cases:
     "The first beta entries of the negative-parameter sequence are "
     "symmetric: index n matches index beta-1-n, in both the 2x+1 and 2x-1 "
     "transformed forms",
-    "beta <= 12, 0 <= n <= beta-1",
 )
 def _bneg_symmetry(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -653,7 +646,6 @@ _TABLE_BETA6 = (
     "bneg-table1",
     "The seven lowest-index shifted polynomials with second parameter -6 "
     "match the reference table exactly",
-    "n = 0..6 at beta = -6",
 )
 def _bneg_table1(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -666,7 +658,6 @@ def _bneg_table1(cfg: SuiteConfig) -> Cases:
     "The finite Romanovski sequences are orthogonal under the finite moment "
     "functional; for odd beta the extra boundary polynomial joins the "
     "sequence and the extended Hankel matrix is positive definite",
-    "beta = 4..12 even part; odd beta = 3..11 extension with top moment t*+1",
 )
 def _romanovski_orth(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -700,7 +691,6 @@ def _romanovski_orth(cfg: SuiteConfig) -> Cases:
     "borth2",
     "The alternating triple-binomial sum vanishes below the diagonal "
     "(the multiset-cancellation identity)",
-    "beta <= 14, m < n <= (beta-2)/2",
 )
 def _borth2(cfg: SuiteConfig) -> Cases:
     for beta in range(4, 15):
@@ -723,21 +713,21 @@ def _borth2(cfg: SuiteConfig) -> Cases:
     "All Schroeder routes agree: path DP at (1,x,-1), the closed Catalan "
     "sum, the division form from the (1,-1) family, the weighted "
     "specializations, and the value 2/(n+1) P_n^(-1,1)(3)",
-    "n <= 8 polynomial forms; n <= 6 weight grid; n <= 10 value form",
 )
 def _schroder(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     weights = _weight_points(cfg)
+    unit, poly_x = _schroder_table(cfg, weights.unit), _schroder_table(cfg, weights.poly_x)
     for n, expected in enumerate((1, 2, 6, 22, 90)):
         yield _case(lambda: sum(1 for _ in lp.schroder_enumerate(n)),
                     lambda: expected,
                     n=n, route="enumeration")
-        yield _case(lambda: lp.schroder_weighted(n).constant_value(),
+        yield _case(lambda: unit[n, n].constant_value(),
                     lambda: Fraction(expected),
                     n=n, route="dp")
     for n in range(cfg.cap(8) + 1):
         sn = F.schroder_poly(n)
-        yield _case(lambda: lp.schroder_weighted(n, weights.poly_x),
+        yield _case(lambda: poly_x[n, n],
                     lambda: sn,
                     n=n, route="dp vs closed")
         if n >= 1:
@@ -749,7 +739,7 @@ def _schroder(cfg: SuiteConfig) -> Cases:
                         lambda: Fraction(1, n + 1) * cleared.div_x(),
                         n=n, route="division form")
     for n in range(1, cfg.cap(10) + 1):
-        yield _case(lambda: lp.schroder_weighted(n).constant_value(),
+        yield _case(lambda: unit[n, n].constant_value(),
                     lambda: Fraction(2, n + 1) * F.jacobi(n, -1, 1)(3),
                     n=n, route="value at 3")
     # Each point with uv, uv + w and -w: (-w)^n p(-uv/w) is p's homogeneous
@@ -782,7 +772,6 @@ def _schroder(cfg: SuiteConfig) -> Cases:
     "cdrec",
     "The last-diagonal-contact recursion ties diagonal Delannoy totals to "
     "Schroeder totals, and its exact polynomial consequences hold",
-    "n <= 8 on the weight grid; polynomial forms for n <= 8",
 )
 def _cdrec(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -827,7 +816,6 @@ def _cdrec(cfg: SuiteConfig) -> Cases:
     "x S_n is the antiderivative of P~_n, and the alpha-fold antiderivative "
     "of P~_n equals (x-1)^alpha P~_n^(alpha,-alpha) / (n+1)_alpha for "
     "alpha <= n, with the out-of-range pairs verified to fail",
-    "n <= 10 for the bridge; n <= 8, 1 <= alpha <= 4 for the iterated form",
 )
 def _antideriv(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -872,7 +860,6 @@ def _antideriv(cfg: SuiteConfig) -> Cases:
     "narayana",
     "Narayana polynomials come from the (1,-1) family through the x/(x-1) "
     "substitution, and from the antiderivative of P~_n the same way",
-    "n = 1..10",
 )
 def _narayana(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -894,7 +881,6 @@ def _narayana(cfg: SuiteConfig) -> Cases:
     "sj-expansion",
     "The one-line product expansion agrees with (x-1)^alpha times the "
     "composed shifted Jacobi polynomial, and with the direct alpha = 0 sum",
-    "n <= 8, alpha in [0, 4], beta in [-4, 4]",
 )
 def _sj_expansion(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -911,7 +897,6 @@ def _sj_expansion(cfg: SuiteConfig) -> Cases:
     "swap-rules",
     "Parameter swaps hold as polynomial identities: reflecting x swaps "
     "(alpha, beta), for the plain, shifted, and Legendre forms",
-    "n <= 8, alpha and beta in [-3, 3]",
 )
 def _swap_rules(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -934,7 +919,6 @@ def _swap_rules(cfg: SuiteConfig) -> Cases:
     "dual-routes",
     "Families defined twice agree: composition versus direct sum for the "
     "shifted Legendre and 2x+1-transformed families",
-    "n <= 12; transformed parameters in [-3, 3]",
 )
 def _dual_routes(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -954,7 +938,6 @@ def _dual_routes(cfg: SuiteConfig) -> Cases:
     "The monic Legendre family fits the three-term recurrence with c = 0 "
     "and lambda = (n-1)^2/((2n-1)(2n-3)); the double-factorial variant "
     "satisfies its all-integer recurrence",
-    "n <= 12",
 )
 def _favard_legendre(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -983,7 +966,6 @@ def _favard_legendre(cfg: SuiteConfig) -> Cases:
     "The monic Schroeder-derived family fits the three-term recurrence with "
     "c = 1/2 and lambda = n(n-2)/(4(2n-1)(2n-3)), so lambda_2 = 0 and the "
     "induced moment functional is not quasi-definite",
-    "2 <= n <= 10",
 )
 def _favard_schroder(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -1006,7 +988,6 @@ def _favard_schroder(cfg: SuiteConfig) -> Cases:
     "motzkin-moments",
     "The height-weighted Motzkin path totals reproduce the flat moments: "
     "0 for odd length, 1/(n+1) for even length",
-    "n <= 12",
 )
 def _motzkin_moments(cfg: SuiteConfig) -> Cases:
     for n in range(cfg.cap(12) + 1):

@@ -8,8 +8,8 @@ Delannoy paths to (n,n) that never rise above the diagonal y = x.
 Each quantity is computed two ways wherever feasible: explicit enumeration
 (the ground-truth oracle) and dynamic programming or a closed binomial sum.
 There are two production routes for the weighted totals.  The DPs
-(delannoy_weighted, schroder_weighted) take polynomial weights too, and are
-the lattice-path side of the identity registry; enumeration (the
+(delannoy_table, schroder_table) take polynomial weights too, and are the
+lattice-path side of the identity registry; enumeration (the
 `*_enumerate` functions and diagonal_tally) and the multinomial closed sum
 (delannoy_closed) are their oracles.  For constant weights, as the CLI's
 `compute delannoy` and `compute schroder` take them, delannoy_sum and
@@ -28,24 +28,25 @@ loop, run on integers for constant weights, clearing the
 denominators itself, and on Poly for polynomial weights.  Neither the walk
 nor the closed sum reads the weights the DPs clear and pack, so a fault
 there cannot make an oracle agree with its DP.  The Legendre Motzkin
-moments and the modified Delannoy numbers, too, run as DPs; the oracles
-that only the tests read (path weights step by step, and these two counts
-by enumeration) live with the tests.  Weights may be rational constants
+moments and the modified Delannoy numbers, too, run as DPs, the latter on
+running block sums; the oracles that only the tests read (path weights
+step by step, these two counts by enumeration, and the block sums summed
+afresh per cell) live with the tests.  Weights may be rational constants
 or polynomials in a single variable, so substituting v = x turns the same
 DP into a polynomial-family constructor.  The DPs clear the
 weights' denominators once per weight triple and evaluate them at a power
 of two large enough to hold every coefficient (Kronecker substitution, by
 polynomial's pair _packed and _unpacked), so constant and polynomial
 weights alike run on plain ints, and a total becomes a Poly in integer
-form with no Fraction built.  delannoy_weighted and schroder_weighted
-compute one total each and keep only the previous row; the tables
-(delannoy_table, schroder_table), like the sequence helpers, are second
-readers of the same recurrence: one DP run to a far corner keeps its
-packed cells, and a PackedTable reads each total off its digits when it is
-first asked for, so a caller that needs many totals at one weight triple
-runs one DP instead of one per total.  A triple also keeps its hash, which
-every cached DP lookup takes, and, apart from the DPs' cleared weights,
-the integer ratios of constant weights that the closed sum runs on.
+form with no Fraction built.  Each lattice has one weighted DP route: a
+table runs the DP once to a far corner and keeps its packed cells, and a
+PackedTable reads each total off its digits when it is first asked for, so
+a caller that needs many totals at one weight triple runs one DP;
+delannoy_weighted and schroder_weighted read the far corner of a table of
+their own size, and the sequence helpers read the rows of one run on plain
+ints.  A triple also keeps its hash, which every cached DP lookup takes,
+and, apart from the DPs' cleared weights, the integer ratios of constant
+weights that the closed sum runs on.
 """
 
 import math
@@ -136,9 +137,9 @@ class WeightTriple:
         return q, u, v, w, size.bit_length()
 
 
-# The DPs' default weights, which the plain counts (the dp1 entry among them)
-# take; it is module level because a default argument must be, so its memos
-# outlive an emptying of the caches.
+# The DPs' default weights, which the plain counts take; it is module level
+# because a default argument must be, so its memos outlive an emptying of the
+# caches, and the registry builds a unit triple of its own per config.
 UNIT_WEIGHTS = WeightTriple.of(1, 1, 1)
 
 # A path's state in _depth_first: its steps, or its number of northeast steps.
@@ -208,14 +209,6 @@ def _depth_first(end: tuple[int, int], start, delta: dict, below_diagonal=False)
         push((i + 1, j, state + east))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def delannoy_weighted(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
-    """Weighted Delannoy total by dynamic programming."""
-    _require_quadrant(m, n)
-    q, k, u, v, w = _packed_weights(wt, m + n)
-    return _unpacked(_last(_delannoy_rows(m, n, u, v, w))[n], k, q ** (m + n))
-
-
 class PackedTable:
     """The totals of one packed DP run, keyed by their endpoint (i, j).
 
@@ -241,14 +234,20 @@ class PackedTable:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def delannoy_table(m: int, n: int, wt: WeightTriple) -> PackedTable:
+def delannoy_table(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> PackedTable:
     """Every weighted Delannoy total to (i, j), i <= m and j <= n, from one
-    DP run: the cells that delannoy_weighted would compute one run each."""
+    DP run."""
     _require_quadrant(m, n)
     q, k, u, v, w = _packed_weights(wt, m + n)
     packed = {(i, j): cell for i, row in enumerate(_delannoy_rows(m, n, u, v, w))
               for j, cell in enumerate(row)}
     return PackedTable(packed, q, k)
+
+
+def delannoy_weighted(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
+    """Weighted Delannoy total by dynamic programming: the far corner of
+    delannoy_table(m, n, wt)."""
+    return delannoy_table(m, n, wt)[m, n]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -295,16 +294,7 @@ def _closed_sum(m: int, n: int, low, high):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def schroder_weighted(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
-    """Weighted Schroeder total by DP restricted to cells with j <= i."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    q, k, u, v, w = _packed_weights(wt, 2 * n)
-    return _unpacked(_last(_schroder_rows(n, u, v, w))[n], k, q ** (2 * n))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def schroder_table(n: int, wt: WeightTriple) -> PackedTable:
+def schroder_table(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> PackedTable:
     """Every weighted Schroeder total to (i, i), i <= n, from one DP run:
     the row ends, as schroder_numbers reads them."""
     if n < 0:
@@ -312,6 +302,12 @@ def schroder_table(n: int, wt: WeightTriple) -> PackedTable:
     q, k, u, v, w = _packed_weights(wt, 2 * n)
     packed = {(i, i): row[-1] for i, row in enumerate(_schroder_rows(n, u, v, w))}
     return PackedTable(packed, q, k)
+
+
+def schroder_weighted(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
+    """Weighted Schroeder total by DP restricted to cells with j <= i: the
+    far corner of schroder_table(n, wt)."""
+    return schroder_table(n, wt)[n, n]
 
 
 def delannoy_sum(m: int, n: int, u: Fraction = Fraction(1), v: Fraction = Fraction(1),
@@ -464,22 +460,20 @@ def _last(rows: Iterator[list]) -> list:
 def modified_delannoy(m: int, n: int) -> int:
     """Count lattice paths from (0,0) to (m, n+1) with steps from N x P.
 
-    Every step (a,b) has a >= 0 and b >= 1, so a path is a sequence of
-    strictly-upward moves; the count is by DP over the landing point of the
-    last step.
+    Every step (a,b) has a >= 0 and b >= 1, so the paths to (i, j), j >= 1,
+    are T(i, j) = S(i, j-1), the paths to every point of the block
+    i' <= i, j' <= j-1; T(0, 0) = 1 and T(i, 0) = 0 for i > 0.  The block
+    sums obey S(i, j) = S(i, j-1) + sum_{i' <= i} T(i', j), so one running
+    sum per height keeps the row S(0..m, j) in O(mn) additions.
     """
     _require_quadrant(m, n)
-    height = n + 1
-    table = [[0] * (height + 1) for _ in range(m + 1)]
-    table[0][0] = 1
-    for i in range(m + 1):
-        for j in range(height + 1):
-            if i == 0 and j == 0:
-                continue
-            table[i][j] = sum(
-                table[ip][jp] for ip in range(i + 1) for jp in range(j)
-            )
-    return table[m][height]
+    block = [1] * (m + 1)  # S(i, 0): the one path that is still at (0, 0)
+    for _ in range(n):
+        running = 0
+        for i, paths_here in enumerate(block):  # T(i, j) = S(i, j-1)
+            running += paths_here
+            block[i] += running
+    return block[m]  # T(m, n+1) = S(m, n)
 
 
 def motzkin_legendre_moment(n: int) -> Fraction:

@@ -28,8 +28,8 @@ Everything is immutable and exact: no floats, no rounding, ever.  The
 transforms every other module leans on live here: affine composition,
 zero-based antiderivative, definite integration, division by x, the
 denominator-clearing substitution x -> x/(x-1), and the homogeneous form
-b^n p(a/b) at rational (a, b), which shares evaluation's integer Horner
-loop (_horner), so the registry's weighted right sides take one Fraction
+b^n p(a/b) at rational (a, b), one integer Horner loop that evaluation
+reads at (x, 1), so the registry's weighted right sides take one Fraction
 each.  One private pair does
 Kronecker substitution: _packed evaluates integer coefficients at x = 2^K
 by Horner's rule, for the path DPs, and _unpacked reads balanced base-2^K
@@ -41,9 +41,9 @@ from fractions import Fraction
 
 Scalar = int | Fraction
 
-# Bound of every lru_cache on the family constructors, the path DPs and
-# tables and the registry's weight-grid points, so a long-lived process
-# cannot grow them without limit.  A default `verify --all` fills the
+# Bound of every lru_cache on the family constructors, the path tables,
+# tallies and closed sums, and the registry's weight points, so a long-lived
+# process cannot grow them without limit.  A default `verify --all` fills the
 # largest (delannoy_closed) to 1 372 entries, and romanovski, which both
 # Jacobi shifts read, to 916, so its warm repeat evicts nothing.
 CACHE_SIZE = 4096
@@ -309,20 +309,10 @@ class Poly:
         return nums
 
     def __call__(self, x: Scalar) -> Fraction:
-        """Exact Horner evaluation at a rational point, on integers.
-
-        With p = sum N_k x^k / D and x = a/b in lowest terms,
-        p(x) = sum N_k a^k b^(d-k) / (D b^d), d = deg(p).  Horner runs on
-        the integer numerators (_horner) and one Fraction is built at the
-        end, so a single gcd is taken per evaluation.
-        """
-        nums, d = self._numerators()
-        if type(x) is not int and type(x) is not Fraction:
-            require_rational(x)
-        if not nums:
-            return Fraction(0)
-        a, b = x.as_integer_ratio()
-        return Fraction(_horner(nums, a, b), d * b ** (len(nums) - 1))
+        """Exact evaluation at a rational point: the homogeneous form of
+        p's own degree at (x, 1), one Horner loop on the integer numerators
+        (see homogenized)."""
+        return self.homogenized(max(self.degree, 0), x, 1)
 
     def homogenized(self, n: int, a: Scalar, b: Scalar) -> Fraction:
         """sum c_k a^k b^(n-k), the degree-n homogeneous form of p at (a, b),
@@ -330,10 +320,10 @@ class Poly:
 
         With p = sum N_k x^k / D, a = a1/a2 and b = b1/b2, it is
         sum N_k A^k B^(n-k) / (D (a2 b2)^n) for A = a1 b2 and B = a2 b1, so
-        the Horner loop of evaluation (_horner) runs once on the integers
-        (A, B) and one Fraction is built.  b = 0 leaves c_n a^n.  n may lie
-        below deg(p), where the terms k > n divide by a power of b, so b
-        must then be nonzero (ZeroDivisionError otherwise); n < 0 is refused.
+        Horner's rule runs once on the integers (A, B) and one Fraction is
+        built.  b = 0 leaves c_n a^n.  n may lie below deg(p), where the
+        terms k > n divide by a power of b, so b must then be nonzero
+        (ZeroDivisionError otherwise); n < 0 is refused.
         """
         if n < 0:
             raise ValueError(f"homogeneous degree must be nonnegative, got {n}")
@@ -344,8 +334,11 @@ class Poly:
         if not nums:
             return Fraction(0)
         (a1, a2), (b1, b2) = a.as_integer_ratio(), b.as_integer_ratio()
-        big_b = a2 * b1
-        total = _horner(nums, a1 * b2, big_b)  # sum N_k A^k B^(deg(p)-k)
+        big_a, big_b = a1 * b2, a2 * b1
+        total, b_pow = 0, 1
+        for num in reversed(nums):  # total = sum N_k A^k B^(deg(p)-k)
+            total = total * big_a + num * b_pow
+            b_pow *= big_b
         den = d * (a2 * b2) ** n
         extra = n - (len(nums) - 1)
         if extra < 0:
@@ -426,17 +419,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
-
-
-def _horner(nums: tuple[int, ...], a: int, b: int) -> int:
-    """sum N_k a^k b^(d-k), d = len(nums) - 1: the integer numerators N
-    evaluated at a/b and scaled by b^d, by Horner's rule on integers."""
-    acc = 0
-    b_pow = 1
-    for n in reversed(nums):
-        acc = acc * a + n * b_pow
-        b_pow *= b
-    return acc
 
 
 def _packed(coeffs: tuple[int, ...], k: int) -> int:

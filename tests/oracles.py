@@ -3,8 +3,9 @@
 Each is the explicit-enumeration or by-definition twin of a library route:
 path_weight sums a path's step weights for the path DPs, the two
 *_enumerate functions count what modified_delannoy and
-motzkin_legendre_moment compute by DP, gram_matrix with is_diagonal
-checks orthogonality entry by entry, and the *_by_fractions functions run
+motzkin_legendre_moment compute by DP, modified_delannoy_by_blocks is the
+block-sum DP that modified_delannoy runs with running sums, gram_matrix
+with is_diagonal checks orthogonality entry by entry, and the *_by_fractions functions run
 on Fraction coefficients what Poly runs on its integer form: scaling by a
 constant and the antiderivative, which integrate_by_antiderivative
 evaluates for Poly.integrate; compose_affine_by_lists is the list Horner
@@ -56,6 +57,25 @@ def modified_delannoy_enumerate(m: int, n: int) -> int:
         return total
 
     return count_to(m, n + 1)
+
+
+def modified_delannoy_by_blocks(m: int, n: int) -> list[list[int]]:
+    """The table T(i, j), i <= m and j <= n+1, of the paths modified_delannoy
+    counts (T(i, j+1) is its count at (i, j)), by the DP over the landing
+    point of the last step: each cell sums its whole lower-left block
+    afresh, O(m^2 n^2) additions with no running sum to get wrong."""
+    _require_quadrant(m, n)
+    height = n + 1
+    table = [[0] * (height + 1) for _ in range(m + 1)]
+    table[0][0] = 1
+    for i in range(m + 1):
+        for j in range(height + 1):
+            if i == 0 and j == 0:
+                continue
+            table[i][j] = sum(
+                table[ip][jp] for ip in range(i + 1) for jp in range(j)
+            )
+    return table
 
 
 def motzkin_legendre_moment_enumerate(n: int) -> Fraction:

@@ -370,8 +370,9 @@ def _grid_triples(monkeypatch, config):
 def test_cold_run_all_runs_each_grid_triples_dps_once(monkeypatch):
     # The weight-grid entries read their constant-weight totals from one
     # Delannoy and one Schroeder table per grid point, so a cold run_all()
-    # runs each grid triple's DPs once: to (10, 8), 18 steps, the farthest
-    # cell wd-jacobi and cdrec read, and to (8, 8), 16 steps.
+    # runs each grid triple's DPs once, sized for the farthest cells any
+    # entry reads: to (13, 8), 21 steps, the (n + 5, n) of dp1, and to
+    # (10, 10), 20 steps, the (n, n) of schroder.
     packed = []
     real = paths._packed_weights
 
@@ -385,7 +386,45 @@ def test_cold_run_all_runs_each_grid_triples_dps_once(monkeypatch):
     grid = identities._weight_points(identities.DEFAULT_CONFIG).uvw
     assert len(grid) == 27
     for *_, wt in grid:
-        assert sorted(steps for seen, steps in packed if seen is wt) == [16, 18], wt
+        assert sorted(steps for seen, steps in packed if seen is wt) == [20, 21], wt
+
+
+def test_cold_run_all_runs_one_dp_per_triple(monkeypatch):
+    # Every DP total the registry reads, on the grid's (u, v, w) and
+    # (u, x, w) triples, (1, x, -1), the unit triple and the enumeration
+    # leg's, comes from one Delannoy and one Schroeder table per triple, and
+    # equal triples share a table: a cold run_all() runs each lattice's DP at
+    # most once per triple value, so at most once per triple object.
+    packing, runs = [], []
+    real = paths._packed_weights
+
+    def recording_packing(wt, steps):
+        packing.append(wt)
+        return real(wt, steps)
+
+    def recording(name):
+        rows = getattr(paths, name)
+
+        def run(*args):
+            runs.append((name, packing[-1]))
+            return rows(*args)
+
+        return run
+
+    monkeypatch.setattr(paths, "_packed_weights", recording_packing)
+    for name in ("_delannoy_rows", "_schroder_rows"):
+        monkeypatch.setattr(paths, name, recording(name))
+    _clear_every_cache()
+    assert all(r.status == "pass" for r in run_all())
+    weights = identities._weight_points(identities.DEFAULT_CONFIG)
+    delannoy = [wt for name, wt in runs if name == "_delannoy_rows"]
+    schroder = [wt for name, wt in runs if name == "_schroder_rows"]
+    assert len(delannoy) == len(set(delannoy)) == 39
+    assert len(schroder) == len(set(schroder)) == 28
+    on_grid = {wt for *_, wt in weights.uvw}
+    assert set(delannoy) == on_grid | {wt for *_, wt in (*weights.uxw, *weights.enumeration)} | {
+        weights.poly_x, weights.unit}
+    assert set(schroder) == on_grid | {weights.poly_x, weights.unit}
 
 
 def test_weight_grid_entries_of_one_config_share_triples(monkeypatch):

@@ -10,7 +10,12 @@ import pytest
 from faults import clear_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import modified_delannoy_enumerate, motzkin_legendre_moment_enumerate, path_weight
+from oracles import (
+    modified_delannoy_by_blocks,
+    modified_delannoy_enumerate,
+    motzkin_legendre_moment_enumerate,
+    path_weight,
+)
 
 import delannoy_jacobi
 from delannoy_jacobi import families, identities, paths, polynomial
@@ -616,15 +621,15 @@ class TestClosedSum:
         wt = WeightTriple.of(F(1, 2), F(-1, 3), 7)
         expected = [_closed_by_fractions(6, 6, wt), _closed_by_fractions(3, 2, POLY_WT)]
         monkeypatch.setattr(WeightTriple, "ratios", property(refuse))
-        delannoy_weighted.cache_clear()
-        schroder_weighted.cache_clear()
+        paths.delannoy_table.cache_clear()
+        paths.schroder_table.cache_clear()
         try:
             assert [delannoy_weighted(6, 6, wt), delannoy_weighted(3, 2, POLY_WT)] == expected
             assert schroder_weighted(4, wt) == schroder_sum(4, F(1, 2), F(-1, 3), 7)
             assert schroder_weighted(4, POLY_WT) == families.schroder_poly(4)
         finally:
-            delannoy_weighted.cache_clear()
-            schroder_weighted.cache_clear()
+            paths.delannoy_table.cache_clear()
+            paths.schroder_table.cache_clear()
 
     @given(st.one_of(wide_triples, poly_triples))
     def test_equal_triples_built_apart_compare_and_hash_equal(self, uvw):
@@ -769,8 +774,8 @@ class TestClearedWeights:
     @settings(max_examples=40, deadline=None)
     def test_one_triple_serves_every_size(self, uvw):
         wt = WeightTriple.of(*uvw)
-        delannoy_weighted.cache_clear()
-        schroder_weighted.cache_clear()
+        paths.delannoy_table.cache_clear()
+        paths.schroder_table.cache_clear()
         for m, n in ((0, 0), (3, 1), (1, 4), (5, 5), (2, 0), (0, 6)):
             assert delannoy_weighted(m, n, wt) == delannoy_closed(m, n, WeightTriple.of(*uvw))
         for n in range(4):
@@ -864,6 +869,14 @@ class TestModifiedDelannoy:
         for m in range(4):
             for n in range(4):
                 assert modified_delannoy(m, n) == modified_delannoy_enumerate(m, n)
+
+    def test_running_sums_match_the_block_sums(self):
+        # The block-sum DP's one table holds every count up to (20, 20).
+        table = modified_delannoy_by_blocks(20, 20)
+        for m in range(21):
+            for n in range(21):
+                assert modified_delannoy(m, n) == table[m][n + 1], (m, n)
+        assert modified_delannoy(20, 20) == 260543813797441
 
     def test_single_column(self):
         # only one step (m, 1) can reach height 1
@@ -1056,15 +1069,16 @@ class TestCacheBound:
             value for module in modules for value in vars(module).values()
             if hasattr(value, "cache_info") and value.__module__ == module.__name__
         ]
-        assert len(caches) == 13
+        assert len(caches) == 11
         assert all(cache.cache_info().maxsize == CACHE_SIZE for cache in caches)
 
     def test_distinct_calls_stay_within_bound(self):
-        delannoy_weighted.cache_clear()
+        table = paths.delannoy_table
+        table.cache_clear()
         try:
             for k in range(CACHE_SIZE + 500):
                 delannoy_weighted(1, 1, WeightTriple.of(k, 1, 1))
-                assert delannoy_weighted.cache_info().currsize <= CACHE_SIZE
-            assert delannoy_weighted.cache_info().currsize == CACHE_SIZE
+                assert table.cache_info().currsize <= CACHE_SIZE
+            assert table.cache_info().currsize == CACHE_SIZE
         finally:
-            delannoy_weighted.cache_clear()
+            table.cache_clear()
