@@ -110,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--id", help="registry id of one identity")
     group.add_argument("--all", action="store_true", help="run the whole registry")
-    verify.add_argument("--max-n", type=_nonnegative_int, help="clamp every index grid")
+    verify.add_argument("--max-n", type=_nonnegative_int,
+                        help="cap the index grids; bneg-symmetry, bneg-table1, borth2 and "
+                             "romanovski-orth keep their fixed grids")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", help="write the JSON report to this file")
     return parser

@@ -14,7 +14,8 @@ result is summed against the moments on integers, so no product Poly and
 no Fraction per coefficient is built.
 
 Matrices are plain lists of Fraction rows; determinants use fraction-free
-(Bareiss) elimination, so integer inputs never leave the integers.
+(Bareiss) elimination on Fractions, so every division is exact and, for
+integer inputs, every entry stays a Fraction with denominator 1.
 """
 
 import math
@@ -170,7 +171,9 @@ def hankel_mbeta(beta: int, top: Scalar) -> Matrix:
 
 
 def det_exact(matrix: Matrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination on
+    Fractions: every entry is made a Fraction first, and each division by
+    the previous pivot is exact."""
     n = len(matrix)
     for row in matrix:
         if len(row) != n:

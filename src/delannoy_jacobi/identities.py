@@ -64,8 +64,12 @@ class UnknownIdentity(ValueError):
 class SuiteConfig:
     """Grid caps and seams for the identity suite.
 
-    max_n clamps every entry's index range (None keeps the defaults, which
-    are sized so the whole registry runs in seconds).  weight_grid supplies
+    max_n caps each entry's index grid at min(default, max_n) (None keeps
+    the defaults, which are sized so the whole registry runs in seconds).
+    Some ranges stay fixed at any max_n: bneg-symmetry, bneg-table1, borth2
+    and romanovski-orth run their whole parameter grids (156, 7, 91 and 185
+    cases), schroder always checks its n <= 4 enumeration and DP leg, and
+    favard-schroder always fits up to n = 2.  weight_grid supplies
     the rational substitution points for (u, v, w).  families is the
     namespace the verifiers build polynomial families from; tests swap in a
     fault-injecting wrapper to exercise the harness itself.

@@ -41,12 +41,13 @@ weights alike run on plain ints, and a total becomes a Poly in integer
 form with no Fraction built.  Each lattice has one weighted DP route: a
 table runs the DP once to a far corner and keeps its packed cells, and a
 PackedTable reads each total off its digits when it is first asked for, so
-a caller that needs many totals at one weight triple runs one DP;
-delannoy_weighted and schroder_weighted read the far corner of a table of
-their own size, and the sequence helpers read the rows of one run on plain
-ints.  A triple also keeps its hash, which every cached DP lookup takes,
-and, apart from the DPs' cleared weights, the integer ratios of constant
-weights that the closed sum runs on.
+a caller that needs many totals at one weight triple runs one DP, and
+the tables are cached for the registry.  delannoy_weighted and
+schroder_weighted read the far corner of an uncached run of their own
+size, so a library call keeps no table, and the sequence helpers read the
+rows of one run on plain ints.  A triple keeps, apart from the DPs'
+cleared weights, the integer ratios of constant weights that the closed
+sum runs on.
 """
 
 import math
@@ -76,13 +77,14 @@ class Step(Enum):
 class WeightTriple:
     """Step weights (u east, v north, w northeast), each a polynomial.
 
-    Three values are computed on first use and kept on the triple: its hash
-    (the DP caches hash their key on every lookup), the weights with their
-    denominators cleared, which the DPs run on (`cleared`), and, for
-    constant weights, the integer ratios that delannoy_closed runs on
-    (`ratios`).  The DPs and their oracle read separate memos, so a fault
-    in one cannot reach the other; like the polynomials' own memos, none
-    takes part in equality or hashing.
+    Two values are computed on first use and kept on the triple: the
+    weights with their denominators cleared, which the DPs run on
+    (`cleared`), and, for constant weights, the integer ratios that
+    delannoy_closed runs on (`ratios`).  The DPs and their oracle read
+    separate memos, so a fault in one cannot reach the other; neither takes
+    part in equality or hashing.  The triple hashes its three polynomials,
+    each of which keeps its own hash, so a cached DP lookup hashes no
+    coefficient.
     """
 
     u: Poly
@@ -105,13 +107,6 @@ class WeightTriple:
                 self.w.constant_value(),
             )
         return (self.u, self.v, self.w)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.u, self.v, self.w))
 
     @cached_property
     def ratios(self) -> tuple[tuple[int, int], ...] | None:
@@ -246,8 +241,9 @@ def delannoy_table(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> PackedTab
 
 def delannoy_weighted(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Delannoy total by dynamic programming: the far corner of
-    delannoy_table(m, n, wt)."""
-    return delannoy_table(m, n, wt)[m, n]
+    one uncached delannoy_table(m, n, wt) run, so the call keeps its total
+    and none of the run's cells."""
+    return delannoy_table.__wrapped__(m, n, wt)[m, n]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -306,8 +302,8 @@ def schroder_table(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> PackedTable:
 
 def schroder_weighted(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Schroeder total by DP restricted to cells with j <= i: the
-    far corner of schroder_table(n, wt)."""
-    return schroder_table(n, wt)[n, n]
+    far corner of one uncached schroder_table(n, wt) run."""
+    return schroder_table.__wrapped__(n, wt)[n, n]
 
 
 def delannoy_sum(m: int, n: int, u: Fraction = Fraction(1), v: Fraction = Fraction(1),

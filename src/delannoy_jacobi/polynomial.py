@@ -10,19 +10,22 @@ A polynomial p = sum c_k x^k is held in one or both of two forms:
   condition fixes N and D, so this form is canonical.
 
 The zero polynomial has no coefficients, D = 1 and degree -1.  Trailing
-zero coefficients are stripped on construction, so equality is plain
-comparison of either form and instances are safely hashable.
+zero coefficients are stripped on construction.  Equality, hashing,
+negation, degree and is_constant read the integer form alone, since it is
+canonical: two polynomials are equal exactly when their (N, D) pairs are,
+a polynomial hashes as that pair, and a constant hashes like its value.
 
 A Poly is born in the form its maker computes: as Fraction coefficients
 from products and sums of polynomials and from cayley, and in integer form
-from the rest (ints, affine composition, a constant times an integer form,
-the antiderivative, division by x, the path DPs).  Since a Poly never
-changes, the other form is built on first read and kept, like the hash.
+from the rest (ints, affine composition, negation, a constant times an
+integer form, the antiderivative, division by x, the path DPs).  Since a
+Poly never changes, the other form is built on first read and kept, like
+the hash.
 Evaluation, composition, calculus and the functionals run on the integer
 form, so a polynomial whose integer form was computed never builds a
 Fraction per coefficient unless its coefficients are read, and a cached
 family polynomial clears its denominators at most once, however often it
-is evaluated.  Neither form's memo takes part in equality or hashing.
+is evaluated.
 
 Everything is immutable and exact: no floats, no rounding, ever.  The
 transforms every other module leans on live here: affine composition,
@@ -159,8 +162,7 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        cs = self._coeffs
-        return len(self._nums[0] if cs is None else cs) - 1
+        return len(self._numerators()[0]) - 1
 
     @property
     def leading(self) -> Fraction:
@@ -174,8 +176,7 @@ class Poly:
         return Fraction(0)
 
     def is_constant(self) -> bool:
-        cs = self._coeffs
-        return len(self._nums[0] if cs is None else cs) <= 1
+        return len(self._numerators()[0]) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -192,15 +193,6 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            mine, theirs = self._coeffs, other._coeffs
-            if mine is not None and theirs is not None:
-                return mine == theirs
-            # Integer numerators over 1 are the coefficients themselves, and
-            # an int equals a Fraction exactly when their values agree.
-            if mine is not None and other._nums[1] == 1:
-                return mine == other._nums[0]
-            if theirs is not None and self._nums[1] == 1:
-                return self._nums[0] == theirs
             # Both integer forms are canonical, so they are equal exactly
             # when the polynomials are.
             return self._numerators() == other._numerators()
@@ -209,19 +201,19 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        # Hashing a Fraction is costly and the DP caches hash their weight
-        # polynomials on every lookup, so the hash is kept once computed.
-        # A constant hashes like its value, which it compares equal to.
+        # The DP caches hash their weight polynomials on every lookup, so
+        # the hash is kept once computed.  A constant hashes like its value,
+        # which it compares equal to.
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(self.constant_value() if self.is_constant() else self.coeffs)
+            nums, d = self._numerators()
+            self._hash = hash((nums, d) if len(nums) > 1 else Fraction(nums[0] if nums else 0, d))
             return self._hash
 
     def __neg__(self) -> "Poly":
-        if self._coeffs is None:
-            return self * -1
-        return Poly(-c for c in self._coeffs)
+        nums, d = self._numerators()
+        return Poly._from_numerators([-n for n in nums], d)
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)

@@ -54,6 +54,15 @@ def test_max_n_clamp_reduces_cases():
     assert 0 < clamped.cases_run < full.cases_run
 
 
+def test_max_n_leaves_exactly_the_documented_grids_fixed():
+    # SuiteConfig, `verify --max-n` and the README name these four.
+    default = {r.id: r.cases_run for r in run_all()}
+    zero = {r.id: r.cases_run for r in run_all(SuiteConfig(max_n=0))}
+    assert {id for id in default if zero[id] == default[id]} == {
+        "bneg-symmetry", "bneg-table1", "borth2", "romanovski-orth",
+    }
+
+
 def test_reports_are_deterministic():
     first = run_identity("epl", SMALL)
     second = run_identity("epl", SMALL)

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import pkgutil
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -1077,8 +1078,23 @@ class TestCacheBound:
         table.cache_clear()
         try:
             for k in range(CACHE_SIZE + 500):
-                delannoy_weighted(1, 1, WeightTriple.of(k, 1, 1))
+                table(1, 1, WeightTriple.of(k, 1, 1))
                 assert table.cache_info().currsize <= CACHE_SIZE
             assert table.cache_info().currsize == CACHE_SIZE
         finally:
             table.cache_clear()
+
+    def test_a_weighted_total_keeps_no_table(self):
+        # A library call keeps only its total, not the Θ(mn) packed cells of
+        # its DP run (several MB at (60, 60)), which no cache bounds in bytes.
+        wt = WeightTriple.of(1, X, -1)
+        clear_caches(paths)
+        tracemalloc.start()
+        try:
+            total = delannoy_weighted(60, 60, wt)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            clear_caches(paths)
+        assert total.degree == 60
+        assert kept < 500_000

@@ -1,7 +1,9 @@
 """Tests for exact polynomial arithmetic and its transforms."""
 
+import ast
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from faults import clear_caches
@@ -14,6 +16,7 @@ from oracles import (
     scaled_by_fractions,
 )
 
+import delannoy_jacobi
 from delannoy_jacobi import families, identities, paths
 from delannoy_jacobi.functionals import factorial_functional, inner_weighted, lbeta_functional
 from delannoy_jacobi.polynomial import (
@@ -66,11 +69,13 @@ class TestPochhammer:
 
 
 def expected_hash(coeffs):
-    """The hash of a Poly with these coefficients: that of its value for a
-    constant, which compares equal to it, and that of the tuple otherwise."""
+    """The hash of a Poly with these Fraction coefficients: that of its
+    value for a constant, which compares equal to it, and otherwise that of
+    its integer form, the numerators over the lcm of the denominators."""
     if len(coeffs) <= 1:
         return hash(coeffs[0] if coeffs else 0)
-    return hash(coeffs)
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return hash((tuple(int(c * d) for c in coeffs), d))
 
 
 class TestConstruction:
@@ -234,6 +239,30 @@ def assert_equality_agrees(args, other_args, k):
 
 # x against x/2: equal numerators over different denominators.
 X_AGAINST_HALF_X = ([0, 1], None, F(0)), ([0, 1], F(1, 2), F(0)), 2
+
+
+STORED_FORMS = {"_coeffs", "_nums"}
+
+
+def stored_form_reads(path: Path) -> list[tuple[int, str]]:
+    """(line, attribute) of every read of a Poly's stored forms in path."""
+    return [
+        (node.lineno, node.attr) for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in STORED_FORMS
+    ]
+
+
+class TestFormBoundary:
+    """Only polynomial.py touches the two stored forms; every other module
+    reads a Poly through coeffs and _numerators(), so the stored forms can
+    change in one module."""
+
+    def test_no_other_module_reads_a_stored_form(self):
+        package = Path(delannoy_jacobi.__file__).parent
+        modules = {path.name: path for path in package.glob("*.py")}
+        assert stored_form_reads(modules.pop("polynomial.py"))  # the scan finds reads
+        assert {name: reads for name, path in modules.items()
+                if (reads := stored_form_reads(path))} == {}
 
 
 class TestCrossForm:
@@ -861,12 +890,21 @@ class TestIntegerFormFaults:
 
         faulty.setattr(Poly, "__mul__", scaled_top_plus_one)
         faulty.setattr(Poly, "__rmul__", scaled_top_plus_one)
-        # Negating an integer form scales it by -1, so subtraction and the
-        # swap rules' (-1)^n are on this route too.
+        # The swap rules' (-1)^n is on this route; negation, and so
+        # subtraction, has its own (below).
         assert _cold_failures() == {
-            "abdec", "antideriv", "cdrec", "favard-legendre", "favard-schroder", "narayana",
-            "schroder", "sj-expansion", "swap-rules", "wcd-legendre", "wcd-legendre-swap",
-            "wd-closed-vs-dp-vs-enum",
+            "antideriv", "cdrec", "favard-legendre", "favard-schroder", "narayana", "schroder",
+            "swap-rules", "wcd-legendre", "wcd-legendre-swap", "wd-closed-vs-dp-vs-enum",
+        }
+
+    def test_negation_with_a_wrong_top_numerator(self, faulty):
+        negate = Poly.__neg__
+        faulty.setattr(Poly, "__neg__", lambda self: _top_plus_one(negate(self)))
+        # Subtraction adds the negated right side, so every entry with a
+        # difference of polynomials is on this route.
+        assert _cold_failures() == {
+            "abdec", "antideriv", "cdrec", "favard-legendre", "favard-schroder", "schroder",
+            "sj-expansion",
         }
 
     # Poly x Poly products and sums still run on Fraction coefficients.
