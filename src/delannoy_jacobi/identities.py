@@ -25,14 +25,11 @@ A check that only reduces a product to a number, a moment functional of
 f*g or its weighted integral over [0, 1], never builds the product: it
 hands the two factors to MomentFunctional.pair or inner_weighted, which
 convolve their integer numerators.  The path entries read their weight
-triples from one cache, _weight_points, which builds each config's 27
-(u, v, w) triples, the 9 (u, x, w) triples of the v = x leg, and the
-fixed (1, x, -1), unit and enumeration triples once: every entry hands the
-DPs the same triple objects, so a DP cache hit across entries is an
-identity hit, and emptying the cache makes the next run cold again.  Every
-DP total they read comes from one Delannoy and one Schroeder table per
-triple (paths.delannoy_table, schroder_table), sized by one rule for the
-farthest cell any entry reads, so each triple's DPs run once.  The
+triples from one cache keyed by the weight grid's value, so every entry,
+and every config with an equal grid, hands the DPs the same triples, and
+each DP total from one Delannoy and one Schroeder table per triple value,
+sized by one rule for the farthest cell any entry reads and kept in one
+cache here (paths keeps none), so each triple's DPs run once.  The
 weight-grid right sides are homogeneous forms b^n p(a/b), with (a, b)
 computed once per point, each taken by one Poly.homogenized call.
 
@@ -79,7 +76,7 @@ class SuiteConfig:
     weight divides by zero, and a float, which require_rational refuses,
     would enter as its binary expansion.  The grid is kept as Fractions,
     with each given Fraction itself; the entries' weight triples are built
-    from it once per config (_weight_points).
+    from it once per grid value (_weight_points).
     """
 
     max_n: int | None = None
@@ -250,17 +247,17 @@ class _WeightPoints(NamedTuple):
     enumeration: tuple
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _weight_points(cfg: SuiteConfig) -> _WeightPoints:
-    """The weight triples of cfg, built once and read by every entry that
-    runs on them.  So all of them pass the DPs the same triple objects: a
-    DP cache hit across entries is an identity hit, each triple hashes and
-    clears its weights once, and a cold run stays cold, since emptying this
-    cache builds new triples, the fixed (1, x, -1) and enumeration triples
-    among them.  SuiteConfig compares by identity and refuses a zero
-    weight, so two configs never share a triple, and every grid point may
+    return _grid_points(cfg.weight_grid)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _grid_points(grid: tuple[Fraction, ...]) -> _WeightPoints:
+    """The weight triples of one grid, built once for every entry and every
+    config that runs on it, so each triple hashes and clears its weights
+    once; emptying this cache makes the next run cold, fixed triples
+    included.  SuiteConfig refuses a zero weight, so every grid point may
     divide by w or by uv."""
-    grid = cfg.weight_grid
     one = Fraction(1)
     unit = lp.WeightTriple.of(one, one, one)
     return _WeightPoints(
@@ -283,12 +280,19 @@ def _weight_points(cfg: SuiteConfig) -> _WeightPoints:
 # default, so cap(6) <= cap(8) <= cap(10) under any max_n.
 def _delannoy_table(cfg: SuiteConfig, wt: lp.WeightTriple) -> lp.PackedTable:
     """Every Delannoy total the registry reads at the triple wt, from one DP run."""
-    return lp.delannoy_table(cfg.cap(8) + 5, cfg.cap(8), wt)
+    return _kept_table(lp.delannoy_table, cfg.cap(8) + 5, cfg.cap(8), wt)
 
 
 def _schroder_table(cfg: SuiteConfig, wt: lp.WeightTriple) -> lp.PackedTable:
     """Every Schroeder total the registry reads at the triple wt, from one DP run."""
-    return lp.schroder_table(max(cfg.cap(10), 4), wt)
+    return _kept_table(lp.schroder_table, max(cfg.cap(10), 4), wt)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _kept_table(table: Callable[..., lp.PackedTable], *args) -> lp.PackedTable:
+    """table(*args), kept per table function, far corner and triple value.
+    Callers look the function up on paths, so a replaced one gets its own."""
+    return table(*args)
 
 
 def _powers(base: Fraction, lo: int, hi: int) -> dict[int, Fraction]:

@@ -41,13 +41,12 @@ weights alike run on plain ints, and a total becomes a Poly in integer
 form with no Fraction built.  Each lattice has one weighted DP route: a
 table runs the DP once to a far corner and keeps its packed cells, and a
 PackedTable reads each total off its digits when it is first asked for, so
-a caller that needs many totals at one weight triple runs one DP, and
-the tables are cached for the registry.  delannoy_weighted and
-schroder_weighted read the far corner of an uncached run of their own
-size, so a library call keeps no table, and the sequence helpers read the
-rows of one run on plain ints.  A triple keeps, apart from the DPs'
-cleared weights, the integer ratios of constant weights that the closed
-sum runs on.
+a caller that needs many totals at one weight triple runs one DP.  This
+module caches no table (the registry keeps the ones it rereads), so
+delannoy_weighted and schroder_weighted, which read the far corner of a
+run of their own size, keep no table; the sequence helpers read the rows
+of one run on plain ints.  A triple keeps, apart from the DPs' cleared
+weights, the integer ratios of constant weights that the closed sum runs on.
 """
 
 import math
@@ -134,7 +133,7 @@ class WeightTriple:
 
 # The DPs' default weights, which the plain counts take; it is module level
 # because a default argument must be, so its memos outlive an emptying of the
-# caches, and the registry builds a unit triple of its own per config.
+# caches, and the registry builds a unit triple of its own per weight grid.
 UNIT_WEIGHTS = WeightTriple.of(1, 1, 1)
 
 # A path's state in _depth_first: its steps, or its number of northeast steps.
@@ -228,7 +227,6 @@ class PackedTable:
         return total
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def delannoy_table(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> PackedTable:
     """Every weighted Delannoy total to (i, j), i <= m and j <= n, from one
     DP run."""
@@ -241,9 +239,8 @@ def delannoy_table(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> PackedTab
 
 def delannoy_weighted(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Delannoy total by dynamic programming: the far corner of
-    one uncached delannoy_table(m, n, wt) run, so the call keeps its total
-    and none of the run's cells."""
-    return delannoy_table.__wrapped__(m, n, wt)[m, n]
+    one delannoy_table(m, n, wt) run, so the call keeps none of its cells."""
+    return delannoy_table(m, n, wt)[m, n]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -289,7 +286,6 @@ def _closed_sum(m: int, n: int, low, high):
     return total
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def schroder_table(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> PackedTable:
     """Every weighted Schroeder total to (i, i), i <= n, from one DP run:
     the row ends, as schroder_numbers reads them."""
@@ -302,8 +298,8 @@ def schroder_table(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> PackedTable:
 
 def schroder_weighted(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Schroeder total by DP restricted to cells with j <= i: the
-    far corner of one uncached schroder_table(n, wt) run."""
-    return schroder_table.__wrapped__(n, wt)[n, n]
+    far corner of one schroder_table(n, wt) run."""
+    return schroder_table(n, wt)[n, n]
 
 
 def delannoy_sum(m: int, n: int, u: Fraction = Fraction(1), v: Fraction = Fraction(1),

@@ -44,9 +44,9 @@ from fractions import Fraction
 
 Scalar = int | Fraction
 
-# Bound of every lru_cache on the family constructors, the path tables,
-# tallies and closed sums, and the registry's weight points, so a long-lived
-# process cannot grow them without limit.  A default `verify --all` fills the
+# Bound of every lru_cache, so a long-lived process cannot grow them without
+# limit: six family constructors, the path tallies and closed sums, and the
+# registry's weight points and DP tables.  A default `verify --all` fills the
 # largest (delannoy_closed) to 1 372 entries, and romanovski, which both
 # Jacobi shifts read, to 916, so its warm repeat evicts nothing.
 CACHE_SIZE = 4096

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from faults import CorruptingFamilies
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from delannoy_jacobi import cli, identities, paths
+from delannoy_jacobi import cli, families, identities, paths
 from delannoy_jacobi.cli import main
 from delannoy_jacobi.polynomial import Poly
 from delannoy_jacobi.render import parse_poly
@@ -577,6 +578,40 @@ class TestVerify:
         assert code == 3
         assert "FAIL dp1" in out
         assert "counterexample" in out
+
+    @pytest.mark.parametrize("argv", [["--id", "cdrec"], ["--all", "--max-n", "1"]])
+    def test_repeated_runs_add_no_cache_entry(self, capsys, tmp_path, monkeypatch, argv):
+        # Each run builds its own SuiteConfig; the caches are keyed by the
+        # settings' values, so a long-lived process that verifies again at
+        # the same settings adds nothing after its first run.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DJ_CONFIG", raising=False)
+        caches = [value for module in (families, paths, identities)
+                  for value in vars(module).values() if hasattr(value, "cache_info")]
+        sizes = []
+        for _ in range(3):
+            assert run_cli(capsys, "verify", *argv)[0] == 0
+            sizes.append([cache.cache_info().currsize for cache in caches])
+        assert sizes[0] == sizes[1] == sizes[2]
+
+
+class TestReadmeExamples:
+    """The README's CLI examples: each command is followed by its output as
+    a `# ` line (or the start of one, before a `;`), and main prints it."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    @pytest.mark.parametrize("args, output", [
+        ("compute sequence --name central-delannoy --count 7", "1, 3, 13, 63, 321, 1683, 8989"),
+        ("compute poly --family shifted-jacobi --n 2 --alpha 0 --beta -6", "3x^2 - 12x + 10"),
+        ("compute delannoy --m 1 --n 1 --u 2 --v 3 --w 5", "17"),
+        ("compute delannoy --m 2 --n 2 --v -1/3", "-1/3"),
+    ])
+    def test_example_prints_its_output(self, capsys, args, output):
+        lines = self.README.read_text(encoding="utf-8").splitlines()
+        shown = lines[lines.index(f"delannoy-jacobi {args}") + 1]
+        assert shown == f"# {output}" or shown.startswith(f"# {output};")
+        assert run_cli(capsys, *shlex.split(args)) == (0, output + "\n", "")
 
 
 class TestConfigFile:

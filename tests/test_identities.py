@@ -354,7 +354,7 @@ WEIGHT_GRID_ENTRIES = [
 
 def _grid_triples(monkeypatch, config):
     """Per weight-grid entry, the WeightTriples on config's grid, (u, v, w)
-    and (u, x, w), that it passes a weighted DP or a DP table."""
+    and (u, x, w), that it passes the registry's table readers."""
     grid = config.weight_grid
     on_grid = {paths.WeightTriple.of(u, v, w) for u in grid for v in (*grid, X) for w in grid}
     passed = {id: [] for id in WEIGHT_GRID_ENTRIES}
@@ -367,8 +367,8 @@ def _grid_triples(monkeypatch, config):
 
         return call
 
-    for name in ("delannoy_weighted", "schroder_weighted", "delannoy_table", "schroder_table"):
-        monkeypatch.setattr(paths, name, recording(getattr(paths, name)))
+    for name in ("_delannoy_table", "_schroder_table"):
+        monkeypatch.setattr(identities, name, recording(getattr(identities, name)))
     for id in WEIGHT_GRID_ENTRIES:
         current = passed[id]
         assert run_identity(id, config).status == "pass", id
@@ -437,11 +437,11 @@ def test_cold_run_all_runs_one_dp_per_triple(monkeypatch):
 
 
 def test_weight_grid_entries_of_one_config_share_triples(monkeypatch):
-    # Every weight-grid entry of one config passes the DPs the same triple
-    # object for each grid point, so DP cache hits across entries are
-    # identity hits; a second config with an equal grid gets its own
-    # triples.  The grid leaves out 1, which the enumeration leg's own
-    # module-level triples use.
+    # Every weight-grid entry of one config passes the table readers the
+    # same triple object for each grid point, and a second config with an
+    # equal grid shares the first one's triples, since the weight points are
+    # keyed by the grid's value.  The grid leaves out 1, which the
+    # enumeration leg's own triples use.
     grid = (Fraction(-1, 3), 2, Fraction(5, 2))
     first, second = SuiteConfig(max_n=3, weight_grid=grid), SuiteConfig(max_n=3, weight_grid=grid)
     _clear_every_cache()
@@ -456,4 +456,4 @@ def test_weight_grid_entries_of_one_config_share_triples(monkeypatch):
         assert set(by_value) == on_grid  # 27 (u, v, w) and 9 (u, x, w) points
         assert all(len(ids) == 1 for ids in by_value.values())
         objects.append(set().union(*by_value.values()))
-    assert objects[0].isdisjoint(objects[1])
+    assert objects[0] == objects[1]

@@ -622,15 +622,9 @@ class TestClosedSum:
         wt = WeightTriple.of(F(1, 2), F(-1, 3), 7)
         expected = [_closed_by_fractions(6, 6, wt), _closed_by_fractions(3, 2, POLY_WT)]
         monkeypatch.setattr(WeightTriple, "ratios", property(refuse))
-        paths.delannoy_table.cache_clear()
-        paths.schroder_table.cache_clear()
-        try:
-            assert [delannoy_weighted(6, 6, wt), delannoy_weighted(3, 2, POLY_WT)] == expected
-            assert schroder_weighted(4, wt) == schroder_sum(4, F(1, 2), F(-1, 3), 7)
-            assert schroder_weighted(4, POLY_WT) == families.schroder_poly(4)
-        finally:
-            paths.delannoy_table.cache_clear()
-            paths.schroder_table.cache_clear()
+        assert [delannoy_weighted(6, 6, wt), delannoy_weighted(3, 2, POLY_WT)] == expected
+        assert schroder_weighted(4, wt) == schroder_sum(4, F(1, 2), F(-1, 3), 7)
+        assert schroder_weighted(4, POLY_WT) == families.schroder_poly(4)
 
     @given(st.one_of(wide_triples, poly_triples))
     def test_equal_triples_built_apart_compare_and_hash_equal(self, uvw):
@@ -775,8 +769,6 @@ class TestClearedWeights:
     @settings(max_examples=40, deadline=None)
     def test_one_triple_serves_every_size(self, uvw):
         wt = WeightTriple.of(*uvw)
-        paths.delannoy_table.cache_clear()
-        paths.schroder_table.cache_clear()
         for m, n in ((0, 0), (3, 1), (1, 4), (5, 5), (2, 0), (0, 6)):
             assert delannoy_weighted(m, n, wt) == delannoy_closed(m, n, WeightTriple.of(*uvw))
         for n in range(4):
@@ -1058,6 +1050,25 @@ class TestDPRowFaults:
             monkeypatch.undo()
             clear_caches(families, paths, identities)
 
+    def test_wrong_closed_sum_fails_exactly_its_reader(self, monkeypatch):
+        # The DPs' oracle: delannoy_closed's sum off by one at (1, 1), at
+        # every weight triple, fails the one entry that compares it with
+        # the DP tables, wherever the registry keeps them.
+        real = paths._closed_sum
+
+        def faulty(m, n, low, high):
+            total = real(m, n, low, high)
+            return total + 1 if (m, n) == (1, 1) else total
+
+        monkeypatch.setattr(paths, "_closed_sum", faulty)
+        clear_caches(families, paths, identities)
+        try:
+            failing = {r.id for r in identities.run_all() if r.status == "fail"}
+            assert failing == {"wd-closed-vs-dp-vs-enum"}
+        finally:
+            monkeypatch.undo()
+            clear_caches(families, paths, identities)
+
 
 class TestCacheBound:
     def test_every_cache_is_bounded(self):
@@ -1066,23 +1077,52 @@ class TestCacheBound:
             for info in pkgutil.iter_modules(delannoy_jacobi.__path__)
         ]
         assert {families, paths} <= set(modules)
-        caches = [
-            value for module in modules for value in vars(module).values()
+        caches = {
+            (module.__name__.rpartition(".")[2], name): value
+            for module in modules for name, value in vars(module).items()
             if hasattr(value, "cache_info") and value.__module__ == module.__name__
-        ]
-        assert len(caches) == 11
-        assert all(cache.cache_info().maxsize == CACHE_SIZE for cache in caches)
+        }
+        assert sorted(caches) == [
+            ("families", name) for name in sorted((
+                "jacobi", "laguerre_gen", "narayana", "romanovski", "schroder_poly",
+                "shifted_jacobi"))
+        ] + [("identities", "_grid_points"), ("identities", "_kept_table"),
+             ("paths", "delannoy_closed"), ("paths", "diagonal_tally")]
+        assert all(cache.cache_info().maxsize == CACHE_SIZE for cache in caches.values())
 
     def test_distinct_calls_stay_within_bound(self):
-        table = paths.delannoy_table
-        table.cache_clear()
+        # The registry's table cache, driven through its sizing rule; at
+        # max_n = 0 each table is a DP of 5 steps.
+        config, kept = identities.SuiteConfig(max_n=0), identities._kept_table
+        kept.cache_clear()
         try:
             for k in range(CACHE_SIZE + 500):
-                table(1, 1, WeightTriple.of(k, 1, 1))
-                assert table.cache_info().currsize <= CACHE_SIZE
-            assert table.cache_info().currsize == CACHE_SIZE
+                identities._delannoy_table(config, WeightTriple.of(k, 1, 1))
+                assert kept.cache_info().currsize <= CACHE_SIZE
+            assert kept.cache_info().currsize == CACHE_SIZE
         finally:
-            table.cache_clear()
+            kept.cache_clear()
+
+    def test_tables_run_their_dp_on_every_call_and_keep_nothing(self, monkeypatch):
+        # paths caches no table: the registry keeps the tables it rereads,
+        # so two equal library calls run two DPs and fill no cache.
+        runs = []
+        real = paths._delannoy_rows
+
+        def counting(*args):
+            runs.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(paths, "_delannoy_rows", counting)
+        clear_caches(paths, identities)
+        for _ in range(2):
+            assert paths.delannoy_table(3, 3, ONES)[3, 3] == 63
+        assert runs == [(3, 3), (3, 3)]
+        assert all(
+            value.cache_info().currsize == 0
+            for module in (paths, identities) for value in vars(module).values()
+            if hasattr(value, "cache_info")
+        )
 
     def test_a_weighted_total_keeps_no_table(self):
         # A library call keeps only its total, not the Θ(mn) packed cells of
