@@ -232,7 +232,7 @@ def run_all(config: SuiteConfig = DEFAULT_CONFIG) -> list[IdentityReport]:
 
 
 class _WeightPoints(NamedTuple):
-    """The weight triples of one config, with their weights.  uvw holds
+    """The weight triples of one grid, with their weights.  uvw holds
     (u, v, w, triple) for every (u, v, w) of the grid, in grid order, and uxw
     holds (u, w, triple) for the v = x leg's (u, x, w).  poly_x is the
     triple (1, x, -1), whose totals are the shifted Jacobi and Schroeder
@@ -247,12 +247,8 @@ class _WeightPoints(NamedTuple):
     enumeration: tuple
 
 
-def _weight_points(cfg: SuiteConfig) -> _WeightPoints:
-    return _grid_points(cfg.weight_grid)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
-def _grid_points(grid: tuple[Fraction, ...]) -> _WeightPoints:
+def _weight_points(grid: tuple[Fraction, ...]) -> _WeightPoints:
     """The weight triples of one grid, built once for every entry and every
     config that runs on it, so each triple hashes and clears its weights
     once; emptying this cache makes the next run cold, fixed triples
@@ -334,7 +330,7 @@ def _gram(inner: Callable[[int, int], Fraction], size: int, positive: str | None
 )
 def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
     top = cfg.cap(6)
-    weights = _weight_points(cfg)
+    weights = _weight_points(cfg.weight_grid)
     points = [(u, v, w, wt, _delannoy_table(cfg, wt)) for u, v, w, wt in weights.uvw]
     poly_x = weights.poly_x
     poly_table = _delannoy_table(cfg, poly_x)
@@ -366,7 +362,7 @@ def _wd_closed_vs_dp_vs_enum(cfg: SuiteConfig) -> Cases:
 def _wcd_legendre(cfg: SuiteConfig, swapped: bool) -> Cases:
     F = cfg.families
     s, t = _swap_form(swapped)
-    weights = _weight_points(cfg)
+    weights = _weight_points(cfg.weight_grid)
     points = [(u, v, w, _delannoy_table(cfg, wt), u * v + s * t * w, s * w)
               for u, v, w, wt in weights.uvw]
     # The v = x leg: each (u, w) pair of the grid with the triple (u, x, w).
@@ -402,7 +398,7 @@ def _wd_jacobi(cfg: SuiteConfig, swapped: bool) -> Cases:
     s, t = _swap_form(swapped)
     points = [
         (u, v, w, _delannoy_table(cfg, wt), u * v + s * t * w, s * w, _powers(u, -top, 4))
-        for u, v, w, wt in _weight_points(cfg).uvw
+        for u, v, w, wt in _weight_points(cfg.weight_grid).uvw
     ]
     for n in range(top + 1):
         for beta in range(-n, 5):
@@ -433,7 +429,7 @@ _register(
 )
 def _dp1(cfg: SuiteConfig) -> Cases:
     F = cfg.families
-    table = _delannoy_table(cfg, _weight_points(cfg).unit)
+    table = _delannoy_table(cfg, _weight_points(cfg.weight_grid).unit)
     for n in range(cfg.cap(8) + 1):
         for alpha in range(-n, 6):
             yield _case(lambda: table[n + alpha, n].constant_value(),
@@ -448,7 +444,7 @@ def _dp1(cfg: SuiteConfig) -> Cases:
 )
 def _llp(cfg: SuiteConfig) -> Cases:
     F = cfg.families
-    table = _delannoy_table(cfg, _weight_points(cfg).poly_x)
+    table = _delannoy_table(cfg, _weight_points(cfg.weight_grid).poly_x)
     for n in range(cfg.cap(6) + 1):
         for beta in range(-n, 5):
             yield _case(lambda: F.shifted_jacobi(n, 0, beta),
@@ -724,7 +720,7 @@ def _borth2(cfg: SuiteConfig) -> Cases:
 )
 def _schroder(cfg: SuiteConfig) -> Cases:
     F = cfg.families
-    weights = _weight_points(cfg)
+    weights = _weight_points(cfg.weight_grid)
     unit, poly_x = _schroder_table(cfg, weights.unit), _schroder_table(cfg, weights.poly_x)
     for n, expected in enumerate((1, 2, 6, 22, 90)):
         yield _case(lambda: sum(1 for _ in lp.schroder_enumerate(n)),
@@ -785,7 +781,7 @@ def _cdrec(cfg: SuiteConfig) -> Cases:
     F = cfg.families
     top = cfg.cap(8)
     points = [(u, v, w, _delannoy_table(cfg, wt), _schroder_table(cfg, wt), 2 * u * v)
-              for u, v, w, wt in _weight_points(cfg).uvw]
+              for u, v, w, wt in _weight_points(cfg.weight_grid).uvw]
     for n in range(1, top + 1):
         for u, v, w, delannoy, schroder, two_uv in points:
             yield _case(lambda: delannoy[n, n].constant_value(),

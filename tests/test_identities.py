@@ -228,7 +228,7 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
 
 def _products_from_cold_caches(monkeypatch, id):
     """The operands of every Poly product one entry takes, run with empty
-    path and family caches.  __rmul__ is counted too: a scalar times a Poly
+    path, family and registry caches.  __rmul__ is counted too: a scalar times a Poly
     reaches __mul__ through it.  A scalar times a Poly that holds its
     integer form scales the numerators and builds no product, so only a
     scalar times a Fraction-only Poly is counted among them."""
@@ -240,7 +240,7 @@ def _products_from_cold_caches(monkeypatch, id):
             products.append((self, other))
         return multiply(self, other)
 
-    clear_caches(paths, families)
+    clear_caches(paths, families, identities)
     monkeypatch.setattr(Poly, "__mul__", counted)
     monkeypatch.setattr(Poly, "__rmul__", counted)
     report = run_identity(id)
@@ -392,7 +392,7 @@ def test_cold_run_all_runs_each_grid_triples_dps_once(monkeypatch):
     monkeypatch.setattr(paths, "_packed_weights", recording)
     _clear_every_cache()
     assert all(r.status == "pass" for r in run_all())
-    grid = identities._weight_points(identities.DEFAULT_CONFIG).uvw
+    grid = identities._weight_points(identities.DEFAULT_CONFIG.weight_grid).uvw
     assert len(grid) == 27
     for *_, wt in grid:
         assert sorted(steps for seen, steps in packed if seen is wt) == [20, 21], wt
@@ -425,7 +425,7 @@ def test_cold_run_all_runs_one_dp_per_triple(monkeypatch):
         monkeypatch.setattr(paths, name, recording(name))
     _clear_every_cache()
     assert all(r.status == "pass" for r in run_all())
-    weights = identities._weight_points(identities.DEFAULT_CONFIG)
+    weights = identities._weight_points(identities.DEFAULT_CONFIG.weight_grid)
     delannoy = [wt for name, wt in runs if name == "_delannoy_rows"]
     schroder = [wt for name, wt in runs if name == "_schroder_rows"]
     assert len(delannoy) == len(set(delannoy)) == 39

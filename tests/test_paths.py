@@ -1086,7 +1086,7 @@ class TestCacheBound:
             ("families", name) for name in sorted((
                 "jacobi", "laguerre_gen", "narayana", "romanovski", "schroder_poly",
                 "shifted_jacobi"))
-        ] + [("identities", "_grid_points"), ("identities", "_kept_table"),
+        ] + [("identities", "_kept_table"), ("identities", "_weight_points"),
              ("paths", "delannoy_closed"), ("paths", "diagonal_tally")]
         assert all(cache.cache_info().maxsize == CACHE_SIZE for cache in caches.values())
 

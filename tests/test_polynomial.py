@@ -625,13 +625,13 @@ class TestComposeAffineAgainstListHorner:
             calls.append((self, a, b, out))
             return out
 
-        clear_caches(families, paths)
+        clear_caches(families, paths, identities)
         monkeypatch.setattr(Poly, "compose_affine", recorded)
         try:
             identities.run_all()
         finally:
             monkeypatch.undo()
-            clear_caches(families, paths)
+            clear_caches(families, paths, identities)
         assert len(calls) > 1000
         for p, a, b, out in calls:
             assert out == compose_affine_by_lists(p, a, b), (p, a, b)
@@ -812,8 +812,8 @@ def _top_plus_one(p):
 
 def _cold_failures():
     """The ids of the registry entries that fail a run_all() from empty
-    family and path caches."""
-    clear_caches(families, paths)
+    family, path and registry caches."""
+    clear_caches(families, paths, identities)
     return {r.id for r in identities.run_all() if r.status == "fail"}
 
 
@@ -823,11 +823,12 @@ class TestIntegerFormFaults:
 
     @pytest.fixture
     def faulty(self, monkeypatch):
-        """monkeypatch, with the family and path caches emptied once the
-        fault is undone, so nothing built under it outlives the test."""
+        """monkeypatch, with the family, path and registry caches emptied
+        once the fault is undone, so nothing built under it outlives the
+        test."""
         yield monkeypatch
         monkeypatch.undo()
-        clear_caches(families, paths)
+        clear_caches(families, paths, identities)
 
     def test_constructor_that_leaves_the_denominator_unreduced(self, faulty):
         def content_only(cls, nums, d):
