@@ -250,10 +250,10 @@ class _WeightPoints(NamedTuple):
 @lru_cache(maxsize=CACHE_SIZE)
 def _weight_points(grid: tuple[Fraction, ...]) -> _WeightPoints:
     """The weight triples of one grid, built once for every entry and every
-    config that runs on it, so each triple hashes and clears its weights
-    once; emptying this cache makes the next run cold, fixed triples
-    included.  SuiteConfig refuses a zero weight, so every grid point may
-    divide by w or by uv."""
+    config that runs on it, so each triple hashes its weights once and
+    equal triples share the registry's tables; emptying this cache makes
+    the next run cold, fixed triples included.  SuiteConfig refuses a zero
+    weight, so every grid point may divide by w or by uv."""
     one = Fraction(1)
     unit = lp.WeightTriple.of(one, one, one)
     return _WeightPoints(

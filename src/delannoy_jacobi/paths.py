@@ -33,27 +33,28 @@ running block sums; the oracles that only the tests read (path weights
 step by step, these two counts by enumeration, and the block sums summed
 afresh per cell) live with the tests.  Weights may be rational constants
 or polynomials in a single variable, so substituting v = x turns the same
-DP into a polynomial-family constructor.  The DPs clear the
-weights' denominators once per weight triple and evaluate them at a power
-of two large enough to hold every coefficient (Kronecker substitution, by
-polynomial's pair _packed and _unpacked), so constant and polynomial
-weights alike run on plain ints, and a total becomes a Poly in integer
-form with no Fraction built.  Each lattice has one weighted DP route: a
-table runs the DP once to a far corner and keeps its packed cells, and a
-PackedTable reads each total off its digits when it is first asked for, so
-a caller that needs many totals at one weight triple runs one DP.  This
-module caches no table (the registry keeps the ones it rereads), so
-delannoy_weighted and schroder_weighted, which read the far corner of a
-run of their own size, keep no table; the sequence helpers read the rows
-of one run on plain ints.  A triple keeps, apart from the DPs' cleared
-weights, the integer ratios of constant weights that the closed sum runs on.
+DP into a polynomial-family constructor.  Each DP run clears the
+weights' denominators and evaluates them at a power of two large enough to
+hold every coefficient (Kronecker substitution, by polynomial's pair
+_packed and _unpacked), so constant and polynomial weights alike run on
+plain ints, and a total becomes a Poly in integer form with no Fraction
+built.  Each lattice has one weighted DP, run row by row.  A table runs it
+once to a far corner and keeps its packed cells, and a PackedTable reads
+each total off its digits when it is first asked for, so a caller that
+needs many totals at one weight triple runs one DP.  delannoy_weighted and
+schroder_weighted, like the sequence helpers on plain ints, keep only the
+previous row and read their total off the last one, so a library call
+builds no table.  This module caches no table (the registry keeps the ones
+it rereads).  A weight triple is a plain value: it keeps nothing that its
+three polynomials do not, so the DPs and the closed sum each derive what
+they run on from the weights themselves.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator
 
 from .polynomial import CACHE_SIZE, Poly, _packed, _unpacked, as_poly, require_rational
@@ -76,14 +77,11 @@ class Step(Enum):
 class WeightTriple:
     """Step weights (u east, v north, w northeast), each a polynomial.
 
-    Two values are computed on first use and kept on the triple: the
-    weights with their denominators cleared, which the DPs run on
-    (`cleared`), and, for constant weights, the integer ratios that
-    delannoy_closed runs on (`ratios`).  The DPs and their oracle read
-    separate memos, so a fault in one cannot reach the other; neither takes
-    part in equality or hashing.  The triple hashes its three polynomials,
-    each of which keeps its own hash, so a cached DP lookup hashes no
-    coefficient.
+    A frozen value of its three polynomials and nothing else: it compares
+    and hashes as they do, each of which keeps its own hash, so a cached
+    lookup hashes no coefficient.  The DPs clear its denominators per run
+    (_packed_weights) and delannoy_closed reads its weights' integer forms,
+    so neither route reads anything the other computed.
     """
 
     u: Poly
@@ -107,33 +105,8 @@ class WeightTriple:
             )
         return (self.u, self.v, self.w)
 
-    @cached_property
-    def ratios(self) -> tuple[tuple[int, int], ...] | None:
-        """((a, b), (c, d), (e, f)) with u = a/b, v = c/d and w = e/f in
-        lowest terms, for constant weights; None for polynomial weights."""
-        if not self.is_constant():
-            return None
-        return tuple(x.as_integer_ratio() for x in self.values())
 
-    @cached_property
-    def cleared(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
-        """(q, U, V, W, bitlength(S)): the weights with their denominators
-        cleared, for the DPs.
-
-        q is the lcm of the denominators of every coefficient of u, v and w,
-        and U = q*u, V = q*v, W = q^2*w are integer polynomials, given by
-        their coefficients; S = max(1, |U|_1 + |V|_1 + |W|_1) bounds the
-        growth of a DP cell per step (see _packed_weights).
-        """
-        q = math.lcm(*(p._numerators()[1] for p in (self.u, self.v, self.w)))
-        u, v, w = _scaled(self.u, q), _scaled(self.v, q), _scaled(self.w, q * q)
-        size = max(1, sum(abs(c) for c in (*u, *v, *w)))
-        return q, u, v, w, size.bit_length()
-
-
-# The DPs' default weights, which the plain counts take; it is module level
-# because a default argument must be, so its memos outlive an emptying of the
-# caches, and the registry builds a unit triple of its own per weight grid.
+# The DPs' default weights, which the plain counts take.
 UNIT_WEIGHTS = WeightTriple.of(1, 1, 1)
 
 # A path's state in _depth_first: its steps, or its number of northeast steps.
@@ -239,8 +212,11 @@ def delannoy_table(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> PackedTab
 
 def delannoy_weighted(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Delannoy total by dynamic programming: the far corner of
-    one delannoy_table(m, n, wt) run, so the call keeps none of its cells."""
-    return delannoy_table(m, n, wt)[m, n]
+    the DP's last row, read off its digits, so the call keeps one row at a
+    time and builds no table."""
+    _require_quadrant(m, n)
+    q, k, u, v, w = _packed_weights(wt, m + n)
+    return _unpacked(_last(_delannoy_rows(m, n, u, v, w))[n], k, q ** (m + n))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -254,9 +230,10 @@ def delannoy_closed(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     _closed_sum builds by Horner's rule.  Polynomial weights run it on Poly.
     For constant weights u = a/b, v = c/d, w = e/f, multiplying by
     b^m d^n f^K turns (uv, w) into the integers (acf, bde), so the loop
-    runs on ints and one Fraction is made at the end; the triple keeps
-    those ratios (WeightTriple.ratios).  Neither route reads the cleared or
-    packed weights of the DPs, so the sum stays their independent oracle.
+    runs on ints and one Fraction is made at the end; a/b is u's integer
+    form (N_0, D), which is its value in lowest terms.  Neither route
+    clears or packs the weights as the DPs do, so the sum stays their
+    independent oracle.
 
     The cache never hits within one cold `verify --all`, which asks for each
     total once; it serves repeated requests in one process, such as the
@@ -265,9 +242,10 @@ def delannoy_closed(m: int, n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """
     _require_quadrant(m, n)
     top = min(m, n)
-    ratios = wt.ratios
-    if ratios is not None:
-        (a, b), (c, d), (e, f) = ratios
+    if wt.is_constant():
+        # A constant's numerators are () for zero and (N_0,) otherwise.
+        (a, b), (c, d), (e, f) = ((sum(nums), den) for nums, den in
+                                  (x._numerators() for x in (wt.u, wt.v, wt.w)))
         total = _closed_sum(m, n, a * c * f, b * d * e) * a ** (m - top) * c ** (n - top)
         return Poly.constant(Fraction(total, b ** m * d ** n * f ** top))
     u, v, w = wt.values()
@@ -298,8 +276,11 @@ def schroder_table(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> PackedTable:
 
 def schroder_weighted(n: int, wt: WeightTriple = UNIT_WEIGHTS) -> Poly:
     """Weighted Schroeder total by DP restricted to cells with j <= i: the
-    far corner of one schroder_table(n, wt) run."""
-    return schroder_table(n, wt)[n, n]
+    end of the DP's last row, so the call keeps one row at a time."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    q, k, u, v, w = _packed_weights(wt, 2 * n)
+    return _unpacked(_last(_schroder_rows(n, u, v, w))[-1], k, q ** (2 * n))
 
 
 def delannoy_sum(m: int, n: int, u: Fraction = Fraction(1), v: Fraction = Fraction(1),
@@ -386,9 +367,10 @@ def schroder_numbers(count: int) -> list[int]:
 def _packed_weights(wt: WeightTriple, steps: int) -> tuple[int, int, int, int, int]:
     """(q, K, U(2^K), V(2^K), W(2^K)) for DPs of at most `steps` steps.
 
-    With the cleared weights U = q*u, V = q*v, W = q^2*w of wt.cleared, east
-    and north steps gain a factor q and diagonal steps q^2, so every path to
-    (i,j) gains q^(i+j).  With S = max(1, |U|_1 + |V|_1 + |W|_1), every DP
+    q is the lcm of the denominators of u, v and w, and U = q*u, V = q*v,
+    W = q^2*w are the cleared weights, integer polynomials.  East and north
+    steps gain a factor q and diagonal steps q^2, so every path to (i,j)
+    gains q^(i+j).  With S = max(1, |U|_1 + |V|_1 + |W|_1), every DP
     cell obeys |D(i,j)|_1 <= S^(i+j) by induction, so each of its signed
     coefficients fits in a K-bit digit for K = steps * bitlength(S) + 2 (a
     sign bit to spare, and K >= 2 even for the empty path).  Evaluating the
@@ -397,8 +379,9 @@ def _packed_weights(wt: WeightTriple, steps: int) -> tuple[int, int, int, int, i
     digits of one integer (its twin _unpacked), with no gcd in any cell;
     constant weights are the degree-0 case.
     """
-    q, u, v, w, bits = wt.cleared
-    k = steps * bits + 2
+    q = math.lcm(*(p._numerators()[1] for p in (wt.u, wt.v, wt.w)))
+    u, v, w = _scaled(wt.u, q), _scaled(wt.v, q), _scaled(wt.w, q * q)
+    k = steps * max(1, sum(abs(c) for c in (*u, *v, *w))).bit_length() + 2
     return q, k, _packed(u, k), _packed(v, k), _packed(w, k)
 
 

@@ -588,7 +588,7 @@ class TestClosedSum:
             assert delannoy_closed(m, n, POLY_WT) == families.sj_product_expansion(n, 0, m - n)
 
     def test_independent_of_the_dp_weights(self, monkeypatch):
-        # The oracles never read the DPs' cleared or packed weights, and never
+        # The oracles never clear or pack weights as the DPs do, and never
         # pack or read digits by the Kronecker pair that polynomial owns and
         # the DPs and Poly.compose_affine share: refused in both modules.
         def refuse(*args, **kwargs):
@@ -599,7 +599,6 @@ class TestClosedSum:
         for module in (polynomial, paths):
             for name in ("_packed", "_unpacked"):
                 monkeypatch.setattr(module, name, refuse)
-        monkeypatch.setattr(WeightTriple, "cleared", property(refuse))
         delannoy_closed.cache_clear()
         diagonal_tally.cache_clear()
         try:
@@ -612,33 +611,33 @@ class TestClosedSum:
             delannoy_closed.cache_clear()
             diagonal_tally.cache_clear()
 
-    def test_dps_never_read_the_oracles_ratios(self, monkeypatch):
-        # The other direction: the triple keeps the integer ratios that
-        # delannoy_closed runs on in a memo of their own, which the DPs
-        # never read, so a fault there cannot make a DP agree with it.
+    def test_dps_never_run_the_closed_sum(self, monkeypatch):
+        # The other direction: no DP calls delannoy_closed or its Horner
+        # loop, so a fault there cannot make a DP agree with it.
         def refuse(*args, **kwargs):
-            raise AssertionError("a DP read the closed sum's ratios")
+            raise AssertionError("a DP ran the closed sum")
 
         wt = WeightTriple.of(F(1, 2), F(-1, 3), 7)
         expected = [_closed_by_fractions(6, 6, wt), _closed_by_fractions(3, 2, POLY_WT)]
-        monkeypatch.setattr(WeightTriple, "ratios", property(refuse))
+        for name in ("delannoy_closed", "_closed_sum"):
+            monkeypatch.setattr(paths, name, refuse)
         assert [delannoy_weighted(6, 6, wt), delannoy_weighted(3, 2, POLY_WT)] == expected
+        assert [paths.delannoy_table(6, 6, wt)[6, 6], paths.schroder_table(4, wt)[4, 4]] == [
+            expected[0], schroder_sum(4, F(1, 2), F(-1, 3), 7)]
         assert schroder_weighted(4, wt) == schroder_sum(4, F(1, 2), F(-1, 3), 7)
         assert schroder_weighted(4, POLY_WT) == families.schroder_poly(4)
 
     @given(st.one_of(wide_triples, poly_triples))
     def test_equal_triples_built_apart_compare_and_hash_equal(self, uvw):
-        # The kept hash, cleared weights and ratios take no part in equality
-        # or hashing: a triple whose memos are filled equals, and hashes
-        # like, a twin built from the Fraction coefficients of its weights.
+        # A triple is the value of its three polynomials: it equals, and
+        # hashes like, a twin built from the Fraction coefficients of its
+        # weights.
         wt = WeightTriple.of(*uvw)
-        memos = hash(wt), wt.cleared, wt.ratios
         twin = WeightTriple(*(Poly(as_poly(x).coeffs) for x in uvw))
         assert twin is not wt and twin.u is not wt.u
         assert wt == twin and twin == wt
         assert {wt: 1}.get(twin) == 1
-        assert (hash(twin), twin.cleared, twin.ratios) == memos
-        assert memos[0] == hash((wt.u, wt.v, wt.w))
+        assert hash(twin) == hash(wt) == hash((wt.u, wt.v, wt.w))
 
 
 def _schroder_by_family(n, wt):
@@ -731,33 +730,41 @@ class TestBinomialSums:
         for name in ("delannoy_closed", "_closed_sum", "delannoy_weighted", "schroder_weighted",
                      "_packed_weights", "_delannoy_rows", "_schroder_rows"):
             monkeypatch.setattr(paths, name, refuse)
-        monkeypatch.setattr(WeightTriple, "cleared", property(refuse))
         assert [delannoy_sum(6, 4, *uvw), schroder_sum(5, *uvw)] == [
             total.constant_value() for total in expected
         ]
 
 
 class TestClearedWeights:
-    """WeightTriple.cleared is computed once per triple and read by every DP
-    call on it, whatever its step count."""
+    """_packed_weights clears a triple's denominators on every DP run, and
+    one triple serves DPs of every step count."""
+
+    STEPS = (0, 1, 7)
 
     @staticmethod
-    def fresh(wt):
+    def cleared(wt):
+        """(q, U, V, W), cleared afresh from the Fraction coefficients."""
         q = math.lcm(*(c.denominator for p in (wt.u, wt.v, wt.w) for c in p.coeffs))
-        u, v, w = (
+        return q, *(
             tuple(c.numerator * (scale // c.denominator) for c in p.coeffs)
             for p, scale in ((wt.u, q), (wt.v, q), (wt.w, q * q))
         )
-        return q, u, v, w, max(1, sum(abs(c) for c in (*u, *v, *w))).bit_length()
+
+    @classmethod
+    def fresh(cls, wt, steps):
+        """_packed_weights(wt, steps), packed by a sum of shifted digits
+        rather than by Horner's rule."""
+        q, *cleared = cls.cleared(wt)
+        k = steps * max(1, sum(abs(c) for cs in cleared for c in cs)).bit_length() + 2
+        return q, k, *(sum(c << (k * i) for i, c in enumerate(cs)) for cs in cleared)
 
     @given(st.one_of(wide_triples, poly_triples))
-    def test_cleared_matches_a_fresh_clearing(self, uvw):
+    def test_packed_weights_match_a_fresh_clearing(self, uvw):
         wt, twin = WeightTriple.of(*uvw), WeightTriple.of(*uvw)
         before = hash(wt)
-        cleared = wt.cleared
-        assert cleared == self.fresh(wt)
-        assert wt.cleared is cleared  # kept, not rebuilt
-        q, u, v, w, _ = cleared
+        for steps in self.STEPS:
+            assert paths._packed_weights(wt, steps) == self.fresh(wt, steps)
+        q, u, v, w = self.cleared(wt)
         assert Poly(F(c, q) for c in u) == wt.u
         assert Poly(F(c, q) for c in v) == wt.v
         assert Poly(F(c, q * q) for c in w) == wt.w
@@ -785,7 +792,8 @@ class TestClearedWeights:
         for m in range(6):
             for n in range(6):
                 assert delannoy_weighted(m, n, wt) == delannoy_closed(m, n, wt)
-        assert wt.cleared == self.fresh(WeightTriple.of(*uvw))
+        for steps in self.STEPS:
+            assert paths._packed_weights(wt, steps) == self.fresh(WeightTriple.of(*uvw), steps)
 
 
 class TestSequences:
@@ -1126,15 +1134,17 @@ class TestCacheBound:
 
     def test_a_weighted_total_keeps_no_table(self):
         # A library call keeps only its total, not the Θ(mn) packed cells of
-        # its DP run (several MB at (60, 60)), which no cache bounds in bytes.
+        # its DP run (several MB at (60, 60)), which no cache bounds in bytes;
+        # nor does it build them on the way: it holds two rows at a time.
         wt = WeightTriple.of(1, X, -1)
         clear_caches(paths)
         tracemalloc.start()
         try:
             total = delannoy_weighted(60, 60, wt)
-            kept = tracemalloc.get_traced_memory()[0]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             clear_caches(paths)
         assert total.degree == 60
         assert kept < 500_000
+        assert peak < 1_000_000

@@ -265,6 +265,34 @@ class TestFormBoundary:
                 if (reads := stored_form_reads(path))} == {}
 
 
+def cached_property_uses(path: Path) -> list[int]:
+    """The lines of path that name functools.cached_property."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name == "cached_property" for alias in node.names))
+    ]
+
+
+class TestNoMemoOnValues:
+    """No module keeps a cached_property: a per-object memo on a value type
+    outlives every cache clear and takes no part in equality, so a fault in
+    it survives a cold run.  What a route derives from a value it derives
+    per call, or keeps in a bounded cache keyed by the value."""
+
+    def test_no_module_uses_cached_property(self, tmp_path):
+        # The scan finds the import and the attribute spelling.
+        source = tmp_path / "memo.py"
+        source.write_text("import functools\nfrom functools import cached_property as memo\n"
+                          "class A:\n    @functools.cached_property\n    def x(self): ...\n")
+        assert cached_property_uses(source) == [2, 4]
+        package = Path(delannoy_jacobi.__file__).parent
+        assert {path.name: uses for path in package.glob("*.py")
+                if (uses := cached_property_uses(path))} == {}
+
+
 class TestCrossForm:
     """A Poly born in integer form and its Fraction-form twin agree on
     every method and operator, in both operand orders.  Each check takes a
