@@ -1,31 +1,22 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-A polynomial p = sum c_k x^k is held in one or both of two forms:
-
-* its coefficients, a dense tuple of Fractions with index k holding c_k
-  (Poly.coeffs);
-* its integer form (Poly._numerators): integer numerators N_k and one
-  denominator D > 0 with c_k = N_k / D, where D is the lcm of the
-  denominators of the c_k.  Then gcd(N_0, ..., N_d, D) = 1, and that
-  condition fixes N and D, so this form is canonical.
+A polynomial p = sum c_k x^k is held in its integer form
+(Poly._numerators): integer numerators N_k and one denominator D > 0 with
+c_k = N_k / D, where D is the lcm of the denominators of the c_k.  Then
+gcd(N_0, ..., N_d, D) = 1, and that condition fixes N and D, so this form
+is canonical.  Every Poly holds it from construction.  Its coefficients, a
+dense tuple of Fractions with index k holding c_k (Poly.coeffs), are a
+read-only view: kept as given when a Poly is built from Fractions, and
+otherwise built on first read and kept, like the hash.
 
 The zero polynomial has no coefficients, D = 1 and degree -1.  Trailing
-zero coefficients are stripped on construction.  Equality, hashing,
-negation, degree and is_constant read the integer form alone, since it is
-canonical: two polynomials are equal exactly when their (N, D) pairs are,
-a polynomial hashes as that pair, and a constant hashes like its value.
-
-A Poly is born in the form its maker computes: as Fraction coefficients
-from products and sums of polynomials and from cayley, and in integer form
-from the rest (ints, affine composition, negation, a constant times an
-integer form, the antiderivative, division by x, the path DPs).  Since a
-Poly never changes, the other form is built on first read and kept, like
-the hash.
-Evaluation, composition, calculus and the functionals run on the integer
-form, so a polynomial whose integer form was computed never builds a
-Fraction per coefficient unless its coefficients are read, and a cached
-family polynomial clears its denominators at most once, however often it
-is evaluated.
+zero coefficients are stripped on construction.  Since the integer form
+is canonical, two polynomials are equal exactly when their (N, D) pairs
+are, a polynomial hashes as that pair, and a constant hashes like its
+value.  Sums, scaling by a constant, negation, evaluation, composition,
+calculus and the functionals run on the integer form too and build no
+Fraction per coefficient; only the product of two polynomials, and so
+powers and cayley, runs on the Fraction view.
 
 Everything is immutable and exact: no floats, no rounding, ever.  The
 transforms every other module leans on live here: affine composition,
@@ -98,10 +89,8 @@ def pochhammer(a: Scalar, n: int) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial with exact rational coefficients.
-
-    Built from ints it starts in integer form, from anything else as
-    Fraction coefficients; either way `coeffs` reads Fractions.
+    """Dense univariate polynomial with exact rational coefficients,
+    held in its canonical integer form; `coeffs` reads Fractions.
     """
 
     __slots__ = ("_coeffs", "_hash", "_nums")
@@ -120,7 +109,8 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
-        self._nums = None
+        d = math.lcm(*(c.denominator for c in cs))
+        self._nums = tuple(c.numerator * (d // c.denominator) for c in cs), d
 
     @classmethod
     def _from_numerators(cls, nums: list[int], d: int) -> "Poly":
@@ -151,8 +141,8 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, built from the integer form on
-        first read and kept."""
+        """The coefficients as Fractions: those the Poly was built from, or
+        else built from the integer form on first read and kept."""
         cs = self._coeffs
         if cs is None:
             nums, d = self._nums
@@ -162,7 +152,7 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._numerators()[0]) - 1
+        return len(self._nums[0]) - 1
 
     @property
     def leading(self) -> Fraction:
@@ -176,13 +166,13 @@ class Poly:
         return Fraction(0)
 
     def is_constant(self) -> bool:
-        return len(self._numerators()[0]) <= 1
+        return len(self._nums[0]) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self!r}")
-        # Through coeffs, so that the Fraction is built once and kept: a
-        # cached DP total is read many times.
+        # Through the Fraction view, which is kept: a cached DP total is
+        # read many times.
         cs = self.coeffs
         return cs[0] if cs else Fraction(0)
 
@@ -195,9 +185,10 @@ class Poly:
         if isinstance(other, Poly):
             # Both integer forms are canonical, so they are equal exactly
             # when the polynomials are.
-            return self._numerators() == other._numerators()
+            return self._nums == other._nums
         if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
+            a, b = other.as_integer_ratio()
+            return self._nums == ((a,) if a else (), b)
         return NotImplemented
 
     def __hash__(self):
@@ -207,25 +198,28 @@ class Poly:
         try:
             return self._hash
         except AttributeError:
-            nums, d = self._numerators()
+            nums, d = self._nums
             self._hash = hash((nums, d) if len(nums) > 1 else Fraction(nums[0] if nums else 0, d))
             return self._hash
 
     def __neg__(self) -> "Poly":
-        nums, d = self._numerators()
+        nums, d = self._nums
         return Poly._from_numerators([-n for n in nums], d)
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        # sum (N_k L/D + M_k L/E) x^k / L over L = lcm(D, E).
+        (a, d), (b, e) = self._nums, other._nums
+        big_l = math.lcm(d, e)
+        a_scale, b_scale = big_l // d, big_l // e
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a, b, a_scale, b_scale = b, a, b_scale, a_scale
+        out = [n * a_scale for n in a]
+        for i, n in enumerate(b):
+            out[i] += n * b_scale
+        return Poly._from_numerators(out, big_l)
 
     __radd__ = __add__
 
@@ -242,9 +236,8 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other) -> "Poly":
-        if self._nums is not None and isinstance(other, (int, Fraction)):
-            # c = a/b scales the integer form to sum (a N_k) x^k / (b D).  A Poly
-            # held as Fractions only (cayley's powers of x) takes the product.
+        if isinstance(other, (int, Fraction)):
+            # c = a/b scales the integer form to sum (a N_k) x^k / (b D).
             a, b = other.as_integer_ratio()
             nums, d = self._nums
             return Poly._from_numerators([a * n for n in nums], b * d)
@@ -288,17 +281,11 @@ class Poly:
 
     def _numerators(self) -> tuple[tuple[int, ...], int]:
         """The integer form: numerators N_k and the denominator D with
-        p = sum N_k x^k / D, D the lcm of the coefficients' denominators.
-
-        Built from the coefficients on first read and kept, like the hash,
-        as an immutable tuple that every caller shares.
+        p = sum N_k x^k / D, D the lcm of the coefficients' denominators,
+        held from construction as an immutable tuple that every caller
+        shares.
         """
-        nums = self._nums
-        if nums is None:
-            cs = self._coeffs
-            d = math.lcm(*(c.denominator for c in cs))
-            nums = self._nums = tuple(c.numerator * (d // c.denominator) for c in cs), d
-        return nums
+        return self._nums
 
     def __call__(self, x: Scalar) -> Fraction:
         """Exact evaluation at a rational point: the homogeneous form of
@@ -322,7 +309,7 @@ class Poly:
         for value in (a, b):
             if type(value) is not int and type(value) is not Fraction:
                 require_rational(value)
-        nums, d = self._numerators()
+        nums, d = self._nums
         if not nums:
             return Fraction(0)
         (a1, a2), (b1, b2) = a.as_integer_ratio(), b.as_integer_ratio()
@@ -352,7 +339,7 @@ class Poly:
         for value in (a, b):
             if type(value) is not int and type(value) is not Fraction:
                 require_rational(value)
-        nums, d = self._numerators()
+        nums, d = self._nums
         if not nums:
             return ZERO
         (a_num, a_den), (b_num, b_den) = a.as_integer_ratio(), b.as_integer_ratio()
@@ -373,7 +360,7 @@ class Poly:
         With p = sum N_k x^k / D and L = lcm(1..d+1), d = deg(p), it is the
         integer form sum (L/(k+1)) N_k x^(k+1) / (L D), reduced by one gcd.
         """
-        nums, d = self._numerators()
+        nums, d = self._nums
         big_l = math.lcm(*range(1, len(nums) + 1))
         anti = [0] + [n * (big_l // k) for k, n in enumerate(nums, start=1)]
         return Poly._from_numerators(anti, big_l * d)
@@ -386,7 +373,7 @@ class Poly:
 
     def div_x(self) -> "Poly":
         """Return q with x*q = p, p(0) = 0, by dropping N_0 from the integer form."""
-        nums, d = self._numerators()
+        nums, d = self._nums
         if nums and nums[0]:
             raise NonzeroConstantTerm(f"constant term is {Fraction(nums[0], d)}, not 0")
         return Poly._from_numerators(list(nums[1:]), d)

@@ -227,16 +227,15 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
 
 
 def _products_from_cold_caches(monkeypatch, id):
-    """The operands of every Poly product one entry takes, run with empty
-    path, family and registry caches.  __rmul__ is counted too: a scalar times a Poly
-    reaches __mul__ through it.  A scalar times a Poly that holds its
-    integer form scales the numerators and builds no product, so only a
-    scalar times a Fraction-only Poly is counted among them."""
+    """The operands of every Poly x Poly product one entry takes, run with
+    empty path, family and registry caches.  __rmul__ is patched too, so
+    that no product escapes the count; a scalar times a Poly scales its
+    numerators and is not a product."""
     products = []
     multiply = Poly.__mul__
 
     def counted(self, other):
-        if self._nums is None or isinstance(other, Poly):
+        if isinstance(other, Poly):
             products.append((self, other))
         return multiply(self, other)
 

@@ -31,7 +31,7 @@ from delannoy_jacobi.polynomial import (
     binom,
     pochhammer,
 )
-from delannoy_jacobi.render import format_poly
+from delannoy_jacobi.render import format_poly, parse_poly
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys = st.builds(Poly, st.lists(rationals, max_size=8))
@@ -152,7 +152,8 @@ class TestConstruction:
 
 
 class TestIntegerForm:
-    """Poly._numerators() is computed once and kept on the polynomial."""
+    """Poly._numerators() is the integer form every Poly holds from birth,
+    one tuple that every caller shares."""
 
     @staticmethod
     def fresh(p):
@@ -167,8 +168,8 @@ class TestIntegerForm:
         assert type(form[0]) is tuple
         assert p._numerators() is form  # kept, not rebuilt
         functional = factorial_functional(max(p.degree, 0))
-        for _ in range(2):  # once filling the memo of p, once reading it
-            twin = Poly(p.coeffs)  # an equal Poly with no memo
+        for _ in range(2):  # a caller that changed the shared form shows in round two
+            twin = Poly(p.coeffs)  # an equal Poly, built afresh
             assert p(a) == twin(a)
             assert p.compose_affine(a, b) == twin.compose_affine(a, b)
             assert p.integrate(a, b) == twin.integrate(a, b)
@@ -205,12 +206,14 @@ def integer_form(ints, a, b):
 
 
 def two_forms(args):
-    """A fresh Poly in integer form only, and its twin built from the
-    Fraction coefficients, which has the Fraction form only (a zero
-    Fraction makes the zero twin)."""
+    """A fresh Poly born from integers, which has no Fraction view yet, and
+    its twin built from the Fraction coefficients, which keeps that tuple
+    (a zero Fraction makes the zero twin).  Both hold the same canonical
+    integer form from birth."""
     p = integer_form(*args)
     twin = Poly(integer_form(*args).coeffs or (F(0),))
-    assert (p._coeffs is None or p is ZERO) and twin._nums is None
+    assert p._coeffs is None or p is ZERO
+    assert type(twin._coeffs) is tuple and twin._nums == p._nums
     return p, twin
 
 
@@ -265,6 +268,67 @@ class TestFormBoundary:
                 if (reads := stored_form_reads(path))} == {}
 
 
+def integer_form_writers(path: Path) -> list[str]:
+    """The qualified names of the functions in path that assign an _nums
+    attribute ("<module>" for code outside any function)."""
+    writers = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(isinstance(t, ast.Attribute) and t.attr == "_nums"
+               for target in targets for t in ast.walk(target)):
+            writers.append(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return writers
+
+
+class TestIntegerFormAtBirth:
+    """Only the two constructors set a Poly's integer form, so every Poly
+    holds it from birth and no read builds it."""
+
+    def test_only_the_constructors_assign_the_integer_form(self, tmp_path):
+        # The scan finds a lazy build, a chained or augmented assignment,
+        # and one outside any function.
+        source = tmp_path / "lazy.py"
+        source.write_text("class Poly:\n    def _numerators(self):\n"
+                          "        nums = self._nums = (), 1\n        return nums\n"
+                          "def shift(p):\n    p._nums += ()\nZERO._nums = (), 1\n")
+        assert integer_form_writers(source) == ["Poly._numerators", "shift", "<module>"]
+        package = Path(delannoy_jacobi.__file__).parent
+        assert sorted(set(integer_form_writers(package / "polynomial.py"))) == [
+            "Poly.__init__", "Poly._from_numerators"]
+
+    @staticmethod
+    def assert_canonical(p):
+        nums, d = p._numerators()
+        assert type(nums) is tuple and all(type(n) is int for n in nums)
+        assert type(d) is int and d > 0
+        assert not nums or nums[-1] != 0
+        assert math.gcd(d, *nums) == 1
+
+    @settings(deadline=None)
+    @given(int_lists, polys, polys, scalars, st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=3), rationals, rationals)
+    def test_every_maker_returns_the_canonical_form(self, ints, p, q, c, k, extra, a, b):
+        outs = [
+            Poly(ints), Poly(F(n, 6) for n in ints), p + q, p + c, c + p, p - q, c - p,
+            c * p, p * c, p * q, p ** k, p.cayley(max(p.degree, 0) + extra),
+            p.compose_affine(a, b), p.antiderivative(), (X * p).div_x(),
+            parse_poly(format_poly(p)),
+        ]
+        for out in outs:
+            self.assert_canonical(out)
+
+
 def cached_property_uses(path: Path) -> list[int]:
     """The lines of path that name functools.cached_property."""
     return [
@@ -294,9 +358,10 @@ class TestNoMemoOnValues:
 
 
 class TestCrossForm:
-    """A Poly born in integer form and its Fraction-form twin agree on
+    """A Poly born from integers and its twin born from Fractions agree on
     every method and operator, in both operand orders.  Each check takes a
-    fresh integer-form Poly, since reading the coefficients keeps them."""
+    fresh Poly born from integers, since reading the coefficients keeps
+    them."""
 
     @given(integer_form_args, integer_form_args, st.integers(min_value=2, max_value=9))
     @example(*X_AGAINST_HALF_X)
@@ -370,7 +435,7 @@ class TestCrossForm:
                     assert functional.pair(left, right) == functional(product)
                     assert moments.pair(left, right) == moments.pair(f_twin, g_twin)
 
-        # The ring operations read the coefficients, so each gets fresh
+        # A product reads the coefficients, so each operation gets fresh
         # operands, in every mix of forms.
         def operands():
             f, g = integer_form(*args), integer_form(*other_args)
@@ -425,6 +490,22 @@ class TestCrossForm:
             scaled_by_fractions(c, twin), scaled_by_fractions(c, twin),
             scaled_by_fractions(3, twin), scaled_by_fractions(-1, twin), ZERO, anti,
             Poly(twin.coeffs[1:]), antiderivative_by_fractions(anti), ZERO, ZERO]
+
+    def test_sums_build_no_fraction_until_coeffs_are_read(self, monkeypatch):
+        p = Poly((0, -1, 4, 1, -5)).compose_affine(F(2, 3), 0)
+        q = Poly((7, 0, -2)).compose_affine(F(1, 5), F(1, 2))
+        outs = self.assert_no_fraction_until_coeffs_are_read(monkeypatch, lambda: [
+            p + q, q + p, p - q, 3 - p, p + 2, p - p, ZERO + q])
+
+        def by_fractions(f, g, sign=1):
+            """The sum f + sign * g of two coefficient tuples, as a Poly."""
+            n = max(len(f), len(g))
+            f, g = f + (0,) * (n - len(f)), g + (0,) * (n - len(g))
+            return Poly(x + sign * y for x, y in zip(f, g))
+
+        pc, qc = p.coeffs, q.coeffs
+        assert outs == [by_fractions(pc, qc), by_fractions(qc, pc), by_fractions(pc, qc, -1),
+                        by_fractions((3,), pc, -1), by_fractions(pc, (2,)), ZERO, Poly(qc)]
 
 
 class TestArithmetic:
@@ -481,8 +562,8 @@ class TestArithmetic:
 
     @given(integer_form_args, scalars)
     def test_scaling_matches_the_fraction_oracle(self, args, c):
-        # An integer-form operand is scaled on its numerators, a
-        # Fraction-only one by the product with a constant; both orders.
+        # Either twin is scaled on its numerators, and Poly.constant(c)
+        # takes the product; both orders.
         expected = scaled_by_fractions(c, two_forms(args)[1])
         for make in (lambda p: c * p, lambda p: p * c, lambda p: Poly.constant(c) * p):
             for p in two_forms(args):
@@ -912,10 +993,7 @@ class TestIntegerFormFaults:
 
         def scaled_top_plus_one(self, other):
             out = multiply(self, other)
-            # Only a constant times an integer form takes the scaling route.
-            if self._nums is not None and isinstance(other, (int, F)):
-                out = _top_plus_one(out)
-            return out
+            return _top_plus_one(out) if isinstance(other, (int, F)) else out
 
         faulty.setattr(Poly, "__mul__", scaled_top_plus_one)
         faulty.setattr(Poly, "__rmul__", scaled_top_plus_one)
@@ -936,10 +1014,10 @@ class TestIntegerFormFaults:
             "sj-expansion",
         }
 
-    # Poly x Poly products and sums still run on Fraction coefficients.
-    # The entries that a wrong top numerator of a product FAILs, where
-    # the other factor is a Poly (a constant factor takes the scaling
-    # route above).
+    # Poly x Poly products still run on Fraction coefficients.  The
+    # entries that a wrong top numerator of a product FAILs, where the
+    # other factor is a Poly (a constant factor takes the scaling route
+    # above).
     PRODUCT_FAILING = {
         "abdec", "antideriv", "bneg", "cdrec", "favard-legendre", "favard-schroder",
         "laguerre-orth", "narayana", "schroder", "sj-expansion", "wd-closed-vs-dp-vs-enum",
@@ -956,9 +1034,17 @@ class TestIntegerFormFaults:
         faulty.setattr(Poly, "__rmul__", product_top_plus_one)
         assert _cold_failures() == self.PRODUCT_FAILING
 
-    # A wrong sum passes bneg and laguerre-orth, which a wrong product fails.
+    def test_sum_with_a_wrong_top_numerator(self, faulty):
+        for method in ("__add__", "__radd__"):
+            route = getattr(Poly, method)
+            faulty.setattr(Poly, method,
+                           lambda self, other, route=route: _top_plus_one(route(self, other)))
+        # A wrong sum passes bneg and laguerre-orth, which a wrong product
+        # fails.
+        assert _cold_failures() == self.PRODUCT_FAILING - {"bneg", "laguerre-orth"}
+
+    # Powers and cayley multiply polynomials too, by the product above.
     @pytest.mark.parametrize("methods, failing", [
-        (("__add__", "__radd__"), PRODUCT_FAILING - {"bneg", "laguerre-orth"}),
         (("__pow__",), {"abdec", "antideriv", "narayana", "sj-expansion",
                         "wd-closed-vs-dp-vs-enum"}),
         (("cayley",), {"narayana"}),
