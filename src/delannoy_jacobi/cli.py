@@ -265,9 +265,9 @@ def _run_compute(args) -> int:
         poly = POLY_FAMILIES[args.family](args.n, args.alpha, args.beta)
         fields = {"family": args.family, "n": args.n, "alpha": args.alpha, "beta": args.beta}
         _emit(args.format, lambda: format_poly(poly),
-              lambda: {**fields, "coefficients": list(map(str, poly.coeffs)),
+              lambda: {**fields, "coefficients": poly.coefficient_texts(),
                        "text": format_poly(poly)},
-              ("power", "coefficient"), lambda: enumerate(map(str, poly.coeffs)))
+              ("power", "coefficient"), lambda: enumerate(poly.coefficient_texts()))
     else:
         values = _sequence_values(args)
         _emit(args.format, lambda: ", ".join(map(str, values)),

@@ -564,14 +564,14 @@ def _abdec(cfg: SuiteConfig) -> Cases:
 )
 def _laguerre_orth(cfg: SuiteConfig) -> Cases:
     F = cfg.families
-    top = cfg.cap(6)
-    functional = fn.factorial_functional(2 * top + 6)
+    top, bridge_top, top_beta = cfg.cap(6), cfg.cap(5), 4
+    # Highest degrees paired: x^beta L_m^(beta) L_n^(beta), x^(m+beta) L_n^(beta).
+    functional = fn.factorial_functional(max(2 * top + top_beta, 3 * bridge_top))
     yield from _gram(lambda m, n: functional.pair(F.laguerre(m), F.laguerre(n)), top + 1)
-    for beta in range(5):
+    for beta in range(top_beta + 1):
         weighted = [Poly.monomial(beta) * F.laguerre_gen(m, beta) for m in range(top + 1)]
         yield from _gram(lambda m, n: functional.pair(weighted[m], F.laguerre_gen(n, beta)),
                          top + 1, beta=beta)
-    bridge_top = cfg.cap(5)
     for n in range(bridge_top + 1):
         for m in range(bridge_top + 1):
             monomial = Poly.monomial(m)

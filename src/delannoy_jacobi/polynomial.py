@@ -14,9 +14,10 @@ zero coefficients are stripped on construction.  Since the integer form
 is canonical, two polynomials are equal exactly when their (N, D) pairs
 are, a polynomial hashes as that pair, and a constant hashes like its
 value.  Sums, scaling by a constant, negation, evaluation, composition,
-calculus and the functionals run on the integer form too and build no
-Fraction per coefficient; only the product of two polynomials, and so
-powers and cayley, runs on the Fraction view.
+calculus, the functionals and printing (coefficient_texts) run on the
+integer form too and build no Fraction per coefficient.  Only the product
+of two polynomials (and so powers), cayley, constant_value, coefficient
+and leading read the Fraction view.
 
 Everything is immutable and exact: no floats, no rounding, ever.  The
 transforms every other module leans on live here: affine composition,
@@ -157,6 +158,18 @@ class Poly:
     @property
     def leading(self) -> Fraction:
         return self.coeffs[-1] if self else Fraction(0)
+
+    def coefficient_texts(self) -> list[str]:
+        """str(c_k) for each coefficient, read from the integer form: N_k
+        when D = 1, else N_k/D in lowest terms by one gcd, as str(Fraction)."""
+        nums, d = self._nums
+        if d == 1:
+            return list(map(str, nums))
+        texts = []
+        for n in nums:
+            g = math.gcd(n, d)
+            texts.append(str(n // g) if g == d else f"{n // g}/{d // g}")
+        return texts
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of x**k (0 beyond the stored degree)."""
@@ -397,7 +410,7 @@ class Poly:
         return total
 
     def __repr__(self) -> str:
-        return f"Poly({[str(c) for c in self.coeffs]})"
+        return f"Poly({self.coefficient_texts()})"
 
 
 def _packed(coeffs: tuple[int, ...], k: int) -> int:

@@ -3,7 +3,9 @@
 Polynomials are printed in descending powers with explicit signs and x^k
 syntax, e.g. "3x^2 - 12x + 10" or "1/2x^3 - x + 2/3".  parse_poly accepts
 exactly the emitted format, so render/parse round-trips coefficient
-sequences unchanged.
+sequences unchanged.  format_poly reads each coefficient's text from the
+integer form (Poly.coefficient_texts), not from the Fraction view, which
+the Poly product, cayley, constant_value, coefficient and leading still read.
 
 Rational literals are "p/q" or integer strings in ASCII digits; decimals
 are rejected to keep the exactness contract visible at the boundary.
@@ -72,31 +74,26 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational literal: {quoted(text)}") from None
 
 
-def _format_term(coeff: Fraction, power: int) -> str:
-    mag = abs(coeff)
-    if power == 0:
-        return str(mag)
-    xpart = "x" if power == 1 else f"x^{power}"
-    if mag == 1:
-        return xpart
-    return f"{mag}{xpart}"
-
-
 def format_poly(p: Poly) -> str:
-    """Render in descending powers with explicit signs."""
-    if not p:
-        return "0"
+    """Render in descending powers with explicit signs: each nonzero
+    coefficient's text as a sign and a magnitude, a magnitude 1 dropped
+    before x."""
     parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
-        if c == 0:
+    texts = p.coefficient_texts()
+    for k in range(len(texts) - 1, -1, -1):
+        mag = texts[k]
+        if mag == "0":
             continue
-        if not parts:
-            sign = "-" if c < 0 else ""
-            parts.append(f"{sign}{_format_term(c, k)}")
-        else:
-            sign = "-" if c < 0 else "+"
-            parts.append(f" {sign} {_format_term(c, k)}")
+        sign = " + "
+        if mag[0] == "-":
+            sign, mag = " - ", mag[1:]
+        if k:
+            xpart = "x" if k == 1 else f"x^{k}"
+            mag = xpart if mag == "1" else mag + xpart
+        parts += sign, mag
+    if not parts:
+        return "0"
+    parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)
 
 

@@ -5,11 +5,13 @@ path_weight sums a path's step weights for the path DPs, the two
 *_enumerate functions count what modified_delannoy and
 motzkin_legendre_moment compute by DP, modified_delannoy_by_blocks is the
 block-sum DP that modified_delannoy runs with running sums, gram_matrix
-with is_diagonal checks orthogonality entry by entry, and the *_by_fractions functions run
-on Fraction coefficients what Poly runs on its integer form: scaling by a
-constant and the antiderivative, which integrate_by_antiderivative
-evaluates for Poly.integrate; compose_affine_by_lists is the list Horner
-of the Taylor shift that Poly.compose_affine runs as one integer Horner.
+with is_diagonal checks orthogonality entry by entry, and the *_by_fractions
+functions run on Fraction coefficients what the library runs on the
+integer form: scaling by a constant, the antiderivative (which
+integrate_by_antiderivative evaluates for Poly.integrate) and the text of
+render.format_poly (format_poly_by_fractions); compose_affine_by_lists is
+the list Horner of the Taylor shift that Poly.compose_affine runs as one
+integer Horner.
 """
 
 import math
@@ -131,6 +133,35 @@ def integrate_by_antiderivative(p: Poly, lo, hi) -> Fraction:
     evaluated at both bounds."""
     anti = antiderivative_by_fractions(p)
     return anti(hi) - anti(lo)
+
+
+def format_poly_by_fractions(p: Poly) -> str:
+    """format_poly's text built term by term from the Fraction coefficients:
+    descending powers, explicit signs, a magnitude 1 dropped before x."""
+
+    def term(coeff: Fraction, power: int) -> str:
+        mag = abs(coeff)
+        if power == 0:
+            return str(mag)
+        xpart = "x" if power == 1 else f"x^{power}"
+        if mag == 1:
+            return xpart
+        return f"{mag}{xpart}"
+
+    if not p:
+        return "0"
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p.coefficient(k)
+        if c == 0:
+            continue
+        if not parts:
+            sign = "-" if c < 0 else ""
+            parts.append(f"{sign}{term(c, k)}")
+        else:
+            sign = "-" if c < 0 else "+"
+            parts.append(f" {sign} {term(c, k)}")
+    return "".join(parts)
 
 
 def compose_affine_by_lists(p: Poly, a, b) -> Poly:

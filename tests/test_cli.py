@@ -15,14 +15,14 @@ from pathlib import Path
 
 import golden_reports
 import pytest
-from faults import CorruptingFamilies
+from faults import CorruptingFamilies, clear_caches
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from delannoy_jacobi import cli, families, identities, paths
 from delannoy_jacobi.cli import main
 from delannoy_jacobi.polynomial import Poly
-from delannoy_jacobi.render import parse_poly
+from delannoy_jacobi.render import format_poly, parse_poly
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +176,32 @@ class TestComputePoly:
         )
         assert code == 0
         assert out == "power,coefficient\r\n0,0\r\n1,1\r\n2,3\r\n3,1\r\n"
+
+    # jacobi's integer form has D = 2^k > 1, narayana's D = 1.
+    @pytest.mark.parametrize("family,denominator", [("jacobi", 2 ** 7), ("narayana", 1)])
+    def test_printing_reads_no_fraction_view(self, capsys, monkeypatch, family, denominator):
+        """format_poly, repr and `compute poly` in every format print from
+        the integer form: with Poly.coeffs refused, freshly built
+        polynomials print byte for byte what they printed before."""
+        argv = ["compute", "poly", "--family", family, "--n", "7", "--alpha", "2", "--beta", "-1"]
+
+        def outputs():
+            clear_caches(families)
+            poly = cli.POLY_FAMILIES[family](7, 2, -1)
+            assert poly._nums[1] == denominator
+            printed = [format_poly(poly), repr(poly)]
+            for fmt in ("text", "json", "csv"):
+                printed.append(run_cli(capsys, *argv, "--format", fmt))
+            return printed
+
+        recorded = outputs()
+        assert all(code == 0 for code, _, _ in recorded[2:])
+
+        def refuse(self):
+            raise AssertionError("the Fraction view was read")
+
+        monkeypatch.setattr(Poly, "coeffs", property(refuse))
+        assert outputs() == recorded
 
 
 class TestComputeCounts:
@@ -366,12 +392,16 @@ class TestDigitLimit:
         sys.set_int_max_str_digits(before)
 
     # D(n, n) and S(n) have about 0.77 n digits, so n = 900 passes 640.
+    # P_2^(alpha,0) at alpha = 10^639 (a literal of 640 digits) has three
+    # numerators of 1 278 digits over D = 2: a rational coefficient whose
+    # numerator alone passes the limit.
     @pytest.mark.parametrize("argv", [
         ["delannoy", "--m", "900", "--n", "900"],
         ["schroder", "--n", "900"],
         ["poly", "--family", "shifted-legendre", "--n", "900"],
         ["sequence", "--name", "central-delannoy", "--count", "900"],
-    ], ids=lambda argv: argv[0])
+        ["poly", "--family", "jacobi", "--n", "2", "--alpha", "1" + "0" * 639],
+    ], ids=["delannoy", "schroder", "poly", "sequence", "poly-rational"])
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_error_names_the_limit(self, capsys, limit, argv, fmt):
         code, out, err = run_cli(capsys, "compute", *argv, "--format", fmt)

@@ -269,6 +269,15 @@ def test_laguerre_orth_builds_only_the_weighted_laguerre_factors(monkeypatch):
     assert _products_from_cold_caches(monkeypatch, "laguerre-orth") == expected
 
 
+def test_laguerre_orth_sizes_its_functional_for_tripled_caps(monkeypatch):
+    # With every cap tripled, the bridge pairs x^(m+beta) with L_n^(beta) up
+    # to degree 3 cap(5) = 45, past the 2 cap(6) + 6 = 42 moments of a
+    # functional sized from the Gram legs alone.
+    monkeypatch.setattr(SuiteConfig, "cap", lambda self, default: 3 * default)
+    report = run_identity("laguerre-orth", SuiteConfig())
+    assert (report.status, report.counterexample, report.cases_run) == ("pass", None, 6404)
+
+
 def _counting_sides(verifier, calls):
     """The verifier, with every side of every case it yields (a claim's
     condition too) counting its calls: calls gets one list of call counts

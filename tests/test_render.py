@@ -4,8 +4,9 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import format_poly_by_fractions
 
 from delannoy_jacobi.polynomial import Poly, X
 from delannoy_jacobi.render import (
@@ -51,6 +52,30 @@ def test_round_trip(coeffs):
     assert parse_poly(format_poly(poly)) == poly
 
 
+# Polynomials of degree -1 to 40 that reach every branch of the renderer:
+# zero coefficients (skipped), +-1 (dropped before x), other integers and
+# p/q values, built from Fractions or straight from an integer form (N, D),
+# where D may divide some N_k but not others.
+special = st.sampled_from([0, 1, -1, F(1, 2), F(-1, 2), F(1), F(-1)])
+from_fractions = st.lists(st.one_of(special, rationals, st.fractions()), max_size=41).map(Poly)
+from_numerators = st.builds(
+    Poly._from_numerators,
+    st.lists(st.one_of(st.sampled_from([0, 1, -1, 6, -6]), st.integers()), max_size=41),
+    st.one_of(st.sampled_from([1, 2, 3, 6]), st.integers(min_value=1)),
+)
+
+
+@given(st.one_of(from_fractions, from_numerators))
+@example(Poly())
+@example(Poly((F(-1, 2), 0, F(1))))
+def test_texts_match_the_fraction_view(poly):
+    texts, rendered, printed = poly.coefficient_texts(), format_poly(poly), repr(poly)
+    by_fractions = [str(c) for c in poly.coeffs]
+    assert texts == by_fractions
+    assert rendered == format_poly_by_fractions(poly)
+    assert printed == f"Poly({by_fractions})"
+
+
 def test_parse_rational():
     assert parse_rational("2/3") == F(2, 3)
     assert parse_rational("-7") == -7
@@ -88,6 +113,18 @@ def test_digit_limit_error_names_the_limit(set_digit_limit):
     set_digit_limit(0)  # no limit
     assert parse_integer(long) == parse_rational(long) == int(long)
     assert parse_rational(f"-1/{long}") == F(-1, int(long))
+
+
+def test_digit_limit_on_a_numerator_or_a_denominator(set_digit_limit):
+    """Each coefficient's text converts its numerator and its denominator
+    apart; either one past the limit raises the ValueError of int-to-text
+    conversion, which the CLI reports as its own error line."""
+    big = 10 ** 700
+    set_digit_limit(640)
+    for poly in [Poly((F(1, big), 1)), Poly((1, F(big, 3))), Poly((1, 0, -big))]:
+        for render in (Poly.coefficient_texts, format_poly, repr):
+            with pytest.raises(ValueError):
+                render(poly)
 
 
 def test_non_ascii_digits_are_rejected():
