@@ -8,14 +8,16 @@ shifted_jacobi is R(x-1).  Both shifts read R through the cached
 romanovski, so each (n, alpha, beta) sums its binomials once however many
 of the three families ask for it.  The path DP checks jacobi in the dp1,
 modified-delannoy and schroder entries and shifted_jacobi in llp, wd-jacobi
-and wd-jacobi-swap; dual-routes checks romanovski against jacobi composed
-with 2x+1, and the shifted Legendre family against a second binomial sum.
+and wd-jacobi-swap.  dual-routes checks jacobi against jacobi_symmetric,
+Szego's symmetric sum, which reads neither romanovski_sum nor
+compose_affine, and the shifted Legendre family against a second binomial
+sum.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomial import CACHE_SIZE, Poly, binom
+from .polynomial import CACHE_SIZE, Poly, _unpacked, binom
 
 
 class InvalidIndex(ValueError):
@@ -66,6 +68,32 @@ def romanovski_sum(n: int, alpha: int = 0, beta: int = 0) -> Poly:
         binom(n + alpha + beta + j, j) * binom(n + alpha, n - j)
         for j in range(n + 1)
     )
+
+
+def jacobi_symmetric(n: int, alpha: int = 0, beta: int = 0) -> Poly:
+    """Independent route to jacobi: Szego's symmetric sum (Orthogonal
+    Polynomials, eq. 4.3.2)
+
+        sum_s C(n+alpha, n-s) C(n+beta, s) ((x-1)/2)^s ((x+1)/2)^(n-s).
+
+    Both sums are polynomials in alpha and beta and agree for alpha,
+    beta > -1, so they agree at every integer parameter.  2^n times the sum
+    is Q = sum_s c_s (x-1)^s (x+1)^(n-s), with integer coefficients at most
+    2^n sum |c_s| in absolute value.  With K two bits past that bound's bit
+    length, one integer Horner of the homogeneous form at (2^K - 1, 2^K + 1)
+    gives Q(2^K), whose balanced base-2^K digits _unpacked reads over 2^n
+    (Kronecker substitution).
+    """
+    if n < 0:
+        raise InvalidIndex("n must be nonnegative")
+    cs = [binom(n + alpha, n - s) * binom(n + beta, s) for s in range(n + 1)]
+    k = (sum(map(abs, cs)) << n).bit_length() + 2
+    a, b = (1 << k) - 1, (1 << k) + 1
+    acc, b_pow = 0, 1
+    for c in reversed(cs):  # acc = sum c_s a^s b^(n-s)
+        acc = acc * a + c * b_pow
+        b_pow *= b
+    return _unpacked(acc, k, 1 << n)
 
 
 def legendre(n: int) -> Poly:

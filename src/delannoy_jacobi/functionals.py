@@ -13,14 +13,21 @@ helper, _convolve, multiplies the factors' integer numerators, and the
 result is summed against the moments on integers, so no product Poly and
 no Fraction per coefficient is built.
 
-Matrices are plain lists of Fraction rows; determinants use fraction-free
-(Bareiss) elimination on Fractions, so every division is exact and, for
-integer inputs, every entry stays a Fraction with denominator 1.
+A functional holds its moments from construction in integer form too:
+numerators over their one common denominator, so applying it is one
+integer dot product and one Fraction.
+
+Matrices are plain lists of rational rows (ints or Fractions).  det_exact
+clears each row's denominators once and runs fraction-free (Bareiss)
+elimination on the integer rows, where every division is exact, so no
+intermediate is a Fraction; the determinant is the integer one over the
+product of the row scales.
 """
 
 import math
+import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .polynomial import Poly, Scalar, X, require_rational
@@ -43,14 +50,27 @@ class NotInRecurrence(ValueError):
         self.index = index
 
 
-Matrix = list[list[Fraction]]
+Matrix = list[list[Scalar]]
 
 
 @dataclass(frozen=True)
 class MomentFunctional:
-    """Linear functional on polynomials, given by moments[k] = value on x^k."""
+    """Linear functional on polynomials, given by moments[k] = value on x^k.
+
+    From construction it also holds the moments' integer form: numerators
+    M_k over one common denominator L, the lcm of the moments'
+    denominators, with moments[k] = M_k / L.  Equality, hashing and repr
+    read the moments alone.
+    """
 
     moments: tuple[Fraction, ...]
+    _integer_form: tuple[tuple[int, ...], int] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        nums, scale = _cleared(self.moments)
+        object.__setattr__(self, "_integer_form", (tuple(nums), scale))
 
     @property
     def max_degree(self) -> int:
@@ -75,17 +95,23 @@ class MomentFunctional:
         return self._apply(_convolve(f_nums, g_nums), f_den * g_den)
 
     def _apply(self, nums: Sequence[int], d: int) -> Fraction:
-        """sum N_k m_k / D, summed on integers over the moments' common
-        denominator, so one Fraction is built per call."""
+        """sum N_k m_k / D = sum N_k M_k / (D L): one integer dot product
+        with the held moment numerators and one Fraction per call."""
         degree = len(nums) - 1
         if degree > self.max_degree:
             raise DegreeOutOfRange(
                 f"degree {degree} exceeds defined moments (max {self.max_degree})"
             )
-        moments = self.moments[: len(nums)]
-        scale = math.lcm(*(m.denominator for m in moments))
-        total = sum(n * m.numerator * (scale // m.denominator) for n, m in zip(nums, moments))
-        return Fraction(total, d * scale)
+        moment_nums, scale = self._integer_form
+        return Fraction(sum(map(operator.mul, nums, moment_nums)), d * scale)
+
+
+def _cleared(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Integer numerators N_k and the lcm L of the denominators of the
+    rationals v_k, with v_k = N_k / L."""
+    ratios = [require_rational(v).as_integer_ratio() for v in values]
+    scale = math.lcm(*(q for _, q in ratios))
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def factorial_functional(max_degree: int) -> MomentFunctional:
@@ -171,34 +197,58 @@ def hankel_mbeta(beta: int, top: Scalar) -> Matrix:
 
 
 def det_exact(matrix: Matrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination on
-    Fractions: every entry is made a Fraction first, and each division by
-    the previous pivot is exact."""
+    """Exact determinant of a square matrix of ints and Fractions.
+
+    Each row is scaled once by the lcm of its denominators, which
+    multiplies the determinant by that lcm; _bareiss takes the integer
+    determinant of the scaled rows, and the result is it over the product
+    of the row scales, the one Fraction built per call.
+    """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
+    rows = []
+    scale = 1
+    for row in matrix:
+        nums, d = _cleared(row)
+        rows.append(nums)
+        scale *= d
+    return Fraction(_bareiss(rows), scale)
+
+
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, in place: step k replaces each entry below and right of
+    the pivot by the 2x2 cross-product with the pivot row, divided by the
+    previous pivot.  Every such division is exact (Bareiss, Math. Comp. 22,
+    1968), so every entry stays an integer; the last pivot is the
+    determinant.  A zero pivot is swapped with the first nonzero entry
+    below it, flipping the sign; a column with none gives 0."""
+    n = len(rows)
     if n == 0:
-        return Fraction(1)
-    m = [[Fraction(require_rational(v)) for v in row] for row in matrix]
+        return 1
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
+        if not rows[k][k]:
             for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[i], m[k] = m[k], m[i]
+                if rows[i][k]:
+                    rows[i], rows[k] = rows[k], rows[i]
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
+            row = rows[i]
+            lead = row[k]
             for j in range(k + 1, n):
-                # Exact by construction: prev divides every 2x2 cross-product.
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                row[j] = (pivot * row[j] - lead * pivot_row[j]) // prev
+            row[k] = 0
+        prev = pivot
+    return sign * rows[n - 1][n - 1]
 
 
 def leading_principal_minors(matrix: Matrix) -> list[Fraction]:

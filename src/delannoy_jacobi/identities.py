@@ -922,7 +922,8 @@ def _swap_rules(cfg: SuiteConfig) -> Cases:
 @_register(
     "dual-routes",
     "Families defined twice agree: composition versus direct sum for the "
-    "shifted Legendre and 2x+1-transformed families",
+    "shifted Legendre family, and the Romanovski-sum Jacobi family versus "
+    "Szego's symmetric sum",
 )
 def _dual_routes(cfg: SuiteConfig) -> Cases:
     F = cfg.families
@@ -932,9 +933,9 @@ def _dual_routes(cfg: SuiteConfig) -> Cases:
                     n=n, family="legendre")
         for alpha in range(-3, 4):
             for beta in range(-3, 4):
-                yield _case(lambda: F.romanovski(n, alpha, beta),
-                            lambda: F.jacobi(n, alpha, beta).compose_affine(2, 1),
-                            n=n, alpha=alpha, beta=beta, family="2x+1 transform")
+                yield _case(lambda: F.jacobi(n, alpha, beta),
+                            lambda: F.jacobi_symmetric(n, alpha, beta),
+                            n=n, alpha=alpha, beta=beta, family="jacobi symmetric sum")
 
 
 @_register(

@@ -23,6 +23,7 @@ FAULT_TARGETS = {
     "legendre_q": ["favard-legendre"],
     "monic_schroder": ["favard-schroder"],
     "shifted_legendre_sum": ["dual-routes"],
+    "jacobi_symmetric": ["dual-routes"],
 }
 
 

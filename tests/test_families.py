@@ -4,10 +4,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from faults import clear_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delannoy_jacobi import families as fam
+from delannoy_jacobi import identities, paths
 from delannoy_jacobi.families import InvalidIndex
 from delannoy_jacobi.polynomial import ONE, Poly, X, ZERO, binom
 
@@ -194,6 +196,59 @@ class TestRomanovski:
             for alpha in range(-3, 4):
                 for beta in range(-3, 4):
                     assert fam.romanovski(n, alpha, beta) == fam.romanovski_sum(n, alpha, beta)
+
+
+class TestJacobiSymmetric:
+    """Szego's symmetric sum, the independent route that dual-routes
+    checks jacobi against."""
+
+    def test_examples(self):
+        assert fam.jacobi_symmetric(0, 4, -7) == ONE
+        assert fam.jacobi_symmetric(1) == X
+        assert fam.jacobi_symmetric(2) == Poly((F(-1, 2), 0, F(3, 2)))
+        assert fam.jacobi_symmetric(1, 1, 0) == Poly((F(1, 2), F(3, 2)))
+        assert fam.jacobi_symmetric(2)(3) == 13
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(InvalidIndex):
+            fam.jacobi_symmetric(-1, 0, 0)
+
+    @settings(max_examples=150)
+    @given(st.integers(min_value=0, max_value=40), st.integers(min_value=-10, max_value=10),
+           st.integers(min_value=-10, max_value=10))
+    def test_matches_jacobi(self, n, alpha, beta):
+        assert fam.jacobi_symmetric(n, alpha, beta) == fam.jacobi(n, alpha, beta)
+
+    def test_reads_neither_romanovski_sum_nor_compose_affine(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("not an independent route")
+
+        expected = [fam.jacobi(n, -2, 3) for n in range(8)]
+        monkeypatch.setattr(fam, "romanovski_sum", refuse)
+        monkeypatch.setattr(Poly, "compose_affine", refuse)
+        assert [fam.jacobi_symmetric(n, -2, 3) for n in range(8)] == expected
+
+    def test_wrong_romanovski_sum_fails_dual_routes(self, monkeypatch):
+        # 1 added to the x coefficient of every Romanovski sum except at
+        # (alpha, beta) = (0, 0), which the legendre leg reads.  Jacobi is
+        # built from that sum, so only the symmetric-sum leg can catch it.
+        real = fam.romanovski_sum
+
+        def faulty(n, alpha=0, beta=0):
+            p = real(n, alpha, beta)
+            if (alpha, beta) == (0, 0):
+                return p
+            return p + X
+
+        monkeypatch.setattr(fam, "romanovski_sum", faulty)
+        clear_caches(fam, paths, identities)
+        try:
+            report = identities.run_identity("dual-routes")
+        finally:
+            monkeypatch.undo()
+            clear_caches(fam, paths, identities)
+        assert report.status == "fail"
+        assert report.counterexample["params"]["family"] == "jacobi symmetric sum"
 
 
 class TestLegendre:

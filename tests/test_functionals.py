@@ -7,9 +7,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from faults import clear_caches
 from oracles import gram_matrix, integrate_by_antiderivative, is_diagonal
 
 from delannoy_jacobi import families as fam
+from delannoy_jacobi import functionals, identities, paths
 from delannoy_jacobi.polynomial import ONE, Poly, X
 from delannoy_jacobi.functionals import (
     DegreeOutOfRange,
@@ -27,6 +29,24 @@ from delannoy_jacobi.functionals import (
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 small_polys = st.lists(rationals, max_size=6).map(Poly)
+
+# Square matrices of order 1 to 5, of ints or of ints and Fractions,
+# each in one of the shapes that send the elimination down another
+# branch: a zero leading pivot (a row swap unless the column is zero),
+# a repeated row and a zero column (determinant 0).
+matrix_entries = st.one_of(st.integers(min_value=-9, max_value=9), rationals)
+shaped_matrices = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(
+        st.one_of(
+            st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                     min_size=n, max_size=n),
+            st.lists(st.lists(matrix_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+        ),
+        st.sampled_from(["plain", "zero pivot", "repeated row", "zero column"]),
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    )
+)
 
 
 def functional_by_fractions(functional, p):
@@ -88,6 +108,16 @@ class TestLbetaFunctional:
     def test_rejects_small_beta(self):
         with pytest.raises(ValueError):
             lbeta_functional(1)
+
+    def test_equality_hash_and_repr_read_the_moments_alone(self):
+        # The held integer form is derived from the moments, and none of
+        # the three reads it.
+        L = lbeta_functional(4)
+        twin = MomentFunctional((F(1, 3), F(1, 6), F(1, 3)))
+        assert L == twin and hash(L) == hash(twin)
+        assert L != MomentFunctional((F(1, 3), F(1, 6)))
+        assert repr(L) == "MomentFunctional(moments=(Fraction(1, 3), Fraction(1, 6), Fraction(1, 3)))"
+        assert L.moments == twin.moments == (F(1, 3), F(1, 6), F(1, 3))
 
     @given(small_polys, st.integers(min_value=7, max_value=12))
     def test_matches_fraction_sum(self, p, beta):
@@ -265,6 +295,112 @@ class TestDeterminant:
     @settings(max_examples=30)
     def test_matches_leibniz_4x4(self, matrix):
         assert det_exact(matrix) == self._leibniz(matrix)
+
+    @staticmethod
+    def _shaped(matrix, shape, i, j):
+        matrix = [list(row) for row in matrix]
+        if shape == "zero pivot":
+            matrix[0][0] = 0
+        elif shape == "repeated row" and i != j:
+            matrix[i] = list(matrix[j])
+        elif shape == "zero column":
+            for row in matrix:
+                row[j] = 0
+        return matrix
+
+    @settings(max_examples=200)
+    @given(shaped_matrices)
+    def test_matches_leibniz_up_to_5x5(self, drawn):
+        matrix = self._shaped(*drawn)
+        det = det_exact(matrix)
+        assert type(det) is F
+        assert det == self._leibniz(matrix)
+
+    @settings(max_examples=100)
+    @given(shaped_matrices)
+    def test_leading_principal_minors_match_leibniz(self, drawn):
+        matrix = self._shaped(*drawn)
+        expected = [self._leibniz([row[:k] for row in matrix[:k]])
+                    for k in range(1, len(matrix) + 1)]
+        assert leading_principal_minors(matrix) == expected
+
+    def test_row_swaps(self):
+        # A zero pivot at step 0, and one that appears only at step 1:
+        # 1*4 - 2*2 = 0 in the second row after the first elimination.
+        assert det_exact([[0, 1], [1, 0]]) == -1
+        assert det_exact([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        matrix = [[1, 2, 3], [2, 4, 5], [3, 5, 6]]
+        assert det_exact(matrix) == self._leibniz(matrix) == -1
+        scaled = [[F(v, 3 + i) for v in row] for i, row in enumerate(matrix)]
+        assert det_exact(scaled) == F(-1, 3 * 4 * 5)
+        assert det_exact([[0, 1], [0, 2]]) == 0
+
+    def test_builds_at_most_one_fraction_per_call(self, monkeypatch):
+        # Every Fraction that functionals constructs goes through the
+        # module's name; Fraction arithmetic inside fractions does not.
+        built = []
+
+        class Counted(F):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        matrix = [[F(1, 2), 3, F(-5, 7), 1], [1, 6, F(1, 3), 2],
+                  [F(2, 9), 0, 4, F(1, 5)], [7, F(-1, 4), 2, 0]]
+        singular = [[0, 1, 2], [0, F(1, 2), 3], [0, 5, F(7, 3)]]
+        hankel = hankel_mbeta(11, F(3, 2))
+        functional = lbeta_functional(12)
+        f, g = Poly((F(1, 2), F(-3, 4), 2)), fam.romanovski(3, 0, -12)
+        expected = (det_exact(matrix), det_exact(singular), det_exact(hankel),
+                    functional.pair(f, g), functional(f))
+        monkeypatch.setattr(functionals, "Fraction", Counted)
+        for compute, value in zip(
+            (lambda: det_exact(matrix), lambda: det_exact(singular),
+             lambda: det_exact(hankel), lambda: functional.pair(f, g),
+             lambda: functional(f)),
+            expected,
+        ):
+            built.clear()
+            assert compute() == value
+            assert len(built) <= 1
+
+
+class TestFunctionalFaults:
+    """A wrong functional fails a cold registry run, in exactly the entries
+    that read it: the moment numerators feed every pair and call, and the
+    integer determinant feeds det_exact and everything built on it."""
+
+    @staticmethod
+    def failing(monkeypatch, name, value, owner=functionals):
+        monkeypatch.setattr(owner, name, value)
+        clear_caches(fam, paths, identities)
+        try:
+            return {r.id for r in identities.run_all() if r.status == "fail"}
+        finally:
+            monkeypatch.undo()
+            clear_caches(fam, paths, identities)
+
+    def test_wrong_moment_numerator(self, monkeypatch):
+        # 1 added to the integer numerator of moment 1 of every functional;
+        # the public Fraction moments stay right.
+        real = MomentFunctional.__post_init__
+
+        def faulty(self):
+            real(self)
+            nums, scale = self._integer_form
+            if len(nums) > 1:
+                nums = (nums[0], nums[1] + 1) + nums[2:]
+            object.__setattr__(self, "_integer_form", (nums, scale))
+
+        failing = self.failing(monkeypatch, "__post_init__", faulty, owner=MomentFunctional)
+        assert failing == {"laguerre-orth", "romanovski-orth"}
+
+    def test_wrong_integer_determinant(self, monkeypatch):
+        # 1 added to the integer determinant before the division by the
+        # row scales.
+        real = functionals._bareiss
+        failing = self.failing(monkeypatch, "_bareiss", lambda rows: real(rows) + 1)
+        assert failing == {"romanovski-orth"}
 
 
 class TestHankelThreshold:

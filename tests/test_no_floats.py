@@ -10,7 +10,7 @@ import pytest
 
 import delannoy_jacobi
 from delannoy_jacobi import paths
-from delannoy_jacobi.functionals import det_exact, hankel_mbeta
+from delannoy_jacobi.functionals import MomentFunctional, det_exact, hankel_mbeta
 from delannoy_jacobi.paths import WeightTriple
 from delannoy_jacobi.polynomial import Poly, X, as_poly, pochhammer
 
@@ -40,6 +40,7 @@ ENTRY_POINTS = {
     "schroder_sum-w": lambda value: paths.schroder_sum(2, 1, 1, value),
     "hankel_mbeta-top": lambda value: hankel_mbeta(3, value),
     "det_exact": lambda value: det_exact([[value]]),
+    "MomentFunctional": lambda value: MomentFunctional((1, value)),
 }
 
 
