@@ -3,15 +3,14 @@
 All parameters are integers (negative values allowed where noted), so every
 coefficient comes out of generalized binomials and stays an exact rational.
 The Jacobi-type families are the integer sequence R = romanovski_sum
-shifted once or not at all: romanovski is R, jacobi is R((x-1)/2) and
-shifted_jacobi is R(x-1).  Both shifts read R through the cached
-romanovski, so each (n, alpha, beta) sums its binomials once however many
-of the three families ask for it.  The path DP checks jacobi in the dp1,
-modified-delannoy and schroder entries and shifted_jacobi in llp, wd-jacobi
-and wd-jacobi-swap.  dual-routes checks jacobi against jacobi_symmetric,
-Szego's symmetric sum, which reads neither romanovski_sum nor
-compose_affine, and the shifted Legendre family against a second binomial
-sum.
+shifted once or not at all: romanovski is R itself, jacobi is R((x-1)/2)
+and shifted_jacobi is R(x-1).  R is cached, so each (n, alpha, beta) sums
+its binomials once however many of the three families ask for it.  The
+path DP checks jacobi in the dp1, modified-delannoy and schroder entries
+and shifted_jacobi in llp, wd-jacobi and wd-jacobi-swap.  dual-routes
+checks jacobi against jacobi_symmetric, Szego's symmetric sum, which reads
+neither romanovski_sum nor compose_affine, and the shifted Legendre family
+against a second binomial sum.
 """
 
 from fractions import Fraction
@@ -32,35 +31,29 @@ def jacobi(n: int, alpha: int = 0, beta: int = 0) -> Poly:
         sum_j C(n+alpha+beta+j, j) C(n+alpha, n-j) ((x-1)/2)^j,
     which agrees with the classical polynomials for alpha, beta > -1.  For
     negative integer parameters the degree may drop below n.  It is
-    R((x-1)/2) for R = romanovski, one integer Taylor shift of the cached
-    Romanovski coefficients.
+    R((x-1)/2) for R = romanovski_sum, one integer Taylor shift of the
+    cached Romanovski coefficients.
     """
-    return romanovski(n, alpha, beta).compose_affine(Fraction(1, 2), Fraction(-1, 2))
+    return romanovski_sum(n, alpha, beta).compose_affine(Fraction(1, 2), Fraction(-1, 2))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def shifted_jacobi(n: int, alpha: int = 0, beta: int = 0) -> Poly:
     """Shifted Jacobi polynomial: the Jacobi polynomial composed with 2x-1,
-    which is R(x-1) for R = romanovski, one integer Taylor shift of the
+    which is R(x-1) for R = romanovski_sum, one integer Taylor shift of the
     cached Romanovski coefficients."""
-    return romanovski(n, alpha, beta).compose_affine(1, -1)
+    return romanovski_sum(n, alpha, beta).compose_affine(1, -1)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def romanovski(n: int, alpha: int = 0, beta: int = 0) -> Poly:
-    """Romanovski-Jacobi polynomial: the Jacobi polynomial composed with 2x+1,
-    which is R((2x+1-1)/2) = R(x), romanovski_sum itself.
-
-    For alpha = 0 and negative integer second parameter these form finite
-    orthogonal sequences; the definition itself is valid for all n.
-    """
-    return romanovski_sum(n, alpha, beta)
-
-
 def romanovski_sum(n: int, alpha: int = 0, beta: int = 0) -> Poly:
     """Direct sum: sum_j C(n+alpha+beta+j, j) C(n+alpha, n-j) x^j.
 
-    The Romanovski coefficients, from which each Jacobi-type family is built.
+    The Romanovski coefficients, from which each Jacobi-type family is
+    built.  As the family romanovski this is the Romanovski-Jacobi
+    polynomial, the Jacobi polynomial composed with 2x+1; for alpha = 0 and
+    negative integer second parameter these form finite orthogonal
+    sequences.
     """
     if n < 0:
         raise InvalidIndex("n must be nonnegative")
@@ -68,6 +61,9 @@ def romanovski_sum(n: int, alpha: int = 0, beta: int = 0) -> Poly:
         binom(n + alpha + beta + j, j) * binom(n + alpha, n - j)
         for j in range(n + 1)
     )
+
+
+romanovski = romanovski_sum
 
 
 def jacobi_symmetric(n: int, alpha: int = 0, beta: int = 0) -> Poly:
@@ -80,20 +76,16 @@ def jacobi_symmetric(n: int, alpha: int = 0, beta: int = 0) -> Poly:
     beta > -1, so they agree at every integer parameter.  2^n times the sum
     is Q = sum_s c_s (x-1)^s (x+1)^(n-s), with integer coefficients at most
     2^n sum |c_s| in absolute value.  With K two bits past that bound's bit
-    length, one integer Horner of the homogeneous form at (2^K - 1, 2^K + 1)
-    gives Q(2^K), whose balanced base-2^K digits _unpacked reads over 2^n
-    (Kronecker substitution).
+    length, the degree-n homogeneous form of sum c_s x^s at
+    (2^K - 1, 2^K + 1) is Q(2^K), whose balanced base-2^K digits _unpacked
+    reads over 2^n (Kronecker substitution).
     """
     if n < 0:
         raise InvalidIndex("n must be nonnegative")
     cs = [binom(n + alpha, n - s) * binom(n + beta, s) for s in range(n + 1)]
     k = (sum(map(abs, cs)) << n).bit_length() + 2
-    a, b = (1 << k) - 1, (1 << k) + 1
-    acc, b_pow = 0, 1
-    for c in reversed(cs):  # acc = sum c_s a^s b^(n-s)
-        acc = acc * a + c * b_pow
-        b_pow *= b
-    return _unpacked(acc, k, 1 << n)
+    q = Poly(cs).homogenized(n, (1 << k) - 1, (1 << k) + 1).numerator
+    return _unpacked(q, k, 1 << n)
 
 
 def legendre(n: int) -> Poly:
@@ -155,7 +147,6 @@ def sj_product_expansion(n: int, alpha: int, beta: int) -> Poly:
     )
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def schroder_poly(n: int) -> Poly:
     """Schroeder polynomial S_n: the weighted Schroeder total at (1, x, -1).
 
@@ -171,7 +162,6 @@ def schroder_poly(n: int) -> Poly:
     )
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def narayana(n: int) -> Poly:
     """Narayana polynomial N_n(x) = sum_{k=1..n} (1/n) C(n,k-1) C(n,k) x^k.
 

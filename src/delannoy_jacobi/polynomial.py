@@ -37,10 +37,18 @@ from fractions import Fraction
 Scalar = int | Fraction
 
 # Bound of every lru_cache, so a long-lived process cannot grow them without
-# limit: six family constructors, the path tallies and closed sums, and the
-# registry's weight points and DP tables.  A default `verify --all` fills the
-# largest (delannoy_closed) to 1 372 entries, and romanovski, which both
-# Jacobi shifts read, to 916, so its warm repeat evicts nothing.
+# limit; a default `verify --all` fits in each, so its warm repeat evicts
+# nothing.  A function is cached only where a workload rereads it:
+# - families.jacobi and shifted_jacobi: without them a cold `verify --all`
+#   takes 10 % longer and its warm repeat 23 %;
+# - families.romanovski_sum, which both Jacobi shifts read: 686 hits per
+#   cold `verify --all`;
+# - families.laguerre_gen: 554 hits per cold `verify --all`;
+# - paths.diagonal_tally: without it 1 % longer cold and 5 % warm;
+# - paths.delannoy_closed: compute-poly's 12 closed sums take about 100 ms
+#   cold and under 0.1 ms warm;
+# - identities._kept_table and _weight_points: the registry's DP tables and
+#   weight triples, each shared by several entries.
 CACHE_SIZE = 4096
 
 

@@ -4,8 +4,7 @@ Polynomials are printed in descending powers with explicit signs and x^k
 syntax, e.g. "3x^2 - 12x + 10" or "1/2x^3 - x + 2/3".  parse_poly accepts
 exactly the emitted format, so render/parse round-trips coefficient
 sequences unchanged.  format_poly reads each coefficient's text from the
-integer form (Poly.coefficient_texts), not from the Fraction view, which
-the Poly product, cayley, constant_value, coefficient and leading still read.
+integer form (Poly.coefficient_texts), not from the Fraction view.
 
 Rational literals are "p/q" or integer strings in ASCII digits; decimals
 are rejected to keep the exactness contract visible at the boundary.

@@ -1,10 +1,28 @@
 """Shared test helpers: a family namespace that corrupts one constructor,
-and the emptying of module caches before and after a fault."""
+and the one definition of a cold run.
 
+A cold run starts with every functools cache of the package empty: the
+caches that perfbench/spans.py finds for the benchmark's cold passes, so
+the tests and the benchmark mean the same thing by "cold".  Other test
+modules empty no cache themselves, except in tests of one cache's own
+behaviour; test_faults.py scans for that.
+"""
+
+import contextlib
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from delannoy_jacobi import families
+import delannoy_jacobi
+from delannoy_jacobi import families, identities
 from delannoy_jacobi.polynomial import Poly
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+
+# Found once, at import, so that a fault patched over a cached function
+# cannot hide its cache.
+CACHES = spans.find_caches(spans.package_modules(delannoy_jacobi))
 
 # For each family constructor, registry identities known to consume it
 # directly (used to keep fault-injection sweeps fast).
@@ -50,9 +68,27 @@ class CorruptingFamilies:
         return corrupted
 
 
-def clear_caches(*modules):
-    """Empty every lru_cache defined at the top level of the modules."""
-    for module in modules:
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+def empty_caches():
+    """Empty every functools cache of the package."""
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+@contextlib.contextmanager
+def cold(monkeypatch):
+    """A cold run under the faults set on monkeypatch: every cache is empty
+    on entry, and on exit the faults are undone and every cache is emptied
+    again, so nothing built under a fault outlives it."""
+    empty_caches()
+    try:
+        yield
+    finally:
+        monkeypatch.undo()
+        empty_caches()
+
+
+def cold_failures(monkeypatch):
+    """The ids of the registry entries that fail a cold run_all() under the
+    faults set on monkeypatch, which are undone on return."""
+    with cold(monkeypatch):
+        return {r.id for r in identities.run_all() if r.status == "fail"}

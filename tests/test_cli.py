@@ -15,11 +15,11 @@ from pathlib import Path
 
 import golden_reports
 import pytest
-from faults import CorruptingFamilies, clear_caches
+from faults import CACHES, CorruptingFamilies, empty_caches
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from delannoy_jacobi import cli, families, identities, paths
+from delannoy_jacobi import cli, identities, paths
 from delannoy_jacobi.cli import main
 from delannoy_jacobi.polynomial import Poly
 from delannoy_jacobi.render import format_poly, parse_poly
@@ -186,7 +186,7 @@ class TestComputePoly:
         argv = ["compute", "poly", "--family", family, "--n", "7", "--alpha", "2", "--beta", "-1"]
 
         def outputs():
-            clear_caches(families)
+            empty_caches()
             poly = cli.POLY_FAMILIES[family](7, 2, -1)
             assert poly._nums[1] == denominator
             printed = [format_poly(poly), repr(poly)]
@@ -616,12 +616,10 @@ class TestVerify:
         # the same settings adds nothing after its first run.
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("DJ_CONFIG", raising=False)
-        caches = [value for module in (families, paths, identities)
-                  for value in vars(module).values() if hasattr(value, "cache_info")]
         sizes = []
         for _ in range(3):
             assert run_cli(capsys, "verify", *argv)[0] == 0
-            sizes.append([cache.cache_info().currsize for cache in caches])
+            sizes.append([cache.cache_info().currsize for cache in CACHES])
         assert sizes[0] == sizes[1] == sizes[2]
 
 

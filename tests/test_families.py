@@ -4,12 +4,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from faults import clear_caches
+from faults import cold, empty_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delannoy_jacobi import families as fam
-from delannoy_jacobi import identities, paths
+from delannoy_jacobi import identities
 from delannoy_jacobi.families import InvalidIndex
 from delannoy_jacobi.polynomial import ONE, Poly, X, ZERO, binom
 
@@ -85,8 +85,8 @@ class TestJacobi:
 
 
 def _cold_compose_calls(monkeypatch, constructor, *args):
-    """The value of one family call made with empty family caches, and the
-    number of Poly.compose_affine calls it took."""
+    """The value of one family call made in a cold run, and the number of
+    Poly.compose_affine calls it took."""
     calls = []
     compose = Poly.compose_affine
 
@@ -94,12 +94,9 @@ def _cold_compose_calls(monkeypatch, constructor, *args):
         calls.append((a, b))
         return compose(self, a, b)
 
-    for value in vars(fam).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-    monkeypatch.setattr(Poly, "compose_affine", counted)
-    value = constructor(*args)
-    monkeypatch.undo()
+    with cold(monkeypatch):
+        monkeypatch.setattr(Poly, "compose_affine", counted)
+        value = constructor(*args)
     return value, len(calls)
 
 
@@ -183,6 +180,11 @@ class TestShiftedJacobi:
 
 
 class TestRomanovski:
+    def test_is_the_cached_sum(self):
+        # One cache serves the family and the coefficients both Jacobi
+        # shifts read.
+        assert fam.romanovski is fam.romanovski_sum
+
     def test_examples(self):
         assert fam.romanovski(1, 0, -6) == Poly((1, -4))
         assert fam.romanovski(0, 2, 5) == ONE
@@ -241,12 +243,8 @@ class TestJacobiSymmetric:
             return p + X
 
         monkeypatch.setattr(fam, "romanovski_sum", faulty)
-        clear_caches(fam, paths, identities)
-        try:
+        with cold(monkeypatch):
             report = identities.run_identity("dual-routes")
-        finally:
-            monkeypatch.undo()
-            clear_caches(fam, paths, identities)
         assert report.status == "fail"
         assert report.counterexample["params"]["family"] == "jacobi symmetric sum"
 
@@ -342,8 +340,7 @@ class TestNarayana:
 def test_integer_families_are_born_in_integer_form(constructor, args):
     # Their coefficients are integers, so no Fraction is built until the
     # coefficients are read.
-    fam.narayana.cache_clear()
-    fam.laguerre_gen.cache_clear()
+    empty_caches()
     p = constructor(*args)
     assert p._coeffs is None and p._numerators()[1] == 1
     assert all(type(c) is F and c.denominator == 1 for c in p.coeffs)

@@ -7,11 +7,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from faults import clear_caches
+from faults import cold_failures
 from oracles import gram_matrix, integrate_by_antiderivative, is_diagonal
 
 from delannoy_jacobi import families as fam
-from delannoy_jacobi import functionals, identities, paths
+from delannoy_jacobi import functionals
 from delannoy_jacobi.polynomial import ONE, Poly, X
 from delannoy_jacobi.functionals import (
     DegreeOutOfRange,
@@ -373,12 +373,7 @@ class TestFunctionalFaults:
     @staticmethod
     def failing(monkeypatch, name, value, owner=functionals):
         monkeypatch.setattr(owner, name, value)
-        clear_caches(fam, paths, identities)
-        try:
-            return {r.id for r in identities.run_all() if r.status == "fail"}
-        finally:
-            monkeypatch.undo()
-            clear_caches(fam, paths, identities)
+        return cold_failures(monkeypatch)
 
     def test_wrong_moment_numerator(self, monkeypatch):
         # 1 added to the integer numerator of moment 1 of every functional;

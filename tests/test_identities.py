@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import golden_reports
 import pytest
-from faults import FAULT_TARGETS, CorruptingFamilies, clear_caches
+from faults import FAULT_TARGETS, CorruptingFamilies, cold, empty_caches
 
 from delannoy_jacobi import families, identities, paths
 from delannoy_jacobi.identities import (
@@ -208,9 +208,8 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
         found = walk(end, *args, **kwargs)
         return found if off_axes and 0 in end else itertools.islice(found, 1, None)
 
-    clear_caches(paths)
-    monkeypatch.setattr(paths, "_depth_first", one_path_short)
-    try:
+    with cold(monkeypatch):
+        monkeypatch.setattr(paths, "_depth_first", one_path_short)
         report = run_identity("wd-closed-vs-dp-vs-enum")
         assert report.status == "fail"
         assert report.counterexample["params"] == {
@@ -219,16 +218,13 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
         report = run_identity("epl")
         assert report.status == "fail"
         assert report.counterexample["params"] == {**epl_at, "route": "pair enumeration"}
-    finally:
-        monkeypatch.undo()
-        clear_caches(paths)
     assert run_identity("wd-closed-vs-dp-vs-enum").status == "pass"
     assert run_identity("epl").status == "pass"
 
 
 def _products_from_cold_caches(monkeypatch, id):
-    """The operands of every Poly x Poly product one entry takes, run with
-    empty path, family and registry caches.  __rmul__ is patched too, so
+    """The operands of every Poly x Poly product one entry takes in a cold
+    run.  __rmul__ is patched too, so
     that no product escapes the count; a scalar times a Poly scales its
     numerators and is not a product."""
     products = []
@@ -239,11 +235,10 @@ def _products_from_cold_caches(monkeypatch, id):
             products.append((self, other))
         return multiply(self, other)
 
-    clear_caches(paths, families, identities)
-    monkeypatch.setattr(Poly, "__mul__", counted)
-    monkeypatch.setattr(Poly, "__rmul__", counted)
-    report = run_identity(id)
-    monkeypatch.undo()
+    with cold(monkeypatch):
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        monkeypatch.setattr(Poly, "__rmul__", counted)
+        report = run_identity(id)
     assert report.status == "pass"
     return products
 
@@ -335,10 +330,6 @@ def test_reports_match_the_golden_file(label):
     assert golden_reports.reports(label) == GOLDEN[label]
 
 
-def _clear_every_cache():
-    clear_caches(families, paths, identities)
-
-
 def test_each_entry_alone_reports_as_inside_run_all():
     # Caches and weight triples shared across entries only save work: an
     # entry run alone from empty caches gives the report it gives inside a
@@ -346,11 +337,11 @@ def test_each_entry_alone_reports_as_inside_run_all():
     def fields(report):
         return {k: v for k, v in report.to_dict().items() if k != "millis"}
 
-    _clear_every_cache()
+    empty_caches()
     together = {report.id: fields(report) for report in run_all()}
     assert sorted(together) == sorted(REGISTRY)
     for id in sorted(REGISTRY):
-        _clear_every_cache()
+        empty_caches()
         assert fields(run_identity(id)) == together[id], id
 
 
@@ -398,7 +389,7 @@ def test_cold_run_all_runs_each_grid_triples_dps_once(monkeypatch):
         return real(wt, steps)
 
     monkeypatch.setattr(paths, "_packed_weights", recording)
-    _clear_every_cache()
+    empty_caches()
     assert all(r.status == "pass" for r in run_all())
     grid = identities._weight_points(identities.DEFAULT_CONFIG.weight_grid).uvw
     assert len(grid) == 27
@@ -431,7 +422,7 @@ def test_cold_run_all_runs_one_dp_per_triple(monkeypatch):
     monkeypatch.setattr(paths, "_packed_weights", recording_packing)
     for name in ("_delannoy_rows", "_schroder_rows"):
         monkeypatch.setattr(paths, name, recording(name))
-    _clear_every_cache()
+    empty_caches()
     assert all(r.status == "pass" for r in run_all())
     weights = identities._weight_points(identities.DEFAULT_CONFIG.weight_grid)
     delannoy = [wt for name, wt in runs if name == "_delannoy_rows"]
@@ -452,7 +443,7 @@ def test_weight_grid_entries_of_one_config_share_triples(monkeypatch):
     # enumeration leg's own triples use.
     grid = (Fraction(-1, 3), 2, Fraction(5, 2))
     first, second = SuiteConfig(max_n=3, weight_grid=grid), SuiteConfig(max_n=3, weight_grid=grid)
-    _clear_every_cache()
+    empty_caches()
     objects = []
     for config in (first, second):
         passed, on_grid = _grid_triples(monkeypatch, config)

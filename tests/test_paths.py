@@ -8,7 +8,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from faults import clear_caches
+from faults import CACHES, cold, cold_failures, empty_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -599,17 +599,12 @@ class TestClosedSum:
         for module in (polynomial, paths):
             for name in ("_packed", "_unpacked"):
                 monkeypatch.setattr(module, name, refuse)
-        delannoy_closed.cache_clear()
-        diagonal_tally.cache_clear()
-        try:
+        with cold(monkeypatch):
             assert delannoy_closed(6, 6, WeightTriple.of(F(1, 2), F(-1, 3), 7)) == (
                 _closed_by_fractions(6, 6, WeightTriple.of(F(1, 2), F(-1, 3), 7))
             )
             assert delannoy_closed(3, 2, POLY_WT) == _closed_by_fractions(3, 2, POLY_WT)
             assert diagonal_tally(4, 3) == (35, 60, 30, 4)
-        finally:
-            delannoy_closed.cache_clear()
-            diagonal_tally.cache_clear()
 
     def test_dps_never_run_the_closed_sum(self, monkeypatch):
         # The other direction: no DP calls delannoy_closed or its Horner
@@ -1051,12 +1046,7 @@ class TestDPRowFaults:
     ])
     def test_wrong_cell_fails_exactly_its_readers(self, monkeypatch, rows, failing):
         monkeypatch.setattr(paths, rows, self.with_wrong_cell(getattr(paths, rows)))
-        clear_caches(families, paths, identities)
-        try:
-            assert {r.id for r in identities.run_all() if r.status == "fail"} == failing
-        finally:
-            monkeypatch.undo()
-            clear_caches(families, paths, identities)
+        assert cold_failures(monkeypatch) == failing
 
     def test_wrong_closed_sum_fails_exactly_its_reader(self, monkeypatch):
         # The DPs' oracle: delannoy_closed's sum off by one at (1, 1), at
@@ -1069,34 +1059,51 @@ class TestDPRowFaults:
             return total + 1 if (m, n) == (1, 1) else total
 
         monkeypatch.setattr(paths, "_closed_sum", faulty)
-        clear_caches(families, paths, identities)
-        try:
-            failing = {r.id for r in identities.run_all() if r.status == "fail"}
-            assert failing == {"wd-closed-vs-dp-vs-enum"}
-        finally:
-            monkeypatch.undo()
-            clear_caches(families, paths, identities)
+        failing = cold_failures(monkeypatch)
+        assert failing == {"wd-closed-vs-dp-vs-enum"}
 
 
 class TestCacheBound:
-    def test_every_cache_is_bounded(self):
+    # Every cache of the package, by module and function name.
+    PINNED = [
+        ("families", "jacobi"), ("families", "laguerre_gen"), ("families", "romanovski_sum"),
+        ("families", "shifted_jacobi"), ("identities", "_kept_table"),
+        ("identities", "_weight_points"), ("paths", "delannoy_closed"),
+        ("paths", "diagonal_tally"),
+    ]
+
+    @staticmethod
+    def module_caches():
+        """The caches defined at the top level of the package's modules,
+        found independently of the tests' cold-run helper."""
         modules = [
             importlib.import_module(f"delannoy_jacobi.{info.name}")
             for info in pkgutil.iter_modules(delannoy_jacobi.__path__)
         ]
         assert {families, paths} <= set(modules)
-        caches = {
-            (module.__name__.rpartition(".")[2], name): value
-            for module in modules for name, value in vars(module).items()
+        return {
+            (module.__name__.rpartition(".")[2], value.__name__): value
+            for module in modules for value in vars(module).values()
             if hasattr(value, "cache_info") and value.__module__ == module.__name__
         }
-        assert sorted(caches) == [
-            ("families", name) for name in sorted((
-                "jacobi", "laguerre_gen", "narayana", "romanovski", "schroder_poly",
-                "shifted_jacobi"))
-        ] + [("identities", "_kept_table"), ("identities", "_weight_points"),
-             ("paths", "delannoy_closed"), ("paths", "diagonal_tally")]
+
+    def test_every_cache_is_bounded(self):
+        caches = self.module_caches()
+        assert sorted(caches) == self.PINNED
         assert all(cache.cache_info().maxsize == CACHE_SIZE for cache in caches.values())
+
+    def test_empty_caches_reaches_exactly_the_pinned_caches(self):
+        # A cache added in any module is both pinned above and emptied by
+        # every cold run.
+        pinned = self.module_caches().values()
+        assert {id(cache) for cache in CACHES} == {id(cache) for cache in pinned}
+
+    def test_empty_caches_empties_a_warm_process(self):
+        caches = self.module_caches().values()
+        identities.run_all()
+        assert all(cache.cache_info().currsize > 0 for cache in caches)
+        empty_caches()
+        assert all(cache.cache_info().currsize == 0 for cache in caches)
 
     def test_distinct_calls_stay_within_bound(self):
         # The registry's table cache, driven through its sizing rule; at
@@ -1122,7 +1129,7 @@ class TestCacheBound:
             return real(*args)
 
         monkeypatch.setattr(paths, "_delannoy_rows", counting)
-        clear_caches(paths, identities)
+        empty_caches()
         for _ in range(2):
             assert paths.delannoy_table(3, 3, ONES)[3, 3] == 63
         assert runs == [(3, 3), (3, 3)]
@@ -1137,14 +1144,14 @@ class TestCacheBound:
         # its DP run (several MB at (60, 60)), which no cache bounds in bytes;
         # nor does it build them on the way: it holds two rows at a time.
         wt = WeightTriple.of(1, X, -1)
-        clear_caches(paths)
+        empty_caches()
         tracemalloc.start()
         try:
             total = delannoy_weighted(60, 60, wt)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            clear_caches(paths)
+            empty_caches()
         assert total.degree == 60
         assert kept < 500_000
         assert peak < 1_000_000

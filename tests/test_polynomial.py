@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from faults import clear_caches
+from faults import cold, cold_failures
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -17,7 +17,7 @@ from oracles import (
 )
 
 import delannoy_jacobi
-from delannoy_jacobi import families, identities, paths
+from delannoy_jacobi import families, identities
 from delannoy_jacobi.functionals import factorial_functional, inner_weighted, lbeta_functional
 from delannoy_jacobi.polynomial import (
     ONE,
@@ -734,13 +734,9 @@ class TestComposeAffineAgainstListHorner:
             calls.append((self, a, b, out))
             return out
 
-        clear_caches(families, paths, identities)
-        monkeypatch.setattr(Poly, "compose_affine", recorded)
-        try:
+        with cold(monkeypatch):
+            monkeypatch.setattr(Poly, "compose_affine", recorded)
             identities.run_all()
-        finally:
-            monkeypatch.undo()
-            clear_caches(families, paths, identities)
         assert len(calls) > 1000
         for p, a, b, out in calls:
             assert out == compose_affine_by_lists(p, a, b), (p, a, b)
@@ -919,25 +915,16 @@ def _top_plus_one(p):
     return Poly._from_numerators([*nums[:-1], nums[-1] + 1], d) if nums else p
 
 
-def _cold_failures():
-    """The ids of the registry entries that fail a run_all() from empty
-    family, path and registry caches."""
-    clear_caches(families, paths, identities)
-    return {r.id for r in identities.run_all() if r.status == "fail"}
-
-
 class TestIntegerFormFaults:
     """A fault in the integer-form route fails a cold registry run, or,
     where no entry can see it, the cross-form tests."""
 
     @pytest.fixture
     def faulty(self, monkeypatch):
-        """monkeypatch, with the family, path and registry caches emptied
-        once the fault is undone, so nothing built under it outlives the
-        test."""
-        yield monkeypatch
-        monkeypatch.undo()
-        clear_caches(families, paths, identities)
+        """monkeypatch in a cold run, so nothing built under a fault
+        outlives the test."""
+        with cold(monkeypatch):
+            yield monkeypatch
 
     def test_constructor_that_leaves_the_denominator_unreduced(self, faulty):
         def content_only(cls, nums, d):
@@ -950,7 +937,7 @@ class TestIntegerFormFaults:
             return p
 
         faulty.setattr(Poly, "_from_numerators", classmethod(content_only))
-        failed = _cold_failures()
+        failed = cold_failures(faulty)
         # swap-rules builds both of its sides by compose_affine, so an entry
         # that compares with Poly(ints) must see the fault.
         assert "dual-routes" in failed
@@ -974,7 +961,7 @@ class TestIntegerFormFaults:
     def test_compose_affine_with_a_wrong_top_numerator(self, faulty):
         compose = Poly.compose_affine
         faulty.setattr(Poly, "compose_affine", lambda self, a, b: _top_plus_one(compose(self, a, b)))
-        failed = _cold_failures()
+        failed = cold_failures(faulty)
         assert {"dual-routes", "swap-rules", "sj-expansion"} <= failed
         assert len(failed) >= 15
 
@@ -986,7 +973,7 @@ class TestIntegerFormFaults:
     def test_transform_with_a_wrong_top_numerator(self, faulty, method, failing):
         route = getattr(Poly, method)
         faulty.setattr(Poly, method, lambda self: _top_plus_one(route(self)))
-        assert _cold_failures() == failing
+        assert cold_failures(faulty) == failing
 
     def test_scaling_with_a_wrong_top_numerator(self, faulty):
         multiply = Poly.__mul__
@@ -999,7 +986,7 @@ class TestIntegerFormFaults:
         faulty.setattr(Poly, "__rmul__", scaled_top_plus_one)
         # The swap rules' (-1)^n is on this route; negation, and so
         # subtraction, has its own (below).
-        assert _cold_failures() == {
+        assert cold_failures(faulty) == {
             "antideriv", "cdrec", "favard-legendre", "favard-schroder", "narayana", "schroder",
             "swap-rules", "wcd-legendre", "wcd-legendre-swap", "wd-closed-vs-dp-vs-enum",
         }
@@ -1009,7 +996,7 @@ class TestIntegerFormFaults:
         faulty.setattr(Poly, "__neg__", lambda self: _top_plus_one(negate(self)))
         # Subtraction adds the negated right side, so every entry with a
         # difference of polynomials is on this route.
-        assert _cold_failures() == {
+        assert cold_failures(faulty) == {
             "abdec", "antideriv", "cdrec", "favard-legendre", "favard-schroder", "schroder",
             "sj-expansion",
         }
@@ -1032,7 +1019,7 @@ class TestIntegerFormFaults:
 
         faulty.setattr(Poly, "__mul__", product_top_plus_one)
         faulty.setattr(Poly, "__rmul__", product_top_plus_one)
-        assert _cold_failures() == self.PRODUCT_FAILING
+        assert cold_failures(faulty) == self.PRODUCT_FAILING
 
     def test_sum_with_a_wrong_top_numerator(self, faulty):
         for method in ("__add__", "__radd__"):
@@ -1041,7 +1028,7 @@ class TestIntegerFormFaults:
                            lambda self, other, route=route: _top_plus_one(route(self, other)))
         # A wrong sum passes bneg and laguerre-orth, which a wrong product
         # fails.
-        assert _cold_failures() == self.PRODUCT_FAILING - {"bneg", "laguerre-orth"}
+        assert cold_failures(faulty) == self.PRODUCT_FAILING - {"bneg", "laguerre-orth"}
 
     # Powers and cayley multiply polynomials too, by the product above.
     @pytest.mark.parametrize("methods, failing", [
@@ -1054,7 +1041,7 @@ class TestIntegerFormFaults:
             route = getattr(Poly, method)
             faulty.setattr(Poly, method,
                            lambda self, arg, route=route: _top_plus_one(route(self, arg)))
-        assert _cold_failures() == failing
+        assert cold_failures(faulty) == failing
 
     def test_cayley_fault_fails_the_sampling_check(self, faulty):
         # narayana is the one entry that sees a wrong cayley, so the
