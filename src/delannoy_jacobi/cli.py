@@ -5,9 +5,9 @@ Exit codes are the machine contract: 0 success, 1 computation error
 (invalid index or input, unreadable config file or report), 2 usage error
 or unknown identity id, 3 verification failure.
 
-An optional key=value config file (delannoy-jacobi.conf in the working
-directory, or the path in DJ_CONFIG) supplies the index clamp and the
-weight grid; command-line flags override it.
+A key=value config file (the path in DJ_CONFIG, which must exist, or else
+an optional delannoy-jacobi.conf in the working directory) supplies the
+index clamp and the weight grid; command-line flags override it.
 """
 
 import argparse
@@ -19,11 +19,14 @@ import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import families
-from . import identities
 from . import paths as lp
 from .render import TooManyDigits, format_poly, parse_integer, parse_rational, quoted
+
+if TYPE_CHECKING:
+    from . import identities
 
 CONFIG_FILENAME = "delannoy-jacobi.conf"
 CONFIG_ENV_VAR = "DJ_CONFIG"
@@ -62,8 +65,8 @@ accepted.
 
 config file: key=value lines (keys: max_n as a nonnegative integer,
 weight_grid as comma-separated nonzero rationals), at most 64 KiB, read
-from ./delannoy-jacobi.conf or the path in DJ_CONFIG; flags override the
-file.
+from the path in DJ_CONFIG (a missing file is an error) or else from
+./delannoy-jacobi.conf if it exists; flags override the file.
 
 exit codes: 0 success; 1 computation error; 2 usage error or unknown
 identity; 3 verification failure.
@@ -152,10 +155,12 @@ def _nonnegative_int(text: str) -> int:
 
 
 def load_config_file() -> dict:
-    """Read the optional key=value config; missing file means empty config."""
-    path = os.environ.get(CONFIG_ENV_VAR) or CONFIG_FILENAME
-    if not os.path.exists(path):
-        return {}
+    """Read DJ_CONFIG's file, which must exist, or else ./delannoy-jacobi.conf if present."""
+    path = os.environ.get(CONFIG_ENV_VAR)
+    if not path:
+        if not os.path.exists(CONFIG_FILENAME):
+            return {}
+        path = CONFIG_FILENAME
     try:
         return _parse_config(path)
     except UnicodeDecodeError as exc:
@@ -163,6 +168,7 @@ def load_config_file() -> dict:
 
 
 def _parse_config(path: str) -> dict:
+    from . import identities
     values: dict = {}
     with open(path, "rb") as handle:
         # One read past the limit tells an oversize file (or /dev/zero) from
@@ -208,7 +214,8 @@ def _parse_config(path: str) -> dict:
     return values
 
 
-def make_suite_config(args) -> identities.SuiteConfig:
+def make_suite_config(args) -> "identities.SuiteConfig":
+    from . import identities
     settings = load_config_file()
     if getattr(args, "max_n", None) is not None:
         settings["max_n"] = args.max_n
@@ -318,6 +325,7 @@ def _emit(fmt: str, text, record, header: tuple, rows) -> None:
 
 
 def _run_verify(args) -> int:
+    from . import identities
     config = make_suite_config(args)
     if not args.all:
         try:

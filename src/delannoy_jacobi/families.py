@@ -63,6 +63,7 @@ def romanovski_sum(n: int, alpha: int = 0, beta: int = 0) -> Poly:
     )
 
 
+# Kept as an alias: perfbench traces romanovski and its checks call romanovski_sum.
 romanovski = romanovski_sum
 
 

@@ -624,14 +624,15 @@ def _bneg(cfg: SuiteConfig) -> Cases:
     "transformed forms",
 )
 def _bneg_symmetry(cfg: SuiteConfig) -> Cases:
+    # 2x-1 from the direct sum: shifted_jacobi is romanovski shifted by x-1.
     F = cfg.families
     for beta in range(1, 13):
         for n in range(beta):
             yield _case(lambda: F.romanovski(n, 0, -beta),
                         lambda: F.romanovski(beta - 1 - n, 0, -beta),
                         beta=beta, n=n, form="2x+1")
-            yield _case(lambda: F.shifted_jacobi(n, 0, -beta),
-                        lambda: F.shifted_jacobi(beta - 1 - n, 0, -beta),
+            yield _case(lambda: F.sj_product_expansion(n, 0, -beta),
+                        lambda: F.sj_product_expansion(beta - 1 - n, 0, -beta),
                         beta=beta, n=n, form="2x-1")
 
 

@@ -602,7 +602,7 @@ class TestVerify:
             millis=1,
         )
         monkeypatch.setattr(
-            "delannoy_jacobi.cli.identities.run_identity", lambda *a, **k: failing
+            "delannoy_jacobi.identities.run_identity", lambda *a, **k: failing
         )
         code, out, _ = run_cli(capsys, "verify", "--id", "dp1")
         assert code == 3
@@ -667,6 +667,27 @@ class TestConfigFile:
         monkeypatch.setenv("DJ_CONFIG", str(config))
         _, out, _ = run_cli(capsys, "verify", "--id", "dual-routes", "--format", "json")
         assert json.loads(out)[0]["cases_run"] == 2 * (1 + 49)
+
+    def test_missing_env_file_is_compute_error(self, capsys, tmp_path, monkeypatch):
+        # A mistyped DJ_CONFIG path must not run the default grid instead.
+        (tmp_path / "delannoy-jacobi.conf").write_text("max_n = 1\n")
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "typo.con"
+        monkeypatch.setenv("DJ_CONFIG", str(config))
+        code, out, err = run_cli(capsys, "verify", "--id", "dp1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {config}: No such file or directory\n"
+
+    def test_missing_default_file_is_no_config(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DJ_CONFIG", raising=False)
+        code, out, _ = run_cli(capsys, "verify", "--id", "dp1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["cases_run"] == 90
+        (tmp_path / "delannoy-jacobi.conf").write_text("max_n = 1\n")
+        _, out, _ = run_cli(capsys, "verify", "--id", "dp1", "--format", "json")
+        assert json.loads(out)[0]["cases_run"] == 13
 
     def test_unknown_key_is_compute_error(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "delannoy-jacobi.conf").write_text("bogus = 3\n")
@@ -932,18 +953,68 @@ class TestArgvFuzz:
         assert exit_code_and_stderr(capsys, *argv)[0] in (0, 1, 2), argv
 
 
+def run_python(*args, cwd=None):
+    """A fresh interpreter with src/ on its path and no DJ_CONFIG."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key != "DJ_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=60,
+    )
+
+
+# Runs one cli.main request, then prints its exit code and the package's
+# loaded submodules as a last JSON line.
+MAIN_AND_MODULES = """\
+import json, sys
+from delannoy_jacobi import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("delannoy_jacobi."))]))
+"""
+
+
 class TestModuleEntry:
     def test_python_dash_m(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "delannoy_jacobi.cli",
-             "compute", "sequence", "--name", "schroder", "--count", "5"],
-            capture_output=True, text=True, env=env, timeout=60,
+        result = run_python(
+            "-m", "delannoy_jacobi.cli",
+            "compute", "sequence", "--name", "schroder", "--count", "5",
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "1, 2, 6, 22, 90\n"
+
+    def test_package_import_loads_no_module(self):
+        result = run_python(
+            "-c", "import sys, delannoy_jacobi; "
+                  "print(sorted(m for m in sys.modules if m.startswith('delannoy_jacobi')))",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "['delannoy_jacobi']\n"
+
+    @pytest.mark.parametrize("argv, printed", [
+        (["compute", "delannoy", "--m", "2", "--n", "2", "--u", "1/2", "--v", "-1/3", "--w", "7"],
+         "253/6"),
+        (["compute", "schroder", "--n", "3", "--u=-1", "--w", "0"], "-5"),
+        (["compute", "poly", "--family", "legendre", "--n", "2"], "3/2x^2 - 1/2"),
+        (["compute", "sequence", "--name", "schroder", "--count", "5"], "1, 2, 6, 22, 90"),
+    ])
+    def test_compute_loads_no_registry(self, tmp_path, argv, printed):
+        result = run_python("-c", MAIN_AND_MODULES, *argv, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        *out, last = result.stdout.splitlines()
+        assert out == [printed]
+        assert json.loads(last) == [0, [
+            "delannoy_jacobi.cli", "delannoy_jacobi.families", "delannoy_jacobi.paths",
+            "delannoy_jacobi.polynomial", "delannoy_jacobi.render",
+        ]]
+
+    def test_verify_loads_the_registry(self, tmp_path):
+        result = run_python("-c", MAIN_AND_MODULES, "verify", "--id", "dp1", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        *out, last = result.stdout.splitlines()
+        assert out[-1] == "1 identities: 1 passed, 0 failed"
+        code, modules = json.loads(last)
+        assert code == 0
+        assert {"delannoy_jacobi.identities", "delannoy_jacobi.functionals"} <= set(modules)
 
     @pytest.mark.parametrize("argv, last_line", [
         (["compute", "sequence", "--name", "schroder", "--count", "5"], "1, 2, 6, 22, 90"),

@@ -222,6 +222,36 @@ def test_dropped_enumerated_path_fails_both_path_oracles(monkeypatch, off_axes, 
     assert run_identity("epl").status == "pass"
 
 
+@pytest.mark.parametrize("family, form", [
+    ("romanovski", "2x+1"), ("sj_product_expansion", "2x-1"),
+])
+def test_bneg_symmetry_catches_each_form_alone(monkeypatch, family, form):
+    # 1 added to one family at n = 0 only breaks the symmetry of index 0
+    # with index beta - 1 from beta = 2 on.  The 2x-1 leg reads the direct
+    # sum, so neither fault reaches the other leg.
+    real = getattr(families, family)
+
+    def faulty(n, alpha=0, beta=0):
+        return real(n, alpha, beta) + (1 if n == 0 else 0)
+
+    monkeypatch.setattr(families, family, faulty)
+    with cold(monkeypatch):
+        report = run_identity("bneg-symmetry")
+    assert report.status == "fail"
+    assert report.counterexample["params"] == {"beta": 2, "n": 0, "form": form}
+    assert run_identity("bneg-symmetry").status == "pass"
+
+
+def test_bneg_symmetry_forms_are_the_shifted_families():
+    # The direct sum the 2x-1 leg reads is the shifted Jacobi polynomial at
+    # every pair the entry checks.
+    for beta in range(1, 13):
+        for n in range(beta):
+            assert families.sj_product_expansion(n, 0, -beta) == families.shifted_jacobi(
+                n, 0, -beta
+            )
+
+
 def _products_from_cold_caches(monkeypatch, id):
     """The operands of every Poly x Poly product one entry takes in a cold
     run.  __rmul__ is patched too, so
